@@ -106,7 +106,7 @@ class CheckReport:
 
 
 def column_discrepancies(
-    c_fc: np.ndarray, row_layout: PartitionedLayout
+    c_fc: np.ndarray, row_layout: PartitionedLayout, *, out: np.ndarray | None = None
 ) -> np.ndarray:
     """|reference - original| for every (block-row, encoded column) pair.
 
@@ -114,9 +114,11 @@ def column_discrepancies(
     checksum row that went through the multiplication (Eq. 4).  One
     block-reshaped reduction over the whole result — bitwise identical to
     the per-block loop it replaced (same sequential accumulation over each
-    block's data rows).
+    block's data rows).  A narrower result accumulates in float64 on the
+    fly, with no float64 copy.  ``out`` (float64, may be a view such as a
+    tile's slice of a full grid) receives the grid when given.
     """
-    c_fc = np.asarray(c_fc, dtype=np.float64)
+    c_fc = np.asarray(c_fc)
     if c_fc.shape[0] != row_layout.encoded_rows:
         raise ShapeError(
             f"result has {c_fc.shape[0]} rows, layout expects "
@@ -125,22 +127,26 @@ def column_discrepancies(
     bs = row_layout.block_size
     cols = c_fc.shape[1]
     view = c_fc.reshape(row_layout.num_blocks, row_layout.stride, cols)
-    out = np.empty((row_layout.num_blocks, cols))
-    np.sum(view[:, :bs, :], axis=1, out=out)
+    if out is None:
+        out = np.empty((row_layout.num_blocks, cols))
+    _block_sums(view[:, :bs, :], 1, out)
     out -= view[:, bs, :]
     np.abs(out, out=out)
     return out
 
 
-def row_discrepancies(c_fc: np.ndarray, col_layout: PartitionedLayout) -> np.ndarray:
+def row_discrepancies(
+    c_fc: np.ndarray, col_layout: PartitionedLayout, *, out: np.ndarray | None = None
+) -> np.ndarray:
     """|reference - original| for every (encoded row, block-column) pair.
 
     Computed directly on the result — the checked sums run along each
     row's contiguous block columns, the same reduction the GPU check
     kernel performs — instead of transposing ``c_fc`` into
-    :func:`column_discrepancies` (which forced two full copies).
+    :func:`column_discrepancies` (which forced two full copies).  ``out``
+    and the float64 accumulation are as in :func:`column_discrepancies`.
     """
-    c_fc = np.asarray(c_fc, dtype=np.float64)
+    c_fc = np.asarray(c_fc)
     if c_fc.shape[1] != col_layout.encoded_rows:
         raise ShapeError(
             f"result has {c_fc.shape[1]} columns, layout expects "
@@ -149,11 +155,21 @@ def row_discrepancies(c_fc: np.ndarray, col_layout: PartitionedLayout) -> np.nda
     bs = col_layout.block_size
     rows = c_fc.shape[0]
     view = c_fc.reshape(rows, col_layout.num_blocks, col_layout.stride)
-    out = np.empty((rows, col_layout.num_blocks))
-    np.sum(view[:, :, :bs], axis=2, out=out)
+    if out is None:
+        out = np.empty((rows, col_layout.num_blocks))
+    _block_sums(view[:, :, :bs], 2, out)
     out -= view[:, :, bs]
     np.abs(out, out=out)
     return out
+
+
+def _block_sums(blocks: np.ndarray, axis: int, out: np.ndarray) -> None:
+    # Widening inside the reduction gives a float64 copy's bytes while a
+    # block fits numpy's cast buffer; a longer one would be summed buffer
+    # by buffer (another pairwise grouping), so it is widened up front.
+    if blocks.dtype != np.float64 and blocks.shape[axis] > np.getbufsize():
+        blocks = blocks.astype(np.float64)
+    np.sum(blocks, axis=axis, dtype=np.float64, out=out)
 
 
 def check_partitioned(
@@ -172,7 +188,7 @@ def check_partitioned(
     per-comparison tolerance loop even for providers with an array form
     (the reference path property tests compare against).
     """
-    c_fc = np.asarray(c_fc, dtype=np.float64)
+    c_fc = np.asarray(c_fc)
     if c_fc.shape != (row_layout.encoded_rows, col_layout.encoded_rows):
         raise ShapeError(
             f"result shape {c_fc.shape} does not match layouts "

@@ -82,54 +82,64 @@ def top_p_arrays(
     once — the array analog of Algorithm 1's max search — so ties in
     absolute value resolve to the *lowest* index, exactly like the
     reference kernel's ``>`` comparison.  Both axes share one row-major
-    core (``axis=0`` searches a contiguous transpose copy), so
+    core (``axis=0`` searches a contiguous transposed ``|x|``), so
     :func:`top_p_of_rows` of ``M.T`` and :func:`top_p_of_columns` of ``M``
     agree bitwise.
+
+    float32 and float64 matrices are searched at their own width; other
+    dtypes are converted to float64 first.  ``|x|``, strict comparisons
+    and the float32 -> float64 widening of the returned values are all
+    exact, so both widths give the bytes of a float64 search.
 
     ``pool``, when given, must provide ``take(shape, dtype)`` / ``give(buf)``
     (see :class:`repro.engine.plan.WorkspacePool`); the absolute-value
     scratch buffer is then recycled instead of allocated per call.
     """
-    matrix = np.asarray(matrix, dtype=np.float64)
+    matrix = np.asarray(matrix)
+    if matrix.dtype not in (np.float32, np.float64):
+        matrix = matrix.astype(np.float64)
     if matrix.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {matrix.shape}")
     length = matrix.shape[axis]
     if not 1 <= p <= length:
         raise ValueError(f"p must be in 1..{length}, got {p}")
-    if axis == 1:
-        work = _take(pool, matrix.shape)
-        np.abs(matrix, out=work)
-    else:
-        # One contiguous transpose copy keeps every search round on the
-        # fast row-major argmax loop (a strided column argmax is ~10x
-        # slower and ufuncs would otherwise propagate the F-order).
-        work = _take(pool, (matrix.shape[1], matrix.shape[0]))
-        np.copyto(work, matrix.T)
-        np.abs(work, out=work)
-    # NaNs are never selected (they lose every strict ``>`` comparison in
-    # the reference kernel), but np.argmax would propagate them — mask them
-    # out.  The probe is a single cheap reduction; work holds |values| >= 0,
-    # so its sum is NaN iff a NaN is present.
-    if np.isnan(np.sum(work)):
-        work[np.isnan(work)] = -np.inf
+    # axis=0 searches the transpose written C-contiguous, which keeps every
+    # round on the fast row-major argmax loop (a strided column argmax is
+    # ~10x slower).
+    source = matrix if axis == 1 else matrix.T
+    work = _take(pool, source.shape, matrix.dtype)
+    np.abs(source, out=work)
     k = work.shape[0]
     vals = np.empty((k, p))
     idx = np.empty((k, p), dtype=np.intp)
     rows = np.arange(k)
     for j in range(p):
         best = np.argmax(work, axis=1)
+        picked = work[rows, best]
+        if j == 0:
+            # NaNs are never selected (they lose every strict ``>``
+            # comparison in the reference kernel), but np.argmax returns a
+            # row's first NaN — so the first round's picks name exactly the
+            # rows holding one.  Mask those rows and search them again.
+            nan_rows = np.flatnonzero(np.isnan(picked))
+            if nan_rows.size:
+                sub = work[nan_rows]
+                sub[np.isnan(sub)] = -np.inf
+                work[nan_rows] = sub
+                best[nan_rows] = np.argmax(sub, axis=1)
+                picked = work[rows, best]
         idx[:, j] = best
-        vals[:, j] = work[rows, best]
+        vals[:, j] = picked
         if j + 1 < p:
             work[rows, best] = -np.inf
     _give(pool, work)
     return vals, idx
 
 
-def _take(pool, shape: tuple[int, int]) -> np.ndarray:
+def _take(pool, shape: tuple[int, int], dtype) -> np.ndarray:
     if pool is None:
-        return np.empty(shape)
-    return pool.take(shape, np.float64)
+        return np.empty(shape, dtype=dtype)
+    return pool.take(shape, dtype)
 
 
 def _give(pool, buffer: np.ndarray) -> None:

@@ -45,7 +45,7 @@ from ..abft.encoding import strip_encoding
 from ..abft.providers import AABFTEpsilonProvider
 from ..abft.result import AbftResult
 from ..bounds.upper_bound import upper_bound_grid_arrays
-from ..kernels.stage_split import ChunkEncodedB, chunk_discrepancies, encode_b_chunk
+from ..kernels.stage_split import ChunkEncodedB, encode_b_chunk
 from ..telemetry import span
 from .fused import _batch_epsilon_grids, _check_one, fused_supported
 from .policy import ExecutionPolicy
@@ -563,9 +563,8 @@ def _probe_chunk(engine, plan, cfg, state: _ChunkState, busy) -> None:
         # Discrepancy parity closes the loop: identical result bytes must
         # slice into identical checksum discrepancies.
         t0 = time.perf_counter()
-        cat_col, cat_row = chunk_discrepancies(
-            c_cat, plan.row_layout, enc.layout
-        )
+        cat_col = column_discrepancies(c_cat, plan.row_layout)
+        cat_row = row_discrepancies(c_cat, enc.layout)
         blocks = plan.col_layout.num_blocks
         ok = all(
             np.array_equal(
@@ -684,7 +683,8 @@ def _check_chunk(engine, plan, cfg, state: _ChunkState) -> None:
 
     # One discrepancy pass over the concatenation; slices are the items'.
     blocks = col_layout.num_blocks
-    cat_col, cat_row = chunk_discrepancies(state.c_cat, row_layout, enc.layout)
+    cat_col = column_discrepancies(state.c_cat, row_layout)
+    cat_row = row_discrepancies(state.c_cat, enc.layout)
     state.reports = []
     for j in range(count):
         state.reports.append(

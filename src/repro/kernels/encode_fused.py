@@ -10,7 +10,10 @@ kernel invocation:
   ``encode_partitioned_*_reference``;
 * the top-p absolute values/indices of every encoded vector for the
   ``aabft`` scheme, via ``p`` rounds of a strict vectorised max search
-  (Algorithm 1's tie semantics: first occurrence wins);
+  (Algorithm 1's tie semantics: first occurrence wins) over ``|x|`` at
+  the operand's own width — a float32 operand is never copied to
+  float64, and NaN rows are found from the first round's picks rather
+  than by a separate pass over the operand;
 * the Euclidean norms of every encoded vector for the ``sea`` scheme.
 
 All scratch buffers — including the encoded output itself — can come from

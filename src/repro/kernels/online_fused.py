@@ -14,10 +14,10 @@ Bitwise reconciliation
 Fused tiles are **stride-aligned**: the tile edge is a whole number of
 ``(BS+1)``-wide encoded blocks per axis, and the encoded result dims are
 themselves stride multiples, so every tile (clipped edge tiles included)
-covers whole checksum blocks.  A tile's discrepancy reduction is then the
-exact same per-element accumulation the full-matrix reduction performs on
-that slice — ``np.asarray(..., float64)`` cast included — so the
-concatenated per-tile grids are bitwise equal to the one-shot grids, and
+covers whole checksum blocks.  A tile is then checked by the full-matrix
+discrepancy functions themselves under tile-local layouts — the same
+per-element accumulation on that slice — so the concatenated per-tile
+grids are bitwise equal to the one-shot grids, and
 the tile GEMMs reuse :func:`~repro.kernels.matmul_tiled.tiled_matmul`'s
 per-tile BLAS calls so result bytes reconcile against ``tiled_matmul``
 over the same tile list.  Both properties are hypothesis-tested.
@@ -41,6 +41,7 @@ from typing import Callable
 
 import numpy as np
 
+from ..abft.checking import column_discrepancies, row_discrepancies
 from ..abft.encoding import PartitionedLayout
 from ..errors import ShapeError
 from .matmul_tiled import tiled_matmul
@@ -120,16 +121,14 @@ def _tile_bad(
 ) -> bool:
     """Check one stride-aligned tile; record its grid slices; report failure.
 
-    The reductions replicate :func:`~repro.abft.checking.column_discrepancies`
-    and :func:`~repro.abft.checking.row_discrepancies` on the tile view.
-    Narrow inputs reduce with ``dtype=np.float64`` instead of materialising
-    the cast first — numpy casts each element on the fly into the same
-    pairwise accumulation, so the written slices stay bitwise equal to the
-    full-matrix grids while the float32 check skips a full cast pass.
+    The tile covers whole checksum blocks, so it is checked by
+    :func:`~repro.abft.checking.column_discrepancies` and
+    :func:`~repro.abft.checking.row_discrepancies` themselves, under
+    tile-local layouts, writing straight into the tile's slices of the
+    full grids — the same per-element accumulation as the full-matrix
+    reduction, so the slices are bitwise equal to the full grids.
     """
     i0, i1, j0, j1 = bounds
-    rows = i1 - i0
-    cols = j1 - j0
     r_bs = row_layout.block_size
     c_bs = col_layout.block_size
     br0 = i0 // row_layout.stride
@@ -137,17 +136,14 @@ def _tile_bad(
     bc0 = j0 // col_layout.stride
     bc1 = j1 // col_layout.stride
 
-    view = tile.reshape(br1 - br0, row_layout.stride, cols)
-    cd = col_disc[br0:br1, j0:j1]
-    np.sum(view[:, :r_bs, :], axis=1, dtype=np.float64, out=cd)
-    cd -= view[:, r_bs, :]
-    np.abs(cd, out=cd)
-
-    view = tile.reshape(rows, bc1 - bc0, col_layout.stride)
-    rd = row_disc[i0:i1, bc0:bc1]
-    np.sum(view[:, :, :c_bs], axis=2, dtype=np.float64, out=rd)
-    rd -= view[:, :, c_bs]
-    np.abs(rd, out=rd)
+    cd = column_discrepancies(
+        tile, PartitionedLayout((br1 - br0) * r_bs, r_bs),
+        out=col_disc[br0:br1, j0:j1],
+    )
+    rd = row_discrepancies(
+        tile, PartitionedLayout((bc1 - bc0) * c_bs, c_bs),
+        out=row_disc[i0:i1, bc0:bc1],
+    )
 
     ce = col_eps[br0:br1, j0:j1]
     re = row_eps[i0:i1, bc0:bc1]

@@ -12,11 +12,9 @@ chunk-level entry points that make that overlap safe:
   pass.  Because the padded per-item width is a multiple of the block
   size, every checksum block of the concatenation lies entirely inside
   one item — slicing the concatenated encoding (or its top-p arrays)
-  reproduces the per-item encodings bit for bit.
-* :func:`chunk_discrepancies` evaluates both checksum-discrepancy
-  kernels over a chunk's concatenated full-checksum result; the same
-  block-locality argument makes the per-item slices bitwise equal to
-  per-item evaluation.
+  reproduces the per-item encodings bit for bit.  The same block
+  locality makes per-item slices of the discrepancy grids of the
+  concatenated result bitwise equal to per-item evaluation.
 
 Buffer-aliasing discipline: every pooled buffer used here is obtained by
 a fresh :meth:`~repro.engine.plan.WorkspacePool.take` (never handed out
@@ -33,12 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..abft.checking import column_discrepancies, row_discrepancies
 from ..abft.encoding import PartitionedLayout, encode_partitioned_rows
 from ..bounds.upper_bound import top_p_arrays
 from ..errors import ShapeError
 
-__all__ = ["ChunkEncodedB", "encode_b_chunk", "chunk_discrepancies"]
+__all__ = ["ChunkEncodedB", "encode_b_chunk"]
 
 
 @dataclass(frozen=True)
@@ -160,22 +157,4 @@ def encode_b_chunk(
         padding=padding,
         top_values=top_values,
         top_indices=top_indices,
-    )
-
-
-def chunk_discrepancies(
-    c_cat: np.ndarray,
-    row_layout: PartitionedLayout,
-    cat_col_layout: PartitionedLayout,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Both checksum-discrepancy grids of a chunk's concatenated result.
-
-    Returns ``(col_disc, row_disc)`` over the whole concatenation; the
-    pipeline slices them per item (column ranges for ``col_disc``,
-    block-column ranges for ``row_disc``).  The outputs are fresh arrays
-    (they escape into check reports) — never pooled.
-    """
-    return (
-        column_discrepancies(c_cat, row_layout),
-        row_discrepancies(c_cat, cat_col_layout),
     )

@@ -10,6 +10,7 @@ from repro.abft.checking import (
     row_discrepancies,
 )
 from repro.abft.encoding import (
+    PartitionedLayout,
     encode_partitioned_columns,
     encode_partitioned_rows,
 )
@@ -47,6 +48,75 @@ class TestDiscrepancies:
         _, rows, _ = clean_result
         with pytest.raises(ShapeError):
             column_discrepancies(np.zeros((10, 10)), rows)
+
+
+def upcast_column_discrepancies(c_fc, row_layout):
+    """The column grid computed on a float64 copy of the result: the bytes
+    the on-the-fly float64 accumulation must reproduce."""
+    c = np.asarray(c_fc, dtype=np.float64)
+    bs = row_layout.block_size
+    view = c.reshape(row_layout.num_blocks, row_layout.stride, c.shape[1])
+    return np.abs(np.sum(view[:, :bs, :], axis=1) - view[:, bs, :])
+
+
+def upcast_row_discrepancies(c_fc, col_layout):
+    """The row grid computed on a float64 copy of the result."""
+    c = np.asarray(c_fc, dtype=np.float64)
+    bs = col_layout.block_size
+    view = c.reshape(c.shape[0], col_layout.num_blocks, col_layout.stride)
+    return np.abs(np.sum(view[:, :, :bs], axis=2) - view[:, :, bs])
+
+
+def wide_range_result(rng, row_layout, col_layout, dtype):
+    """Entries spanning 24 binades: summing them in float64 rounds, so a
+    different accumulation order or width changes the bytes."""
+    shape = (row_layout.encoded_rows, col_layout.encoded_rows)
+    c = rng.standard_normal(shape) * 2.0 ** rng.integers(-12, 12, shape)
+    return c.astype(dtype)
+
+
+class TestDiscrepancyWidths:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16])
+    @pytest.mark.parametrize("bs", [1, 7, 32, 130])
+    def test_narrow_results_match_a_float64_copy(self, rng, dtype, bs):
+        rows = PartitionedLayout(3 * bs, bs)
+        cols = PartitionedLayout(2 * bs, bs)
+        c = wide_range_result(rng, rows, cols, dtype)
+        col_ref = upcast_column_discrepancies(c, rows)
+        row_ref = upcast_row_discrepancies(c, cols)
+        assert column_discrepancies(c, rows).tobytes() == col_ref.tobytes()
+        assert row_discrepancies(c, cols).tobytes() == row_ref.tobytes()
+
+    def test_blocks_longer_than_the_cast_buffer_match_a_float64_copy(self, rng):
+        # numpy widens a narrow input in buffers of np.getbufsize()
+        # elements; a block longer than one buffer must still give the
+        # float64 copy's bytes.  A 16-element buffer makes that cheap.  A
+        # single-column result makes the column sums run along memory too.
+        rows = PartitionedLayout(2 * 600, 600)
+        cols = PartitionedLayout(3 * 600, 600)
+        c = wide_range_result(rng, rows, cols, np.float32)
+        column = np.ascontiguousarray(c[:, :1])
+        saved = np.setbufsize(16)
+        try:
+            col = column_discrepancies(column, rows)
+            row = row_discrepancies(c, cols)
+        finally:
+            np.setbufsize(saved)
+        assert col.tobytes() == upcast_column_discrepancies(column, rows).tobytes()
+        assert row.tobytes() == upcast_row_discrepancies(c, cols).tobytes()
+
+    def test_out_receives_the_grid_in_place(self, rng):
+        rows = PartitionedLayout(64, 32)
+        cols = PartitionedLayout(96, 32)
+        c = wide_range_result(rng, rows, cols, np.float32)
+        full = np.full((4, 99), np.nan)
+        col = column_discrepancies(c, rows, out=full[1:3, 0:99])
+        assert np.shares_memory(col, full)
+        assert full[1:3].tobytes() == upcast_column_discrepancies(c, rows).tobytes()
+        assert np.isnan(full[[0, 3]]).all()
+        row_out = np.empty((66, 3))
+        assert row_discrepancies(c, cols, out=row_out) is row_out
+        assert row_out.tobytes() == upcast_row_discrepancies(c, cols).tobytes()
 
 
 class TestCheckPartitioned:
