@@ -23,6 +23,7 @@ __all__ = [
     "AABFTEpsilonProvider",
     "SEAEpsilonProvider",
     "AdaptiveEpsilonProvider",
+    "aabft_epsilon_grids",
 ]
 
 
@@ -245,31 +246,68 @@ class AABFTEpsilonProvider:
         intermediate upper-bound grids; the returned epsilon arrays are
         freshly owned either way (the engine gives them back itself).
         """
-        epsilon_array = getattr(self.scheme, "epsilon_array", None)
-        if epsilon_array is None:
+        if getattr(self.scheme, "epsilon_array", None) is None:
             return None
         row_vals, row_idx, col_vals, col_idx = self._stacked_tops()
-        cs_rows = self.row_layout.all_checksum_indices()
-        cs_cols = self.col_layout.all_checksum_indices()
-        col_y = row_y = None
-        if pool is not None:
-            col_y = pool.take((cs_rows.size, col_vals.shape[0]))
-            row_y = pool.take((row_vals.shape[0], cs_cols.size))
-        col_y = upper_bound_grid_arrays(
-            row_vals[cs_rows], row_idx[cs_rows], col_vals, col_idx, out=col_y
+        return aabft_epsilon_grids(
+            self.scheme,
+            self.inner_dim,
+            row_vals,
+            row_idx,
+            col_vals,
+            col_idx,
+            self.row_layout.all_checksum_indices(),
+            self.col_layout.all_checksum_indices(),
+            epsilon_floor=self.epsilon_floor,
+            pool=pool,
         )
-        row_y = upper_bound_grid_arrays(
-            row_vals, row_idx, col_vals[cs_cols], col_idx[cs_cols], out=row_y
-        )
-        col_eps = epsilon_array(self.inner_dim, col_y)
-        row_eps = epsilon_array(self.inner_dim, row_y)
-        if pool is not None:
-            pool.give(col_y)
-            pool.give(row_y)
-        if self.epsilon_floor > 0.0:
-            np.maximum(col_eps, self.epsilon_floor, out=col_eps)
-            np.maximum(row_eps, self.epsilon_floor, out=row_eps)
-        return col_eps, row_eps
+
+
+def aabft_epsilon_grids(
+    scheme: BoundScheme,
+    inner_dim: int,
+    row_values: np.ndarray,
+    row_indices: np.ndarray,
+    col_values: np.ndarray,
+    col_indices: np.ndarray,
+    cs_rows: np.ndarray,
+    cs_cols: np.ndarray,
+    *,
+    epsilon_floor: float = 0.0,
+    pool=None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dense A-ABFT ``(column, row)`` tolerance grids from stacked top-p data.
+
+    ``cs_rows`` / ``cs_cols`` index the checksum vectors among the stacked
+    rows / columns.  Every grid entry is an elementwise function of one
+    (row top-p, column top-p) pair, so the columns of several right
+    operands may be stacked into one call: the grids then hold each
+    operand's grids side by side, bitwise equal to separate calls.  Each
+    tolerance is clamped from below at ``epsilon_floor``.  ``pool`` (a
+    :class:`~repro.engine.plan.WorkspacePool`) recycles the intermediate
+    upper-bound grids; the returned arrays are freshly owned.
+    """
+    col_y = row_y = None
+    if pool is not None:
+        col_y = pool.take((cs_rows.size, col_values.shape[0]))
+        row_y = pool.take((row_values.shape[0], cs_cols.size))
+    col_y = upper_bound_grid_arrays(
+        row_values[cs_rows], row_indices[cs_rows], col_values, col_indices,
+        out=col_y,
+    )
+    row_y = upper_bound_grid_arrays(
+        row_values, row_indices, col_values[cs_cols], col_indices[cs_cols],
+        out=row_y,
+    )
+    col_eps = scheme.epsilon_array(inner_dim, col_y)
+    row_eps = scheme.epsilon_array(inner_dim, row_y)
+    if pool is not None:
+        pool.give(col_y)
+        pool.give(row_y)
+    if epsilon_floor > 0.0:
+        np.maximum(col_eps, epsilon_floor, out=col_eps)
+        np.maximum(row_eps, epsilon_floor, out=row_eps)
+    return col_eps, row_eps
 
 
 class SEAEpsilonProvider:

@@ -11,8 +11,8 @@ evaluates the :class:`~repro.chaos.slo.SLOSpec`.
 Injection mechanics per kind:
 
 * ``stage_stall`` sleeps inside the engine's stage-completion hook, so
-  the stall lands on whichever thread executes the stage — serial,
-  fused and pipelined paths alike — without polluting the stage timers
+  the stall lands on whichever thread executes the stage — serial and
+  pipelined paths alike — without polluting the stage timers
   the pipeline cost model feeds on.
 * ``backend_failure`` raises :class:`InjectedFault` from the dispatch
   hook for the targeted backend and simultaneously submits probe

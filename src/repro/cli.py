@@ -340,10 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--policy",
-        choices=("fused", "pipelined", "serial", "auto"),
+        choices=("pipelined", "serial", "auto"),
         default=None,
         help="serve bench: measure only this execution policy (default: "
-        "fused AND pipelined, pipelined primary)",
+        "pipelined)",
     )
 
     model = sub.add_parser(
@@ -978,11 +978,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             )
         print(f"  speedup     : {payload['speedup']:.2f}x "
               f"({payload['primary_policy']} vs serial)")
-        if "pipelined_speedup_vs_fused" in payload:
+        if "bubble_fraction" in payload:
             print(
-                f"  pipelined vs fused: "
-                f"{payload['pipelined_speedup_vs_fused']:.2f}x, "
-                f"bubble fraction {payload['bubble_fraction']:.3f}"
+                f"  pipeline bubble fraction: "
+                f"{payload['bubble_fraction']:.3f}"
             )
         if args.compare:
             path = (

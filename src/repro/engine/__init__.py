@@ -13,8 +13,8 @@ that behind a session object:
   config)`` with LRU eviction, encodes operands once for reuse
   (:meth:`MatmulEngine.encode`), runs batches of pairs under one
   declarative :class:`ExecutionPolicy`
-  (:meth:`MatmulEngine.execute_batch`: serial thread fan-out, the fused
-  single-pass pipeline, or the stage-pipelined chunk executor) and
+  (:meth:`MatmulEngine.execute_batch`: serial thread fan-out or the
+  stage-pipelined chunk executor) and
   publishes counters (:meth:`MatmulEngine.stats`);
 * :func:`default_engine` — the lazily created module-level engine the
   classic matmul functions route through, so even legacy call sites

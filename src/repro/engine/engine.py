@@ -15,12 +15,9 @@ scratch:
   loop, an order of magnitude faster);
 * **batching** — :meth:`MatmulEngine.execute_batch` runs a list of operand
   pairs under one :class:`~repro.engine.policy.ExecutionPolicy`: ``serial``
-  fans pairs across a thread pool, ``fused`` runs the vectorised
-  single-pass batch pipeline, ``pipelined`` runs the chunked stage-slot
-  executor (:mod:`repro.engine.pipeline`), and ``auto`` (the default)
-  picks the strongest mode the batch supports.  The legacy
-  ``matmul_many``/``matmul_fused`` entry points remain as deprecation
-  shims over it.
+  fans pairs across a thread pool, ``pipelined`` runs the chunked
+  stage-slot executor (:mod:`repro.engine.pipeline`), and ``auto`` (the
+  default) picks pipelined whenever the batch supports it.
 
 All of the above is metered through a :class:`~repro.telemetry.
 MetricsRegistry` (``abft_engine_*`` counters, gauges and stage histograms);
@@ -33,7 +30,6 @@ from __future__ import annotations
 import os
 import threading
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -41,7 +37,7 @@ import numpy as np
 
 from ..abft.checking import (
     CheckReport,
-    build_report,
+    check_grids,
     check_partitioned,
     column_discrepancies,
     row_discrepancies,
@@ -454,22 +450,20 @@ class MatmulEngine:
             raw matrix or an :class:`EncodedOperand` handle.
         policy:
             The :class:`~repro.engine.policy.ExecutionPolicy` selecting the
-            execution mode (``auto`` | ``serial`` | ``fused`` |
-            ``pipelined``) plus backend pin, deadline budget and pipeline
-            chunking knobs.  Defaults to ``ExecutionPolicy()`` (mode
-            ``auto``: the strongest mode whose preconditions the batch
-            meets).
+            execution mode (``auto`` | ``serial`` | ``pipelined``) plus
+            backend pin, backend exclusions and fusion strategy.  Defaults
+            to ``ExecutionPolicy()`` (mode ``auto``: pipelined when the
+            batch meets its preconditions, serial otherwise).
         config:
             Overrides the engine's default :class:`AbftConfig`.
 
         Results come back in request order and are **bitwise identical**
         to sequential :meth:`matmul` calls regardless of the mode chosen —
-        modes only trade scheduling overhead against amortisation.  A
-        requested batched mode whose preconditions the batch does not meet
-        falls down the chain (pipelined → fused → serial), counted in
-        ``abft_pipeline_fallbacks_total`` — never silent.
+        modes only trade scheduling overhead against amortisation.  An
+        explicit ``pipelined`` request the batch does not support runs
+        serial, counted in ``abft_pipeline_fallbacks_total`` — never
+        silent.
         """
-        from .fused import fused_supported, run_fused
         from .pipeline import pipeline_supported, run_pipelined
 
         cfg = self._resolve_config(config)
@@ -505,69 +499,16 @@ class MatmulEngine:
         a_items = [a for a, _b in pairs]
         b_items = [b for _a, b in pairs]
 
-        mode = policy.mode
-        if mode in ("auto", "pipelined"):
+        mode = "serial"
+        if policy.mode != "serial":
             if pipeline_supported(a_items, b_items, cfg):
                 mode = "pipelined"
-            else:
-                if mode == "pipelined":
-                    self._m_pipe_fallbacks.labels(reason="unsupported").inc()
-                mode = "fused"
-        if mode == "fused" and not fused_supported(a_items, b_items, cfg):
-            if policy.mode == "fused":
+            elif policy.mode == "pipelined":
                 self._m_pipe_fallbacks.labels(reason="unsupported").inc()
-            mode = "serial"
         self._m_exec_mode.labels(mode=mode).inc()
         if mode == "pipelined":
-            return run_pipelined(self, a_items, b_items, cfg, policy)
-        if mode == "fused":
-            return run_fused(self, a_items, b_items, cfg)
+            return run_pipelined(self, a_items, b_items, cfg)
         return self._run_serial_batch(pairs, cfg)
-
-    def matmul_many(
-        self, a, b, *, config: AbftConfig | None = None
-    ) -> list[AbftResult]:
-        """Deprecated: use :meth:`execute_batch` with ``mode="serial"``.
-
-        ``a`` and ``b`` each accept a list of matrices, a stacked 3-D array,
-        a single matrix, or an :class:`EncodedOperand`; single operands are
-        broadcast against the other side's length.  This shim expands the
-        legacy operand forms and delegates to :meth:`execute_batch` under
-        ``ExecutionPolicy(mode="serial")``.
-        """
-        warnings.warn(
-            "MatmulEngine.matmul_many is deprecated; use "
-            "execute_batch(requests, policy=ExecutionPolicy(mode='serial'))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.execute_batch(
-            _legacy_pairs(a, b),
-            policy=ExecutionPolicy(mode="serial"),
-            config=config,
-        )
-
-    def matmul_fused(
-        self, a, b, *, config: AbftConfig | None = None
-    ) -> list[AbftResult]:
-        """Deprecated: use :meth:`execute_batch` with ``mode="fused"``.
-
-        This shim expands the legacy operand forms and delegates to
-        :meth:`execute_batch` under ``ExecutionPolicy(mode="fused")``
-        (which still falls back to serial execution for batches the fused
-        preconditions reject).
-        """
-        warnings.warn(
-            "MatmulEngine.matmul_fused is deprecated; use "
-            "execute_batch(requests, policy=ExecutionPolicy(mode='fused'))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.execute_batch(
-            _legacy_pairs(a, b),
-            policy=ExecutionPolicy(mode="fused"),
-            config=config,
-        )
 
     def autotune(
         self,
@@ -601,10 +542,10 @@ class MatmulEngine:
 
         * ``event in ("encode", "multiply", "check")`` — fired when a
           pipeline stage completes, on every execution path (serial,
-          fused and pipelined).  Sleeping here injects a stage stall; the
-          stall is *not* charged to the stage timers, so the pipeline
-          cost model keeps seeing real stage costs.  Stage hooks must not
-          raise.
+          pipelined and fused online).  Sleeping here injects a stage
+          stall; the stall is *not* charged to the stage timers, so the
+          pipeline cost model keeps seeing real stage costs.  Stage
+          hooks must not raise.
         * ``event == "dispatch"`` (``backend=<name>``) — fired just
           before the GEMM stage executes on a compute backend.  An
           exception raised here flows through the engine's never-silent
@@ -1198,39 +1139,20 @@ class MatmulEngine:
     ) -> CheckReport:
         """Vectorised full check; falls back to the scalar path when the
         provider has no array form."""
-        grids = None
-        epsilon_grids = getattr(provider, "epsilon_grids", None)
-        if epsilon_grids is not None:
-            try:
-                grids = epsilon_grids(
-                    plan.row_layout, plan.col_layout, pool=plan.pool
-                )
-            except TypeError:
-                # Third-party providers predating the pool keyword.
-                grids = epsilon_grids(plan.row_layout, plan.col_layout)
+        grids = self._provider_grids(provider, plan)
         if grids is None:
             return check_partitioned(
                 c_fc, plan.row_layout, plan.col_layout, provider
             )
         col_eps, row_eps = grids
-        col_disc = column_discrepancies(c_fc, plan.row_layout)
-        row_disc = row_discrepancies(c_fc, plan.col_layout)
-        clean = (
-            bool(np.all(col_disc <= col_eps))
-            and bool(np.all(row_disc <= row_eps))
-            and bool(np.all(np.isfinite(col_disc)))
-            and bool(np.all(np.isfinite(row_disc)))
+        report = check_grids(
+            column_discrepancies(c_fc, plan.row_layout),
+            col_eps,
+            row_discrepancies(c_fc, plan.col_layout),
+            row_eps,
+            plan.row_layout,
+            plan.col_layout,
         )
-        if not clean:
-            # Rare path: delegate to the reference report builder so finding
-            # order, located-error intersection etc. match exactly.
-            report = build_report(
-                col_disc, col_eps, row_disc, row_eps,
-                plan.row_layout, plan.col_layout,
-            )
-        else:
-            report = CheckReport(column_disc=col_disc, row_disc=row_disc)
-            report.num_checks = col_disc.size + row_disc.size
         # Reports keep only the discrepancy arrays (and scalar epsilons on
         # findings), so the dense tolerance grids recycle.
         plan.pool.give(col_eps)
@@ -1240,20 +1162,14 @@ class MatmulEngine:
     def _provider_grids(self, provider, plan: ExecutionPlan):
         """The provider's dense tolerance grids, or ``None`` without them.
 
-        Factored out of :meth:`_check` because the fused online path needs
+        Shared by :meth:`_check` and the fused online path, which needs
         the grids *before* the multiply runs (the per-tile checks consume
-        them in-loop).  Same contract: ``pool=`` is offered first, with a
-        TypeError fallback for third-party providers predating it.
+        them in-loop).  Every provider :meth:`_make_provider` builds takes
+        the plan's pool for its scratch grids.
         """
-        epsilon_grids = getattr(provider, "epsilon_grids", None)
-        if epsilon_grids is None:
-            return None
-        try:
-            return epsilon_grids(
-                plan.row_layout, plan.col_layout, pool=plan.pool
-            )
-        except TypeError:
-            return epsilon_grids(plan.row_layout, plan.col_layout)
+        return provider.epsilon_grids(
+            plan.row_layout, plan.col_layout, pool=plan.pool
+        )
 
     def _fused_online_gemm(
         self,
@@ -1355,20 +1271,10 @@ class MatmulEngine:
         else:
             col_disc = outcome.col_disc
             row_disc = outcome.row_disc
-        clean = (
-            bool(np.all(col_disc <= col_eps))
-            and bool(np.all(row_disc <= row_eps))
-            and bool(np.all(np.isfinite(col_disc)))
-            and bool(np.all(np.isfinite(row_disc)))
+        return check_grids(
+            col_disc, col_eps, row_disc, row_eps,
+            plan.row_layout, plan.col_layout,
         )
-        if not clean:
-            return build_report(
-                col_disc, col_eps, row_disc, row_eps,
-                plan.row_layout, plan.col_layout,
-            )
-        report = CheckReport(column_disc=col_disc, row_disc=row_disc)
-        report.num_checks = col_disc.size + row_disc.size
-        return report
 
 
 def _quantize_data_region(
@@ -1391,48 +1297,6 @@ def _operand_dtype(operand) -> np.dtype:
     if isinstance(operand, EncodedOperand):
         return operand.dtype
     return np.asarray(operand).dtype
-
-
-def _expand_operand(operand) -> list:
-    """Normalise a batched-operand argument to a list of single operands."""
-    if isinstance(operand, EncodedOperand):
-        return [operand]
-    if isinstance(operand, np.ndarray):
-        if operand.ndim == 3:
-            return [operand[i] for i in range(operand.shape[0])]
-        if operand.ndim == 2:
-            return [operand]
-        raise ShapeError(
-            f"batched operands must be 2-D, 3-D or lists, got shape "
-            f"{operand.shape}"
-        )
-    if isinstance(operand, (list, tuple)):
-        return list(operand)
-    return [_as_matrix(operand)]
-
-
-def _legacy_pairs(a, b) -> list[tuple]:
-    """Expand the legacy two-sided batch arguments into request pairs.
-
-    Implements the ``matmul_many``/``matmul_fused`` operand forms: lists,
-    stacked 3-D arrays, single matrices and :class:`EncodedOperand`
-    handles, with single operands broadcast against the other side's
-    length.  A broadcast raw operand repeats as the *same* object, so the
-    batched executors' id-dedup still encodes it exactly once.
-    """
-    a_items = _expand_operand(a)
-    b_items = _expand_operand(b)
-    count = max(len(a_items), len(b_items))
-    if len(a_items) not in (1, count) or len(b_items) not in (1, count):
-        raise ShapeError(
-            f"batch lengths disagree: {len(a_items)} left vs "
-            f"{len(b_items)} right operands"
-        )
-    if len(a_items) == 1:
-        a_items = a_items * count
-    if len(b_items) == 1:
-        b_items = b_items * count
-    return list(zip(a_items, b_items))
 
 
 _default_engine: MatmulEngine | None = None

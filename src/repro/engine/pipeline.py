@@ -1,9 +1,8 @@
 """Zero-bubble stage-pipelined batch execution.
 
-The A-ABFT flow is inherently three-staged — encode, multiply, check —
-and the fused batch path (:mod:`repro.engine.fused`) still runs those
-stages as barriered passes over the whole batch.  This module executes a
-batch as a sequence of *chunks* whose stage slots are scheduled by a cost
+The A-ABFT flow is inherently three-staged — encode, multiply, check.
+This module, the engine's one batched execution mode, executes a batch
+as a sequence of *chunks* whose stage slots are scheduled by a cost
 model, in the style of the zero-bubble pipeline-parallel schedules
 (F/B/W reordering): encode slots are prefetched onto the engine's thread
 pool up to a bounded window (the ``F`` warm-up), the caller thread walks
@@ -13,10 +12,11 @@ fill).  On a single-worker engine — or whenever the cost model predicts
 overlap loses to its dispatch overhead — the schedule degenerates to the
 serial ``E M C`` slot order and every slot runs inline.
 
-Even without thread overlap the chunked execution wins: each chunk's
-right operands are concatenated column-wise so the encode reduction, the
-GEMM, the discrepancy kernels and the tolerance-grid evaluation each run
-*once per chunk* instead of once per pair.
+Even without thread overlap the chunked execution wins: every distinct
+left operand is encoded once for the whole batch, and each chunk's right
+operands are concatenated column-wise so the encode reduction, the GEMM,
+the discrepancy kernels and the tolerance-grid evaluation each run *once
+per chunk* instead of once per pair.
 
 **Bitwise identity is the hard invariant.**  Per-item slices of the
 concatenated encode/check reductions are block-local, and the tolerance
@@ -28,9 +28,11 @@ signature along both the concatenated and the per-item reference path
 and compares every artifact — encoded slices, top-p data, result bytes,
 discrepancies.  Only a byte-identical probe enables the concatenated
 path for that signature; any mismatch pins the signature to the per-item
-reference path (counted in ``abft_pipeline_fallbacks_total``), which is
-the fused path's own per-item code and bitwise identical by
-construction.
+reference path (counted in ``abft_pipeline_fallbacks_total``), which
+encodes and multiplies each pair exactly as
+:meth:`~repro.engine.MatmulEngine.matmul` does.  Tolerance grids are
+elementwise in the top-p data, so both paths build one grid per chunk
+and slice it per item.
 """
 
 from __future__ import annotations
@@ -40,15 +42,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..abft.checking import column_discrepancies, row_discrepancies
+from ..abft.checking import (
+    check_grids,
+    column_discrepancies,
+    row_discrepancies,
+)
 from ..abft.encoding import strip_encoding
-from ..abft.providers import AABFTEpsilonProvider
+from ..abft.providers import AABFTEpsilonProvider, aabft_epsilon_grids
 from ..abft.result import AbftResult
-from ..bounds.upper_bound import upper_bound_grid_arrays
 from ..kernels.stage_split import ChunkEncodedB, encode_b_chunk
 from ..telemetry import span
-from .fused import _batch_epsilon_grids, _check_one, fused_supported
-from .policy import ExecutionPolicy
 from .stats import StageCosts
 
 __all__ = [
@@ -60,22 +63,49 @@ __all__ = [
 
 #: Thread-dispatch overhead the cost model charges per asynchronous slot.
 _SLOT_OVERHEAD_S = 2e-4
+#: Encode-prefetched chunks kept in flight ahead of the multiply lane.
+_WINDOW = 3
 
 
 def pipeline_supported(a_items, b_items, cfg) -> bool:
     """Whether the pipelined executor applies to this expanded batch.
 
-    The pipelined path shares the fused preconditions (``aabft`` scheme,
-    at least two pairs, homogeneous shapes and dtypes) and additionally
-    needs every *right* operand raw: the chunked encode concatenates raw
-    columns, so pre-encoded ``B`` handles route to the fused path
-    instead.
+    Needs the ``aabft`` scheme without an explicit storage dtype (the
+    serial path owns quantising storage), at least two pairs, one shape
+    per side, a top-p depth the inner dimension admits, and one
+    computation dtype for every pair.  Every *right* operand must be raw:
+    the chunked encode concatenates raw columns, so batches of
+    pre-encoded ``B`` handles run serial, which validates and dedupes
+    them.
     """
-    from .engine import EncodedOperand
+    from .engine import EncodedOperand, _operand_dtype, _resolve_dtype
 
-    if not fused_supported(a_items, b_items, cfg):
+    if cfg.scheme != "aabft" or cfg.dtype is not None or len(a_items) < 2:
         return False
-    return not any(isinstance(b, EncodedOperand) for b in b_items)
+    if any(isinstance(b, EncodedOperand) for b in b_items):
+        return False
+
+    def shape_of(item):
+        if isinstance(item, EncodedOperand):
+            return item.shape
+        arr = np.asarray(item)
+        return arr.shape if arr.ndim == 2 else None
+
+    a_shapes = {shape_of(x) for x in a_items}
+    b_shapes = {shape_of(x) for x in b_items}
+    if len(a_shapes) != 1 or len(b_shapes) != 1:
+        return False
+    a_shape = next(iter(a_shapes))
+    b_shape = next(iter(b_shapes))
+    if a_shape is None or b_shape is None or a_shape[1] != b_shape[0]:
+        return False
+    if not 1 <= cfg.p <= a_shape[1]:
+        return False
+    resolved = _resolve_dtype(*[_operand_dtype(x) for x in a_items + b_items])
+    return all(
+        _resolve_dtype(_operand_dtype(a), _operand_dtype(b)) == resolved
+        for a, b in zip(a_items, b_items)
+    )
 
 
 @dataclass(frozen=True)
@@ -146,7 +176,6 @@ def plan_schedule(
     group_sizes: list[int],
     stage_costs: StageCosts,
     workers: int,
-    policy: ExecutionPolicy,
     *,
     fused_online: bool = False,
 ) -> PipelineSchedule:
@@ -167,9 +196,7 @@ def plan_schedule(
     check drain after the last chunk.
     """
     total = sum(group_sizes)
-    if policy.chunk_size is not None:
-        chunk_size = policy.chunk_size
-    elif workers <= 1:
+    if workers <= 1:
         # No overlap possible: one chunk per group maximises amortisation.
         chunk_size = max(total, 1)
     else:
@@ -208,14 +235,7 @@ def plan_schedule(
         and observed
         and overlap_s < serial_s
     )
-    window = policy.max_inflight if overlap else 1
-    if (
-        overlap
-        and policy.deadline_s is not None
-        and overlap_s > policy.deadline_s
-    ):
-        # No speculative prefetch past a budget the batch already blows.
-        window = 1
+    window = _WINDOW if overlap else 1
     return PipelineSchedule(
         chunks=tuple(chunks),
         overlap=overlap,
@@ -253,7 +273,7 @@ class _ChunkState:
     item_tops: list | None = None  # (values, indices) per item
 
 
-def run_pipelined(engine, a_items, b_items, cfg, policy) -> list:
+def run_pipelined(engine, a_items, b_items, cfg) -> list:
     """Execute the expanded batch through the stage-pipelined executor.
 
     Preconditions (:func:`pipeline_supported`) must hold.  Results come
@@ -297,8 +317,8 @@ def run_pipelined(engine, a_items, b_items, cfg, policy) -> list:
             group = _Group(enc_a=enc_a, fresh=fresh, indices=[])
             by_id[id(a)] = group
             groups.append(group)
-        # Reuse accounting matches the fused path: handles always count,
-        # dedup hits count from the second use on.
+        # Reuse accounting: handles always count, dedup hits count from
+        # the second use on.
         if isinstance(a, EncodedOperand) or group.indices:
             engine._m_reuses.inc()
         group.indices.append(idx)
@@ -310,7 +330,6 @@ def run_pipelined(engine, a_items, b_items, cfg, policy) -> list:
         [len(g.indices) for g in groups],
         engine._stage_costs(),
         engine._max_workers,
-        policy,
         fused_online=fused_online,
     )
 
@@ -598,23 +617,23 @@ def _probe_chunk(engine, plan, cfg, state: _ChunkState, busy) -> None:
 def _fused_chunk(engine, plan, cfg, state: _ChunkState) -> tuple[float, float]:
     """Fused-online chunk: multiply and in-loop check in one stage slot.
 
-    Builds the per-pair tolerance grids (check work — they must exist
-    before the tiles run), walks one fused tile loop per pair, and
-    produces the chunk's reports on the spot; the schedule's check slot
-    for this chunk is a no-op.  Returns the slot's
+    Builds the chunk's tolerance grids (check work — they must exist
+    before the tiles run), walks one fused tile loop per pair against its
+    grid slices, and produces the chunk's reports on the spot; the
+    schedule's check slot for this chunk is a no-op.  Returns the slot's
     ``(multiply_seconds, check_seconds)`` split — the kernel self-times
     its in-loop checks, so the split stays honest for the cost model.
     """
     ea = state.group.enc_a
     enc_b = state.encoded
+    state.item_tops = [(eb.top_values, eb.top_indices) for eb in enc_b]
     t0 = time.perf_counter()
-    col_eps, row_eps, backing = _batch_epsilon_grids(
-        [ea] * len(enc_b), enc_b, cfg, plan
-    )
+    col_e, row_e = _chunk_grids(plan, cfg, state)
     check_s = time.perf_counter() - t0  # grid build is check work
     state.c_fcs, state.backends, state.fallbacks = [], [], []
-    state.item_tops, state.reports = [], []
-    for eb, ce, re_ in zip(enc_b, col_eps, row_eps):
+    state.reports = []
+    for j, eb in enumerate(enc_b):
+        ce, re_ = _item_slices(col_e, row_e, plan, j)
         outcome, used, fallback = engine._fused_online_gemm(
             plan, cfg, ea.array, eb.array, ce, re_
         )
@@ -624,9 +643,8 @@ def _fused_chunk(engine, plan, cfg, state: _ChunkState) -> tuple[float, float]:
         state.c_fcs.append(outcome.out)
         state.backends.append(used)
         state.fallbacks.append(fallback)
-        state.item_tops.append((eb.top_values, eb.top_indices))
-    for buf in backing:
-        plan.pool.give(buf)
+    plan.pool.give(col_e)
+    plan.pool.give(row_e)
     for eb in enc_b:
         plan.pool.give(eb.array)
     mul_s = max(0.0, time.perf_counter() - t0 - check_s)
@@ -636,85 +654,73 @@ def _fused_chunk(engine, plan, cfg, state: _ChunkState) -> tuple[float, float]:
 
 
 def _check_chunk(engine, plan, cfg, state: _ChunkState) -> None:
-    """Check slot: batched grids + discrepancies, sliced per item."""
-    ea = state.group.enc_a
-    if not isinstance(state.encoded, ChunkEncodedB):
-        # Reference path: the fused per-item grid/check code, verbatim.
-        enc_b = state.encoded
-        col_eps, row_eps, backing = _batch_epsilon_grids(
-            [ea] * len(enc_b), enc_b, cfg, plan
-        )
-        state.reports = [
-            _check_one(c_fc, ce, re_, plan)
-            for c_fc, ce, re_ in zip(state.c_fcs, col_eps, row_eps)
+    """Check slot: one grid build per chunk, sliced per item."""
+    col_e, row_e = _chunk_grids(plan, cfg, state)
+    if isinstance(state.encoded, ChunkEncodedB):
+        # One discrepancy pass over the concatenation; slices are the items'.
+        cat_col = column_discrepancies(state.c_cat, plan.row_layout)
+        cat_row = row_discrepancies(state.c_cat, state.encoded.layout)
+        discs = [
+            _item_slices(cat_col, cat_row, plan, j)
+            for j in range(len(state.items))
         ]
-        for buf in backing:
-            plan.pool.give(buf)
-        for enc in enc_b:
-            plan.pool.give(enc.array)
-        return
-
-    enc: ChunkEncodedB = state.encoded
-    pool = plan.pool
-    row_layout, col_layout = plan.row_layout, plan.col_layout
-    cs_rows = row_layout.all_checksum_indices()
-    cs_cols = col_layout.all_checksum_indices()
-    w = enc.item_width
-    count = enc.count
-    cat_cs = np.concatenate([cs_cols + j * w for j in range(count)])
-    cs_vals = enc.top_values[cat_cs]
-    cs_idx = enc.top_indices[cat_cs]
-    col_y = pool.take((cs_rows.size, enc.top_values.shape[0]))
-    upper_bound_grid_arrays(
-        ea.top_values[cs_rows], ea.top_indices[cs_rows],
-        enc.top_values, enc.top_indices, out=col_y,
-    )
-    row_y = pool.take((ea.top_values.shape[0], cs_vals.shape[0]))
-    upper_bound_grid_arrays(
-        ea.top_values, ea.top_indices, cs_vals, cs_idx, out=row_y
-    )
-    col_e = plan.scheme.epsilon_array(plan.n, col_y)
-    row_e = plan.scheme.epsilon_array(plan.n, row_y)
-    pool.give(col_y)
-    pool.give(row_y)
-    if cfg.epsilon_floor > 0.0:
-        np.maximum(col_e, cfg.epsilon_floor, out=col_e)
-        np.maximum(row_e, cfg.epsilon_floor, out=row_e)
-
-    # One discrepancy pass over the concatenation; slices are the items'.
-    blocks = col_layout.num_blocks
-    cat_col = column_discrepancies(state.c_cat, row_layout)
-    cat_row = row_discrepancies(state.c_cat, enc.layout)
+    else:
+        discs = [
+            (
+                column_discrepancies(c_fc, plan.row_layout),
+                row_discrepancies(c_fc, plan.col_layout),
+            )
+            for c_fc in state.c_fcs
+        ]
+        for enc_b in state.encoded:
+            plan.pool.give(enc_b.array)
     state.reports = []
-    for j in range(count):
+    for j, (col_disc, row_disc) in enumerate(discs):
+        col_eps, row_eps = _item_slices(col_e, row_e, plan, j)
         state.reports.append(
-            _check_one_precomputed(
-                cat_col[:, j * w : (j + 1) * w],
-                col_e[:, j * w : (j + 1) * w],
-                cat_row[:, j * blocks : (j + 1) * blocks],
-                row_e[:, j * blocks : (j + 1) * blocks],
-                plan,
+            check_grids(
+                col_disc, col_eps, row_disc, row_eps,
+                plan.row_layout, plan.col_layout,
             )
         )
-    pool.give(col_e)
-    pool.give(row_e)
+    plan.pool.give(col_e)
+    plan.pool.give(row_e)
 
 
-def _check_one_precomputed(col_disc, col_eps, row_disc, row_eps, plan):
-    """The fused check decision over already-extracted discrepancies."""
-    from ..abft.checking import CheckReport, build_report
+def _chunk_grids(plan, cfg, state: _ChunkState):
+    """The chunk's tolerance grids: one build over its stacked top-p data.
 
-    clean = (
-        bool(np.all(col_disc <= col_eps))
-        and bool(np.all(row_disc <= row_eps))
-        and bool(np.all(np.isfinite(col_disc)))
-        and bool(np.all(np.isfinite(row_disc)))
+    The items' grids come out side by side; :func:`_item_slices` cuts
+    item ``j``'s, bitwise equal to building it alone.
+    """
+    if isinstance(state.encoded, ChunkEncodedB):
+        col_values = state.encoded.top_values
+        col_indices = state.encoded.top_indices
+    else:
+        col_values = np.concatenate([v for v, _i in state.item_tops])
+        col_indices = np.concatenate([i for _v, i in state.item_tops])
+    ea = state.group.enc_a
+    width = plan.col_layout.encoded_rows
+    cs_cols = plan.col_layout.all_checksum_indices()
+    return aabft_epsilon_grids(
+        plan.scheme,
+        plan.n,
+        ea.top_values,
+        ea.top_indices,
+        col_values,
+        col_indices,
+        plan.row_layout.all_checksum_indices(),
+        np.concatenate([cs_cols + j * width for j in range(len(state.items))]),
+        epsilon_floor=cfg.epsilon_floor,
+        pool=plan.pool,
     )
-    if not clean:
-        return build_report(
-            col_disc, col_eps, row_disc, row_eps,
-            plan.row_layout, plan.col_layout,
-        )
-    report = CheckReport(column_disc=col_disc, row_disc=row_disc)
-    report.num_checks = col_disc.size + row_disc.size
-    return report
+
+
+def _item_slices(col_grid, row_grid, plan, j: int):
+    """Item ``j``'s column-grid and row-grid slices of a chunk's grids."""
+    width = plan.col_layout.encoded_rows
+    blocks = plan.col_layout.num_blocks
+    return (
+        col_grid[:, j * width : (j + 1) * width],
+        row_grid[:, j * blocks : (j + 1) * blocks],
+    )

@@ -40,7 +40,7 @@ class WorkspacePool:
     Every :class:`ExecutionPlan` owns one pool; the engine recycles its
     internal scratch arrays — padding workspaces, encoded-operand buffers
     (after the multiply has consumed them), top-p search workspaces and
-    tolerance grids — through it across warm calls and fused batches.
+    tolerance grids — through it across warm calls and pipelined batches.
 
     Safety rules the engine observes (see ``docs/API.md``):
 

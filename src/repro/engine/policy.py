@@ -2,21 +2,17 @@
 
 :meth:`repro.engine.MatmulEngine.execute_batch` accepts a list of
 ``(a, b)`` operand pairs plus one :class:`ExecutionPolicy` describing
-*how* the batch should run.  The policy collapses what used to be three
-separate entry points (per-call ``matmul``, thread-fanned ``matmul_many``,
-vectorised ``matmul_fused``) and the new stage-pipelined executor
-(:mod:`repro.engine.pipeline`) into a single declarative knob:
+*how* the batch should run:
 
 * ``mode="serial"`` — per-pair execution, fanned across the engine's
-  thread pool when it has more than one worker (the old ``matmul_many``);
-* ``mode="fused"`` — the vectorised single-pass batch pipeline (the old
-  ``matmul_fused``);
-* ``mode="pipelined"`` — chunked execution with encode/multiply/check
-  stage slots scheduled by a cost model, overlapping the encode of chunk
-  ``i+1`` with the multiply of chunk ``i`` and deferring checks into
-  pipeline bubbles;
-* ``mode="auto"`` (default) — the engine picks the strongest mode whose
-  preconditions the batch satisfies (pipelined, then fused, then serial).
+  thread pool when it has more than one worker;
+* ``mode="pipelined"`` — the stage-pipelined executor
+  (:mod:`repro.engine.pipeline`): chunked execution with
+  encode/multiply/check stage slots scheduled by a cost model,
+  overlapping the encode of chunk ``i+1`` with the multiply of chunk
+  ``i`` and deferring checks into pipeline bubbles;
+* ``mode="auto"`` (default) — pipelined whenever the batch meets its
+  preconditions, serial otherwise.
 
 Every mode is **bitwise identical** to sequential
 :meth:`~repro.engine.MatmulEngine.matmul` calls; modes only trade
@@ -31,8 +27,8 @@ from ..errors import ConfigurationError
 
 __all__ = ["ExecutionPolicy", "EXECUTION_MODES"]
 
-#: Valid execution modes, weakest amortisation first.
-EXECUTION_MODES = ("auto", "serial", "fused", "pipelined")
+#: Valid execution modes.
+EXECUTION_MODES = ("auto", "serial", "pipelined")
 
 
 @dataclass(frozen=True)
@@ -42,11 +38,11 @@ class ExecutionPolicy:
     Attributes
     ----------
     mode:
-        ``"auto"``, ``"serial"``, ``"fused"`` or ``"pipelined"``.  An
-        explicitly requested batched mode whose preconditions the batch
-        does not meet (heterogeneous shapes, non-``aabft`` scheme, …)
-        falls back down the chain — the fallback is counted in
-        ``abft_pipeline_fallbacks_total``, never silent.
+        ``"auto"``, ``"serial"`` or ``"pipelined"``.  An explicit
+        ``"pipelined"`` request whose preconditions the batch does not
+        meet (heterogeneous shapes, non-``aabft`` scheme, …) runs serial —
+        the fallback is counted in ``abft_pipeline_fallbacks_total``,
+        never silent.
     backend:
         Pin the GEMM stage to a named compute backend for this batch;
         ``None`` keeps the config's choice (``"auto"`` negotiation by
@@ -54,18 +50,6 @@ class ExecutionPolicy:
     exclude_backends:
         Backends negotiation must not consider for this batch (merged
         with the config's own exclusions).
-    deadline_s:
-        Optional compute-budget hint in seconds for the whole batch.  The
-        pipelined executor keeps its speculative encode-prefetch window at
-        1 when the cost model predicts the batch runs longer than the
-        budget (no speculative work past a blown deadline); the serving
-        layer threads its per-batch remaining deadline through here.
-    chunk_size:
-        Pairs per pipeline chunk (``None`` lets the cost model choose
-        from the engine's per-stage timings and worker count).
-    max_inflight:
-        Upper bound on encode-prefetched chunks the pipelined executor
-        keeps in flight ahead of the multiply stage.
     fusion:
         Online-ABFT fusion strategy for this batch: ``"fused"``,
         ``"separate"`` or ``"auto"`` (negotiated).  ``None`` keeps the
@@ -75,9 +59,6 @@ class ExecutionPolicy:
     mode: str = "auto"
     backend: str | None = None
     exclude_backends: tuple[str, ...] = ()
-    deadline_s: float | None = None
-    chunk_size: int | None = None
-    max_inflight: int = 3
     fusion: str | None = None
 
     def __post_init__(self) -> None:
@@ -93,18 +74,6 @@ class ExecutionPolicy:
         object.__setattr__(
             self, "exclude_backends", tuple(self.exclude_backends)
         )
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ConfigurationError(
-                f"deadline_s must be positive, got {self.deadline_s}"
-            )
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ConfigurationError(
-                f"chunk_size must be >= 1, got {self.chunk_size}"
-            )
-        if self.max_inflight < 1:
-            raise ConfigurationError(
-                f"max_inflight must be >= 1, got {self.max_inflight}"
-            )
         if self.fusion not in (None, "auto", "fused", "separate"):
             raise ConfigurationError(
                 f"fusion must be None, 'auto', 'fused' or 'separate', got "

@@ -64,8 +64,7 @@ class EngineStats:
         Completed protected multiplications (batched items count once each).
     batched_calls:
         Batched submissions through
-        :meth:`~repro.engine.engine.MatmulEngine.execute_batch` (including
-        the deprecated ``matmul_many``/``matmul_fused`` shims).
+        :meth:`~repro.engine.engine.MatmulEngine.execute_batch`.
     encode_reuses:
         Operands served from a pre-encoded handle instead of re-encoding.
     detections:

@@ -18,7 +18,7 @@ kernel invocation:
 
 All scratch buffers — including the encoded output itself — can come from
 a :class:`~repro.engine.plan.WorkspacePool`, so warm engine calls and
-fused batches run allocation-free on the encode path.  The cycle-level
+pipelined batches run allocation-free on the encode path.  The cycle-level
 simulated GPU kernels live in :mod:`repro.kernels.encode`;
 ``encode_reference.algorithm1_reference`` remains the per-block oracle.
 """

@@ -41,7 +41,11 @@ from typing import Callable
 
 import numpy as np
 
-from ..abft.checking import column_discrepancies, row_discrepancies
+from ..abft.checking import (
+    checks_pass,
+    column_discrepancies,
+    row_discrepancies,
+)
 from ..abft.encoding import PartitionedLayout
 from ..errors import ShapeError
 from .matmul_tiled import tiled_matmul
@@ -145,11 +149,8 @@ def _tile_bad(
         out=row_disc[i0:i1, bc0:bc1],
     )
 
-    ce = col_eps[br0:br1, j0:j1]
-    re = row_eps[i0:i1, bc0:bc1]
-    return bool(
-        ((cd > ce) | ~np.isfinite(cd)).any()
-        or ((rd > re) | ~np.isfinite(rd)).any()
+    return not checks_pass(
+        cd, col_eps[br0:br1, j0:j1], rd, row_eps[i0:i1, bc0:bc1]
     )
 
 

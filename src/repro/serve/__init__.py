@@ -3,7 +3,7 @@
 The serving layer turns the plan-caching engine into a request-driven
 worker: concurrent protected-matmul requests are admitted through a
 bounded queue (explicit backpressure), coalesced into same-shape
-micro-batches executed through the engine's fused path, degraded in
+micro-batches executed through the engine's batched path, degraded in
 protection level — never silently — under deadline pressure, and
 corrected or recomputed on detected errors before the response resolves.
 

@@ -6,12 +6,12 @@ loop over the **same** workload — the shared-weight serving pattern (one
 serial path re-encodes the weight on every request while the batched
 dispatch encodes it once and amortises the tolerance grids.
 
-The served measurement runs once per execution policy (by default the
-barriered ``fused`` mode and the stage-pipelined ``pipelined`` mode, both
-dispatched through ``MatmulEngine.execute_batch`` under the server's
+The served measurement runs once per execution policy (by default only
+the stage-pipelined ``pipelined`` mode, dispatched through
+``MatmulEngine.execute_batch`` under the server's
 :class:`~repro.engine.policy.ExecutionPolicy`).  The payload reports each
-policy row plus the pipelined-vs-fused speedup and the pipelined
-executor's bubble fraction read from ``abft_pipeline_bubble_fraction``.
+policy row plus the pipelined executor's bubble fraction read from
+``abft_pipeline_bubble_fraction``.
 
 With ``cluster_workers`` set, the payload additionally carries a
 ``cluster`` section: the same workload pushed at ``cluster_concurrency``
@@ -66,10 +66,8 @@ REQUESTS = 256
 QUICK_REQUESTS = 64
 CONCURRENCY = 32
 SPEEDUP_FLOOR = 2.0
-#: The pipelined policy row must beat the barriered fused row by this much.
-PIPELINE_SPEEDUP_FLOOR = 1.3
-#: Policy rows measured by default, weakest first; the last is primary.
-DEFAULT_POLICIES = ("fused", "pipelined")
+#: Policy rows measured by default; the last is primary.
+DEFAULT_POLICIES = ("pipelined",)
 #: Cluster section defaults: the high-concurrency regime where one
 #: process saturates and sharding should take over.
 CLUSTER_CONCURRENCY = 256
@@ -304,11 +302,6 @@ def run_serve_benchmark(
     }
     if "pipelined" in rows:
         payload["bubble_fraction"] = rows["pipelined"]["bubble_fraction"]
-    if "pipelined" in rows and "fused" in rows:
-        payload["pipelined_speedup_vs_fused"] = (
-            rows["fused"]["serve_seconds"]
-            / rows["pipelined"]["serve_seconds"]
-        )
 
     if cluster_workers:
         single_row = _run_served(

@@ -51,10 +51,8 @@ class ServeConfig:
         do not carry their own.
     execution:
         The :class:`~repro.engine.policy.ExecutionPolicy` coalesced batches
-        are dispatched under (default: mode ``"auto"``).  The dispatcher
-        threads each batch's tightest remaining deadline through the
-        policy's ``deadline_s`` so the pipelined executor can bound its
-        speculative prefetch window.
+        are dispatched under (default: mode ``"auto"``, which runs every
+        eligible batch pipelined).
     max_queue_depth:
         Bound of the admission queue.  Submissions beyond it are rejected
         immediately with reason ``"queue_full"`` (explicit backpressure —

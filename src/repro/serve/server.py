@@ -3,7 +3,7 @@
 :class:`MatmulServer` is the serving layer in front of
 :class:`~repro.engine.engine.MatmulEngine`: it accepts protected-matmul
 requests concurrently, coalesces same-shape/same-config requests into
-micro-batches and executes each batch through the engine's fused path,
+micro-batches and executes each batch through the engine's batched path,
 returning responses via futures.
 
 Scheduling behaviour (all knobs on :class:`~repro.serve.config.ServeConfig`):
@@ -25,7 +25,9 @@ Scheduling behaviour (all knobs on :class:`~repro.serve.config.ServeConfig`):
   dropped);
 * **retry-on-detect** — a detected error triggers ABFT single-error
   correction when locatable, else recomputation, before the response is
-  released.
+  released;
+* **failure isolation** — a micro-batch the engine raises for is re-run
+  one request at a time, so only the offending request fails.
 
 Every decision is metered through ``abft_serve_*`` metrics (see
 ``docs/OBSERVABILITY.md``).
@@ -492,16 +494,30 @@ class MatmulServer:
             groups.setdefault(rung, []).append(p)
 
         for rung in sorted(groups):
-            pendings = groups[rung]
-            try:
-                self._run_group(pendings, rung, waits)
-            except Exception as exc:  # pragma: no cover - defensive
-                # A scheduler bug must never strand callers: fail their
-                # futures loudly and count the drop so CI can gate on it.
-                for p in pendings:
-                    if not p.future.done():
-                        self._m_dropped.inc()
-                        p.future.set_exception(exc)
+            self._serve_group(groups[rung], rung, waits)
+
+    def _serve_group(
+        self, pendings: list[_Pending], rung: int, waits: dict
+    ) -> None:
+        """Run one rung group; a raising group never fails its bystanders.
+
+        One request the engine rejects (an Inf operand has no finite
+        tolerance bound) raises for its whole micro-batch.  A raising
+        group of several requests is therefore re-run one request at a
+        time, so only the offender fails.  A failure is never stranded:
+        the future raises and the drop is counted so CI can gate on it.
+        """
+        try:
+            self._run_group(pendings, rung, waits)
+        except Exception as exc:
+            unresolved = [p for p in pendings if not p.future.done()]
+            if len(pendings) > 1:
+                for p in unresolved:
+                    self._serve_group([p], rung, waits)
+                return
+            for p in unresolved:
+                self._m_dropped.inc()
+                p.future.set_exception(exc)
 
     def _rung_at(self, pending: _Pending, now: float) -> tuple[int, bool]:
         """Ladder rung for a pending request at dispatch time."""
@@ -553,24 +569,6 @@ class MatmulServer:
             backend="numpy",
         )
 
-    def _batch_deadline(self, pendings: list[_Pending]) -> float | None:
-        """The batch's tightest remaining deadline budget in seconds.
-
-        Threaded into the execution policy so the pipelined executor can
-        clamp its speculative prefetch window; ``None`` when no pending
-        request carries a deadline.  Already-expired deadlines clamp to a
-        tiny positive budget (the policy requires ``deadline_s > 0``).
-        """
-        now = self._clock()
-        remaining = [
-            p.deadline_at - now
-            for p in pendings
-            if p.deadline_at is not None
-        ]
-        if not remaining:
-            return None
-        return max(min(remaining), 1e-6)
-
     def _run_checked(
         self, pendings: list[_Pending], rung_name: str
     ) -> list[MatmulResponse]:
@@ -586,12 +584,8 @@ class MatmulServer:
             # scheme needs its own preprocessing, so fall back to raw data.
             a_ops = [_raw_operand(a) for a in a_ops]
             b_ops = [_raw_operand(b) for b in b_ops]
-        policy = cfg.execution
-        deadline_s = self._batch_deadline(pendings)
-        if deadline_s is not None:
-            policy = policy.replace(deadline_s=deadline_s)
         results = self.engine.execute_batch(
-            list(zip(a_ops, b_ops)), policy=policy, config=eff
+            list(zip(a_ops, b_ops)), policy=cfg.execution, config=eff
         )
         responses = []
         for p, a_op, b_op, result in zip(pendings, a_ops, b_ops, results):

@@ -80,7 +80,7 @@ class TestBitwiseIdentity:
         cfg = AbftConfig(backend="blocked", gemm_tile=32)
         engine = fresh_engine()
         single = engine.matmul(a, b, config=cfg)
-        for mode in ("serial", "fused", "pipelined"):
+        for mode in ("serial", "pipelined"):
             results = engine.execute_batch(
                 [(a, b), (a, b)],
                 policy=ExecutionPolicy(mode=mode),

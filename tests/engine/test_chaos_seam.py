@@ -35,7 +35,7 @@ class TestHookContract:
 
 
 class TestStageEvents:
-    @pytest.mark.parametrize("mode", ["serial", "fused", "pipelined"])
+    @pytest.mark.parametrize("mode", ["serial", "pipelined"])
     def test_stage_events_fire_on_every_path(self, operands, mode):
         a, bs = operands
         engine = MatmulEngine()

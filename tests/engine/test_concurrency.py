@@ -11,11 +11,11 @@ import threading
 import numpy as np
 import pytest
 
-from repro.engine import ExecutionPolicy, MatmulEngine
+from repro.engine import AbftConfig, ExecutionPolicy, MatmulEngine
 
 SERIAL = ExecutionPolicy(mode="serial")
-FUSED = ExecutionPolicy(mode="fused")
 PIPELINED = ExecutionPolicy(mode="pipelined")
+FUSED_ONLINE = AbftConfig(fusion="fused", fused_tile_blocks=1)
 
 THREADS = 8
 ROUNDS = 6
@@ -123,7 +123,15 @@ class TestPlanCacheRaces:
         assert stats.plan_misses >= len(SHAPES)
 
     def test_fused_batches_race_plan_eviction(self, workload):
-        pairs, reference = workload
+        """Fused-online pipelined batches race eviction: chunk grids and
+        in-loop tile checks run while the tiny LRU evicts their plans."""
+        pairs, _ = workload
+        reference = {
+            shape: [
+                MatmulEngine(FUSED_ONLINE).matmul(a, b).c for b in bs
+            ]
+            for shape, (a, bs) in pairs.items()
+        }
         engine = MatmulEngine(plan_cache_size=2)
         barrier = threading.Barrier(THREADS)
         errors = []
@@ -135,9 +143,15 @@ class TestPlanCacheRaces:
                     shape = SHAPES[(idx + round_no) % len(SHAPES)]
                     a, bs = pairs[shape]
                     results = engine.execute_batch(
-                        [(a, b) for b in bs], policy=FUSED
+                        [(a, b) for b in bs],
+                        policy=PIPELINED,
+                        config=FUSED_ONLINE,
                     )
                     for res, ref in zip(results, reference[shape]):
+                        if not res.fused:
+                            raise AssertionError(
+                                f"fused online did not run at shape {shape}"
+                            )
                         if not np.array_equal(res.c, ref):
                             raise AssertionError(
                                 f"bitwise divergence at shape {shape}"

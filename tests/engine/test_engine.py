@@ -95,11 +95,10 @@ class TestBitwiseEquivalence:
             assert np.array_equal(s.c, r.c)
             assert np.array_equal(s.c_fc, r.c_fc)
 
-    def test_stacked_3d_input_via_shim(self, rng, engine):
+    def test_stacked_3d_input_as_pairs(self, rng, engine):
         a = rng.uniform(-1, 1, (32, 32))
         stack = rng.uniform(-1, 1, (3, 32, 32))
-        with pytest.warns(DeprecationWarning):
-            batched = engine.matmul_many(a, stack)
+        batched = engine.execute_batch([(a, b) for b in stack])
         for i, r in enumerate(batched):
             assert np.array_equal(r.c, engine.matmul(a, stack[i]).c)
 
@@ -112,9 +111,8 @@ class TestBitwiseEquivalence:
 
     def test_mismatched_batch_lengths_rejected(self, rng, engine):
         a = rng.uniform(-1, 1, (16, 16))
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ShapeError, match="batch lengths"):
-                engine.matmul_many([a, a], [a, a, a])
+        with pytest.raises(ShapeError, match="pair"):
+            engine.execute_batch([(a, a), (a,)])
 
     def test_sea_and_fixed_schemes_match(self, rng):
         a = rng.uniform(-1, 1, (32, 32))

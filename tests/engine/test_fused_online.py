@@ -71,7 +71,7 @@ class TestNegotiation:
         )
         assert all(r.fused for r in results)
 
-    @pytest.mark.parametrize("mode", ["serial", "fused", "pipelined"])
+    @pytest.mark.parametrize("mode", ["serial", "pipelined"])
     def test_batch_modes_match_per_call_fused_bytes(self, operands, mode):
         a, bs = operands
         per_call = [MatmulEngine(FUSED).matmul(a, b) for b in bs]

@@ -15,7 +15,7 @@ from repro.engine import (
     pipeline_supported,
     plan_schedule,
 )
-from repro.engine.pipeline import _greedy_slots
+from repro.engine.pipeline import _WINDOW, _greedy_slots
 from repro.engine.stats import StageCost, StageCosts
 from repro.errors import ConfigurationError
 from repro.telemetry import MetricsRegistry
@@ -76,18 +76,20 @@ class TestBitwiseIdentity:
         assert_bitwise_equal(results, reference)
 
     def test_small_chunks_defeating_coalescing_stay_bitwise(self):
-        # chunk_size=1 forces one pair per chunk: no concatenation win,
-        # maximum slot churn — the answer must not change.
+        # Distinct left operands interleaved with a shared one: the
+        # singleton groups run as one-pair chunks (no concatenation win)
+        # beside a three-pair chunk — the answer must not change.
         rng = np.random.default_rng(22)
-        a = rng.uniform(-1, 1, (64, 48))
-        bs = [rng.uniform(-1, 1, (48, 24)) for _ in range(5)]
-        reference = [MatmulEngine().matmul(a, b) for b in bs]
-        engine = fresh_engine()
-        results = engine.execute_batch(
-            [(a, b) for b in bs],
-            policy=ExecutionPolicy(mode="pipelined", chunk_size=1),
-        )
+        shared = rng.uniform(-1, 1, (64, 48))
+        lefts = [shared, rng.uniform(-1, 1, (64, 48)), shared,
+                 rng.uniform(-1, 1, (64, 48)), shared]
+        pairs = [(a, rng.uniform(-1, 1, (48, 24))) for a in lefts]
+        reference = [MatmulEngine().matmul(a, b) for a, b in pairs]
+        engine = fresh_engine(max_workers=1)
+        results = engine.execute_batch(pairs, policy=PIPELINED)
         assert_bitwise_equal(results, reference)
+        chunks = engine.registry.counter("abft_pipeline_chunks_total").get()
+        assert chunks == 3
 
     def test_distinct_left_operands_stay_bitwise(self):
         rng = np.random.default_rng(23)
@@ -176,7 +178,7 @@ def stage_complete(schedule: PipelineSchedule) -> None:
 
 class TestPlanSchedule:
     def test_cold_engine_stays_serial(self):
-        schedule = plan_schedule([8], COLD, workers=4, policy=PIPELINED)
+        schedule = plan_schedule([8], COLD, workers=4)
         assert not schedule.overlap
         assert schedule.window == 1
         assert schedule.predicted_serial_s == 0.0
@@ -184,31 +186,18 @@ class TestPlanSchedule:
         stage_complete(schedule)
 
     def test_single_worker_uses_one_chunk_per_group(self):
-        schedule = plan_schedule([6, 4], WARM, workers=1, policy=PIPELINED)
+        schedule = plan_schedule([6, 4], WARM, workers=1)
         assert not schedule.overlap
         # one chunk per group: maximum amortisation when nothing overlaps
         assert schedule.chunks == ((0, 6), (1, 4))
         stage_complete(schedule)
 
     def test_warm_multiworker_overlaps(self):
-        schedule = plan_schedule([24], WARM, workers=4, policy=PIPELINED)
+        schedule = plan_schedule([24], WARM, workers=4)
         assert schedule.overlap
-        assert schedule.window == PIPELINED.max_inflight
+        assert schedule.window == _WINDOW
         assert schedule.num_chunks >= 2
         assert 0 < schedule.predicted_overlap_s < schedule.predicted_serial_s
-        stage_complete(schedule)
-
-    def test_blown_deadline_clamps_window(self):
-        tight = ExecutionPolicy(mode="pipelined", deadline_s=1e-9)
-        schedule = plan_schedule([24], WARM, workers=4, policy=tight)
-        assert schedule.overlap
-        assert schedule.window == 1
-        stage_complete(schedule)
-
-    def test_policy_chunk_size_honoured(self):
-        policy = ExecutionPolicy(mode="pipelined", chunk_size=3)
-        schedule = plan_schedule([7], WARM, workers=4, policy=policy)
-        assert schedule.chunks == ((0, 3), (0, 3), (0, 1))
         stage_complete(schedule)
 
     def test_window_one_is_the_serial_slot_order(self):
@@ -231,13 +220,11 @@ class TestExecutionPolicy:
         with pytest.raises(ConfigurationError, match="mode"):
             ExecutionPolicy(mode="turbo")
 
-    def test_invalid_bounds_rejected(self):
-        with pytest.raises(ConfigurationError, match="deadline_s"):
-            ExecutionPolicy(deadline_s=0.0)
-        with pytest.raises(ConfigurationError, match="chunk_size"):
-            ExecutionPolicy(chunk_size=0)
-        with pytest.raises(ConfigurationError, match="max_inflight"):
-            ExecutionPolicy(max_inflight=0)
+    def test_invalid_backend_and_fusion_rejected(self):
+        with pytest.raises(ConfigurationError, match="backend"):
+            ExecutionPolicy(backend=3)
+        with pytest.raises(ConfigurationError, match="fusion"):
+            ExecutionPolicy(fusion="online")
 
     def test_replace_revalidates(self):
         policy = ExecutionPolicy()

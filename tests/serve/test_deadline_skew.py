@@ -16,7 +16,7 @@ from repro.engine import ExecutionPolicy
 from repro.serve import MatmulServer, ServeConfig, VerificationStatus
 from repro.telemetry import MetricsRegistry
 
-POLICIES = ("serial", "fused", "pipelined")
+POLICIES = ("serial", "pipelined")
 
 
 class FakeClock:

@@ -6,6 +6,7 @@ import pytest
 from repro.abft.checking import check_partitioned
 from repro.abft.result import AbftResult
 from repro.engine import AbftConfig, MatmulEngine
+from repro.errors import BoundSchemeError
 from repro.serve import (
     MatmulRequest,
     MatmulServer,
@@ -339,6 +340,54 @@ class TestRecovery:
         assert response.report.error_detected
 
 
+class TestFailureIsolation:
+    """A request the engine rejects fails alone, never its micro-batch."""
+
+    @staticmethod
+    def operands_with(value):
+        rng = np.random.default_rng(12)
+        a = rng.uniform(-1, 1, (64, 64))
+        bs = [rng.uniform(-1, 1, (64, 8)) for _ in range(8)]
+        bs[5][3, 2] = value
+        return a, bs
+
+    @staticmethod
+    def serve_one_batch(a, bs):
+        server = make_server()
+        futs = [server.submit(a, b) for b in bs]
+        server.start()
+        server.stop(drain=True)
+        hist = server.registry._families["abft_serve_batch_size"].get()
+        assert hist["count"] == 1 and hist["sum"] == len(bs)
+        return server, futs
+
+    def test_inf_operand_fails_only_its_request(self):
+        a, bs = self.operands_with(np.inf)
+        server, futs = self.serve_one_batch(a, bs)
+        with pytest.raises(BoundSchemeError):
+            futs[5].result()
+        engine = MatmulEngine()
+        for i, fut in enumerate(futs):
+            if i == 5:
+                continue
+            response = fut.result()
+            assert response.status is VerificationStatus.FULL
+            assert not response.detected
+            assert np.array_equal(response.c, engine.matmul(a, bs[i]).c)
+        assert counter_value(server.registry, "abft_serve_dropped_total") == 1
+        assert counter_value(
+            server.registry, "abft_serve_requests_total", outcome="completed"
+        ) == 7
+
+    def test_nan_operand_flags_only_its_request(self):
+        a, bs = self.operands_with(np.nan)
+        server, futs = self.serve_one_batch(a, bs)
+        responses = [f.result() for f in futs]
+        assert [r.detected for r in responses] == [i == 5 for i in range(8)]
+        assert all(r.batch_size == 8 for r in responses)
+        assert counter_value(server.registry, "abft_serve_dropped_total") == 0
+
+
 class TestLifecycle:
     def test_context_manager_drains(self, operands):
         a, bs = operands
@@ -463,7 +512,7 @@ class TestBackendRouting:
         server.stop(drain=True)
         r1, r2 = f1.result(), f2.result()
         assert (r1.backend, r2.backend) == ("numpy", "blocked")
-        # Different pins may not coalesce into one fused batch.
+        # Different pins may not coalesce into one micro-batch.
         assert r1.batch_size == 1 and r2.batch_size == 1
 
     def test_unchecked_responses_carry_numpy_backend(self):

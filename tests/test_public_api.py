@@ -106,7 +106,7 @@ class TestImports:
     def test_execution_modes_locked(self):
         from repro import EXECUTION_MODES
 
-        assert EXECUTION_MODES == ("auto", "serial", "fused", "pipelined")
+        assert EXECUTION_MODES == ("auto", "serial", "pipelined")
 
     def test_serve_exports_locked(self):
         from repro import serve
