@@ -29,8 +29,6 @@ True
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from ..engine.config import AbftConfig
@@ -52,29 +50,6 @@ DEFAULT_BLOCK_SIZE = 64
 DEFAULT_P = 2
 
 
-def _warn_positional(func: str, names: list[str]) -> None:
-    warnings.warn(
-        f"passing {', '.join(names)} to {func}() positionally is deprecated; "
-        "use keyword arguments or an AbftConfig",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def _consume_positional(func: str, args: tuple, names: list[str]) -> dict:
-    """Map legacy positional tuning arguments onto their keyword names."""
-    if not args:
-        return {}
-    if len(args) > len(names):
-        raise TypeError(
-            f"{func}() takes at most {2 + len(names)} positional arguments "
-            f"({2 + len(args)} given)"
-        )
-    used = names[: len(args)]
-    _warn_positional(func, used)
-    return dict(zip(used, args))
-
-
 def _build_config(
     func: str, base: AbftConfig | None, scheme: str, overrides: dict
 ) -> AbftConfig:
@@ -93,7 +68,7 @@ def _build_config(
 def aabft_matmul(
     a: np.ndarray,
     b: np.ndarray,
-    *args,
+    *,
     config: AbftConfig | None = None,
     block_size: int | None = None,
     p: int | None = None,
@@ -131,20 +106,12 @@ def aabft_matmul(
         ``n * 2**-t * max|C|`` restores zero false positives; the default 0
         is paper-faithful.  See docs/THEORY.md.
 
-    Passing the tuning arguments positionally (the pre-engine signature) is
-    deprecated; calls go through the shared :func:`repro.engine.default_engine`.
+    Tuning arguments are keyword-only; calls go through the shared
+    :func:`repro.engine.default_engine`.
     """
-    overrides = _consume_positional(
-        "aabft_matmul", args, ["block_size", "p", "omega", "fma", "epsilon_floor"]
-    )
-    overrides.update(
-        block_size=block_size if block_size is not None else overrides.get("block_size"),
-        p=p if p is not None else overrides.get("p"),
-        omega=omega if omega is not None else overrides.get("omega"),
-        fma=fma if fma is not None else overrides.get("fma"),
-        epsilon_floor=(
-            epsilon_floor if epsilon_floor is not None else overrides.get("epsilon_floor")
-        ),
+    overrides = dict(
+        block_size=block_size, p=p, omega=omega, fma=fma,
+        epsilon_floor=epsilon_floor,
     )
     cfg = _build_config("aabft_matmul", config, "aabft", overrides)
     from ..engine import default_engine
@@ -155,16 +122,14 @@ def aabft_matmul(
 def sea_abft_matmul(
     a: np.ndarray,
     b: np.ndarray,
-    *args,
+    *,
     config: AbftConfig | None = None,
     block_size: int | None = None,
 ) -> AbftResult:
     """ABFT matmul with simplified-error-analysis bounds (SEA-ABFT baseline)."""
-    overrides = _consume_positional("sea_abft_matmul", args, ["block_size"])
-    overrides.update(
-        block_size=block_size if block_size is not None else overrides.get("block_size"),
+    cfg = _build_config(
+        "sea_abft_matmul", config, "sea", {"block_size": block_size}
     )
-    cfg = _build_config("sea_abft_matmul", config, "sea", overrides)
     from ..engine import default_engine
 
     return default_engine().matmul(a, b, config=cfg)
@@ -174,7 +139,7 @@ def fixed_abft_matmul(
     a: np.ndarray,
     b: np.ndarray,
     epsilon: float | None = None,
-    *args,
+    *,
     config: AbftConfig | None = None,
     block_size: int | None = None,
 ) -> AbftResult:
@@ -184,10 +149,7 @@ def fixed_abft_matmul(
     ``config.fixed_epsilon``) — the scheme the paper's Table I lists as
     "ABFT", fast but not autonomous.
     """
-    overrides = _consume_positional("fixed_abft_matmul", args, ["block_size"])
-    overrides.update(
-        block_size=block_size if block_size is not None else overrides.get("block_size"),
-    )
+    overrides = {"block_size": block_size}
     if epsilon is not None:
         overrides["fixed_epsilon"] = epsilon
     elif config is None or config.fixed_epsilon is None:

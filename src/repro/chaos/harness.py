@@ -52,6 +52,7 @@ from collections import Counter as _TallyCounter
 import numpy as np
 
 from ..errors import ConfigurationError
+from ..fp.bits import flip_bit
 from ..serve.config import ServeConfig
 from ..serve.loadgen import (
     LoadgenResult,
@@ -164,8 +165,7 @@ class _BitflipInjector(_Injector):
         flat = c_fc.reshape(-1)
         idx = int(self.rng.integers(flat.size))
         bit = int(self.rng.choice(self._BITS))
-        view = flat.view(np.uint64)
-        view[idx] ^= np.uint64(1) << np.uint64(bit)
+        flat[idx] = flip_bit(flat[idx], bit)
 
 
 class _QueueBurstInjector(_Injector):

@@ -58,6 +58,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError
+from .fp.bits import flip_bit
 from .telemetry import MetricsRegistry, get_registry, span
 
 __all__ = [
@@ -279,8 +280,7 @@ def pipeline_coverage_gate(
                 ) and not res.col_layout.is_checksum_index(c):
                     break
             bit = int(rng.integers(52))  # binary64 mantissa bits
-            bits = c_fc[r, c : c + 1].view(np.uint64)
-            bits ^= np.uint64(1) << np.uint64(bit)
+            c_fc[r, c] = flip_bit(c_fc[r, c], bit)
             delta = float(c_fc[r, c]) - float(res.c_fc[r, c])
             if not classifier.classify(delta, n, y).is_critical:
                 continue
@@ -410,11 +410,7 @@ def fused_coverage_gate(
                         trial["site"] = (r, c)
                         trial["before"] = float(tile[r, c])
                     r, c = trial["site"]
-                    bits = np.ascontiguousarray(
-                        tile[r, c : c + 1]
-                    ).view(np.uint64)
-                    bits ^= np.uint64(1) << np.uint64(bit)
-                    tile[r, c] = float(bits.view(np.float64)[0])
+                    tile[r, c] = flip_bit(tile[r, c], bit)
                     trial["delta"] = tile[r, c] - trial["before"]
 
                 aborts_before = aborts.get()

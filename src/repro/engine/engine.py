@@ -430,7 +430,7 @@ class MatmulEngine:
             _storage, dtype = _resolve_storage_compute(cfg, arr.dtype)
         arr = arr.astype(np.dtype(dtype), copy=False)
         t0 = time.perf_counter()
-        encoded = self._encode_array(arr, side, cfg)
+        encoded = self._encode(arr, side, cfg)
         self._add_seconds("encode", time.perf_counter() - t0)
         return encoded
 
@@ -450,12 +450,13 @@ class MatmulEngine:
             raw matrix or an :class:`EncodedOperand` handle.
         policy:
             The :class:`~repro.engine.policy.ExecutionPolicy` selecting the
-            execution mode (``auto`` | ``serial`` | ``pipelined``) plus
-            backend pin, backend exclusions and fusion strategy.  Defaults
-            to ``ExecutionPolicy()`` (mode ``auto``: pipelined when the
-            batch meets its preconditions, serial otherwise).
+            execution mode (``auto`` | ``serial`` | ``pipelined``).
+            Defaults to ``ExecutionPolicy()`` (mode ``auto``: pipelined
+            when the batch meets its preconditions, serial otherwise).
         config:
-            Overrides the engine's default :class:`AbftConfig`.
+            Overrides the engine's default :class:`AbftConfig` for the
+            whole batch — including its backend pin, backend exclusions
+            and fusion strategy.
 
         Results come back in request order and are **bitwise identical**
         to sequential :meth:`matmul` calls regardless of the mode chosen —
@@ -483,15 +484,6 @@ class MatmulEngine:
                     f"{len(pair)} operands"
                 )
             pairs.append(pair)
-        if policy.backend is not None:
-            cfg = cfg.replace(backend=policy.backend)
-        if policy.fusion is not None:
-            cfg = cfg.replace(fusion=policy.fusion)
-        if policy.exclude_backends:
-            merged = dict.fromkeys(
-                cfg.exclude_backends + policy.exclude_backends
-            )
-            cfg = cfg.replace(exclude_backends=tuple(merged))
         self._m_batched.inc()
         if not pairs:
             self._m_exec_mode.labels(mode="serial").inc()
@@ -743,33 +735,45 @@ class MatmulEngine:
             )
         return [self._run(x, y, cfg) for x, y in pairs]
 
-    def _encode_array(
-        self, arr: np.ndarray, side: str, cfg: AbftConfig
+    def _encode(
+        self,
+        arr: np.ndarray,
+        side: str,
+        cfg: AbftConfig,
+        plan: ExecutionPlan | None = None,
     ) -> EncodedOperand:
         """Encode a dtype-resolved matrix (checksums + scheme preprocessing).
 
-        This is the *unpooled* path behind the public :meth:`encode`: the
-        returned handle escapes to user code, so its encoded buffer must
-        never come from (or return to) a workspace pool.
+        Without a ``plan`` this is the *unpooled* path behind the public
+        :meth:`encode`: the returned handle escapes to user code, so its
+        encoded buffer must never come from (or return to) a workspace
+        pool.  With a ``plan`` it is allocation-free when warm: padding,
+        the encoded buffer and the top-p search workspace all cycle
+        through ``plan.pool``, and the caller gives ``handle.array`` back
+        once the multiply has consumed it (it must never escape into
+        results).
         """
-        bs = cfg.block_size
-        if side == "a":
-            padding = (-arr.shape[0]) % bs
-            if padding:
-                arr = np.pad(arr, ((0, padding), (0, 0)), mode="constant")
-            shape = (arr.shape[0] - padding, arr.shape[1])
-        else:
-            padding = (-arr.shape[1]) % bs
-            if padding:
-                arr = np.pad(arr, ((0, 0), (0, padding)), mode="constant")
-            shape = (arr.shape[0], arr.shape[1] - padding)
+        shape = arr.shape
+        axis = 0 if side == "a" else 1
+        padding = (-shape[axis]) % cfg.block_size
+        pool = workspace = None
+        if plan is not None:
+            pool = plan.pool
+            arr, workspace = plan.pad_a(arr) if side == "a" else plan.pad_b(arr)
+        elif padding:
+            widths = [(0, 0), (0, 0)]
+            widths[axis] = (0, padding)
+            arr = np.pad(arr, widths, mode="constant")
         fused = fused_encode(
             arr,
             side,
-            bs,
+            cfg.block_size,
             p=cfg.p if cfg.scheme == "aabft" else None,
             norms=cfg.scheme in ("sea", "adaptive"),
+            pool=pool,
         )
+        if workspace is not None:
+            pool.give(workspace)
         return EncodedOperand(
             side=side,
             array=fused.encoded,
@@ -811,6 +815,23 @@ class MatmulEngine:
                 f"resolves to {dtype}; re-encode with dtype={np.dtype(dtype).name}"
             )
 
+    def _encode_or_reuse(
+        self, operand, side: str, cfg: AbftConfig, dtype: np.dtype, plan
+    ) -> tuple[EncodedOperand, bool]:
+        """One operand's encoding for a call, and whether it is fresh.
+
+        A handle is validated against the call and counted as a reuse; a
+        raw matrix is encoded through the plan's pool, and the caller
+        gives the fresh handle's buffer back once the multiply has
+        consumed it.
+        """
+        if isinstance(operand, EncodedOperand):
+            self._check_handle(operand, side, cfg, dtype)
+            self._m_reuses.inc()
+            return operand, False
+        arr = np.asarray(operand).astype(dtype, copy=False)
+        return self._encode(arr, side, cfg, plan), True
+
     def _run(self, a, b, cfg: AbftConfig) -> AbftResult:
         # --- resolve operands and the computation dtype -----------------
         a_raw = a if isinstance(a, EncodedOperand) else _as_matrix(a)
@@ -819,14 +840,13 @@ class MatmulEngine:
             cfg, _operand_dtype(a_raw), _operand_dtype(b_raw)
         )
         quantize = storage_dtype != dtype
-        a_shape = a_raw.shape if isinstance(a_raw, EncodedOperand) else a_raw.shape
-        b_shape = b_raw.shape if isinstance(b_raw, EncodedOperand) else b_raw.shape
-        if a_shape[1] != b_shape[0]:
+        if a_raw.shape[1] != b_raw.shape[0]:
             raise ShapeError(
-                f"inner dimensions disagree: A is {a_shape}, B is {b_shape}"
+                f"inner dimensions disagree: A is {a_raw.shape}, "
+                f"B is {b_raw.shape}"
             )
-        m, n = a_shape
-        q = b_shape[1]
+        m, n = a_raw.shape
+        q = b_raw.shape[1]
         cfg, selection_fallback, fused_fallback = self._negotiate(
             cfg, m, n, q, dtype
         )
@@ -844,34 +864,17 @@ class MatmulEngine:
 
         # --- encode (or reuse) ------------------------------------------
         t0 = time.perf_counter()
-        fresh_a = fresh_b = None
-        if isinstance(a_raw, EncodedOperand):
-            self._check_handle(a_raw, "a", cfg, dtype)
-            enc_a = a_raw
-            self._m_reuses.inc()
-        else:
-            enc_a = fresh_a = self._encode_with_plan(
-                a_raw.astype(dtype, copy=False), "a", cfg, plan
-            )
-        if isinstance(b_raw, EncodedOperand):
-            self._check_handle(b_raw, "b", cfg, dtype)
-            enc_b = b_raw
-            self._m_reuses.inc()
-        else:
-            enc_b = fresh_b = self._encode_with_plan(
-                b_raw.astype(dtype, copy=False), "b", cfg, plan
-            )
+        enc_a, fresh_a = self._encode_or_reuse(a_raw, "a", cfg, dtype, plan)
+        enc_b, fresh_b = self._encode_or_reuse(b_raw, "b", cfg, dtype, plan)
         self._add_seconds("encode", time.perf_counter() - t0)
 
-        # --- fused online multiply+check (one pass over the tiles) -------
-        fused_ran = False
-        provider = report = c_fc = None
-        used_backend = dispatch_fallback = None
+        # --- tolerances: the fused path needs its grids before the tiles
+        # run (the in-loop checks consume them); check-stage work --------
+        t0 = time.perf_counter()
+        provider = self._make_provider(cfg, plan, enc_a, enc_b)
+        grids = None
         if cfg.fusion == "fused":
-            t0 = time.perf_counter()
-            provider = self._make_provider(cfg, plan, enc_a, enc_b)
             grids = self._provider_grids(provider, plan)
-            grid_seconds = time.perf_counter() - t0  # check-stage work
             if grids is None:
                 self._m_fused_fallbacks.labels(reason="no_epsilon_grids").inc()
                 fused_fallback = (
@@ -879,42 +882,21 @@ class MatmulEngine:
                     "epsilon grids (tolerances must exist before the tiles "
                     "run)"
                 )
-            else:
-                col_eps, row_eps = grids
-                t0 = time.perf_counter()
-                outcome, used_backend, dispatch_fallback = (
-                    self._fused_online_gemm(
-                        plan, cfg, enc_a.array, enc_b.array, col_eps, row_eps
-                    )
-                )
-                # The kernel self-times its in-loop checks; what is left
-                # of the wall time is the multiply.
-                self._add_seconds(
-                    "multiply",
-                    max(0.0, time.perf_counter() - t0 - outcome.check_seconds),
-                )
-                if fresh_a is not None:
-                    plan.pool.give(fresh_a.array)
-                    fresh_a = None
-                if fresh_b is not None:
-                    plan.pool.give(fresh_b.array)
-                    fresh_b = None
-                t0 = time.perf_counter()
-                report = self._fused_report(outcome, col_eps, row_eps, plan)
-                plan.pool.give(col_eps)
-                plan.pool.give(row_eps)
-                self._add_seconds(
-                    "check",
-                    grid_seconds
-                    + outcome.check_seconds
-                    + (time.perf_counter() - t0),
-                )
-                c_fc = outcome.out
-                fused_ran = True
+        check_seconds = time.perf_counter() - t0
 
-        if not fused_ran:
-            # --- multiply (dispatched through the plan's backend) --------
-            t0 = time.perf_counter()
+        # --- multiply (fused: with the in-loop checks) -------------------
+        t0 = time.perf_counter()
+        if grids is not None:
+            col_eps, row_eps = grids
+            c_fc, report, used_backend, dispatch_fallback, mul_s, chk_s = (
+                self._fused_multiply_check(
+                    plan, cfg, enc_a.array, enc_b.array, col_eps, row_eps
+                )
+            )
+            plan.pool.give(col_eps)
+            plan.pool.give(row_eps)
+            check_seconds += chk_s
+        else:
             c_fc, used_backend, dispatch_fallback = self._dispatch_gemm(
                 plan, enc_a.array, enc_b.array
             )
@@ -925,22 +907,22 @@ class MatmulEngine:
                 # float32, per the mixed-precision discipline), so the
                 # check below sees genuine storage quantisation noise.
                 _quantize_data_region(c_fc, plan, storage_dtype)
-            self._add_seconds("multiply", time.perf_counter() - t0)
-            # Internally encoded buffers are fully consumed by the multiply
-            # and never referenced by the result (the provider keeps only
-            # top-p / norm arrays), so they recycle.  User-supplied handles
-            # are not touched.
-            if fresh_a is not None:
-                plan.pool.give(fresh_a.array)
-            if fresh_b is not None:
-                plan.pool.give(fresh_b.array)
+            mul_s = time.perf_counter() - t0
+        self._add_seconds("multiply", mul_s)
+        # Internally encoded buffers are fully consumed by the multiply
+        # and never referenced by the result (the provider keeps only
+        # top-p / norm arrays), so they recycle.  User-supplied handles
+        # are not touched.
+        for enc, fresh in ((enc_a, fresh_a), (enc_b, fresh_b)):
+            if fresh:
+                plan.pool.give(enc.array)
 
-            # --- check ---------------------------------------------------
+        # --- check (the fused path already reported) ---------------------
+        if grids is None:
             t0 = time.perf_counter()
-            if provider is None:
-                provider = self._make_provider(cfg, plan, enc_a, enc_b)
             report = self._check(c_fc, plan, provider)
-            self._add_seconds("check", time.perf_counter() - t0)
+            check_seconds += time.perf_counter() - t0
+        self._add_seconds("check", check_seconds)
 
         c = strip_encoding(
             c_fc, plan.row_layout, plan.col_layout, enc_a.padding, enc_b.padding
@@ -961,7 +943,7 @@ class MatmulEngine:
             provider=provider,
             backend=used_backend,
             backend_fallback=selection_fallback or dispatch_fallback,
-            fused=fused_ran,
+            fused=grids is not None,
             fused_fallback=fused_fallback,
         )
 
@@ -1019,81 +1001,54 @@ class MatmulEngine:
             )
         return cfg, fallback_text, fused_fallback_text
 
-    def _dispatch_gemm(
-        self, plan: ExecutionPlan, a_arr: np.ndarray, b_arr: np.ndarray
-    ) -> tuple[np.ndarray, str, str | None]:
-        """Execute the GEMM stage on the plan's backend.
+    def _dispatch(self, plan: ExecutionPlan, compute):
+        """Run one GEMM-stage call on the plan's backend, never silently.
 
-        Returns ``(c_fc, backend_used, fallback_text)``.  A dispatch-time
-        backend failure (import error, OOM, failed self-check) retries on
-        ``numpy`` with the *same* tile geometry — result bytes stay the
-        plan's canonical bytes — and is recorded, never swallowed.
+        ``compute(backend_name)`` executes the stage on the named backend
+        and returns its full-checksum result.  Returns ``(result,
+        backend_used, fallback_text)``.  A dispatch-time backend failure
+        (import error, OOM, failed self-check) retries on ``numpy`` with
+        the *same* tile geometry — result bytes stay the plan's canonical
+        bytes — and is counted in ``abft_backend_fallbacks_total``, never
+        swallowed.  Backends resolve through the engine's registry
+        (``plan.backend()`` uses the process-wide one), so custom
+        registries dispatch too.
         """
         name = plan.backend_name
         self._m_backend_dispatch.labels(backend=name).inc()
         hook = self._chaos_hook
+        fallback_text = None
         try:
             if hook is not None:
                 # Chaos seam: a raising hook emulates a backend failure
                 # and rides the real never-silent fallback below.
                 hook("dispatch", backend=name)
-            # Resolve through the engine's registry (plan.backend() uses
-            # the process-wide one) so custom registries dispatch too.
-            c_fc = self._backends.get(name).matmul(
-                a_arr, b_arr, tile=plan.tile, pool=plan.pool
-            )
+            c_fc = compute(name)
         except Exception as exc:
             if name == "numpy":
                 raise
             self._m_backend_fallbacks.labels(
                 backend=name, reason="dispatch"
             ).inc()
-            c_fc = self._backends.get("numpy").matmul(
-                a_arr, b_arr, tile=plan.tile, pool=plan.pool
-            )
-            if hook is not None:
-                hook("result", backend="numpy", c_fc=c_fc)
-            return c_fc, "numpy", (
+            c_fc = compute("numpy")
+            fallback_text = (
                 f"dispatch on {name!r} failed "
                 f"({type(exc).__name__}: {exc}); recomputed on 'numpy'"
             )
+            name = "numpy"
         if hook is not None:
             hook("result", backend=name, c_fc=c_fc)
-        return c_fc, name, None
+        return c_fc, name, fallback_text
 
-    def _encode_with_plan(
-        self, arr: np.ndarray, side: str, cfg: AbftConfig, plan: ExecutionPlan
-    ) -> EncodedOperand:
-        """Like :meth:`_encode_array` but allocation-free when warm: padding,
-        the encoded buffer and the top-p search workspace all cycle through
-        the plan's pool.  The returned handle is engine-internal — the
-        caller gives ``handle.array`` back to ``plan.pool`` once the
-        multiply has consumed it (it must never escape into results)."""
-        if side == "a":
-            padded, workspace = plan.pad_a(arr)
-            padding, shape = plan.rows_added, (plan.m, plan.n)
-        else:
-            padded, workspace = plan.pad_b(arr)
-            padding, shape = plan.cols_added, (plan.n, plan.q)
-        fused = fused_encode(
-            padded,
-            side,
-            cfg.block_size,
-            p=cfg.p if cfg.scheme == "aabft" else None,
-            norms=cfg.scheme in ("sea", "adaptive"),
-            pool=plan.pool,
-        )
-        plan.release(workspace, side)
-        return EncodedOperand(
-            side=side,
-            array=fused.encoded,
-            layout=fused.layout,
-            shape=shape,
-            padding=padding,
-            config=cfg,
-            top_values=fused.top_values,
-            top_indices=fused.top_indices,
-            norms=fused.norms,
+    def _dispatch_gemm(
+        self, plan: ExecutionPlan, a_arr: np.ndarray, b_arr: np.ndarray
+    ) -> tuple[np.ndarray, str, str | None]:
+        """The plain (separate-path) GEMM stage through :meth:`_dispatch`."""
+        return self._dispatch(
+            plan,
+            lambda name: self._backends.get(name).matmul(
+                a_arr, b_arr, tile=plan.tile, pool=plan.pool
+            ),
         )
 
     def _make_provider(
@@ -1104,19 +1059,10 @@ class MatmulEngine:
         enc_b: EncodedOperand,
     ):
         if cfg.scheme == "aabft":
-            # Array-native path: the stacked top-p data the operands already
-            # carry feeds the vectorised grids directly; per-vector TopP
-            # objects are only materialised if a scalar re-check asks.
-            return AABFTEpsilonProvider.from_arrays(
-                scheme=plan.scheme,
-                row_values=enc_a.top_values,
-                row_indices=enc_a.top_indices,
-                col_values=enc_b.top_values,
-                col_indices=enc_b.top_indices,
-                row_layout=plan.row_layout,
-                col_layout=plan.col_layout,
-                inner_dim=plan.n,
-                epsilon_floor=cfg.epsilon_floor,
+            return _aabft_provider(
+                cfg, plan,
+                (enc_a.top_values, enc_a.top_indices),
+                (enc_b.top_values, enc_b.top_indices),
             )
         if cfg.scheme in ("sea", "adaptive"):
             provider_cls = (
@@ -1171,7 +1117,7 @@ class MatmulEngine:
             plan.row_layout, plan.col_layout, pool=plan.pool
         )
 
-    def _fused_online_gemm(
+    def _fused_multiply_check(
         self,
         plan: ExecutionPlan,
         cfg: AbftConfig,
@@ -1179,16 +1125,16 @@ class MatmulEngine:
         b_arr: np.ndarray,
         col_eps: np.ndarray,
         row_eps: np.ndarray,
-    ) -> tuple[OnlineFusedOutcome, str, str | None]:
-        """Run the fused online multiply+check on the plan's backend.
+    ) -> tuple[np.ndarray, CheckReport, str, str | None, float, float]:
+        """One fused online multiply+check against its tolerance grids.
 
-        Returns ``(outcome, backend_used, fallback_text)``.  Mirrors
-        :meth:`_dispatch_gemm`'s never-silent contract: a dispatch-time
-        failure retries the whole fused call on ``numpy`` with the same
-        tile geometry, counted in ``abft_backend_fallbacks_total``.
+        Runs the tile loop on the plan's backend through :meth:`_dispatch`
+        and builds the canonical report.  Returns ``(c_fc, report,
+        backend_used, fallback_text, multiply_seconds, check_seconds)``:
+        the kernel self-times its in-loop checks, so what is left of the
+        loop's wall time is the multiply.  Shared by :meth:`_run` and the
+        pipelined executor's fused chunks.
         """
-        name = plan.backend_name
-        self._m_backend_dispatch.labels(backend=name).inc()
         hook = self._chaos_hook
         inject_hook = None
         if hook is not None:
@@ -1200,51 +1146,44 @@ class MatmulEngine:
                     c_tile=tile_view,
                 )
 
-        def run(backend_name: str) -> OnlineFusedOutcome:
+        # _dispatch sees only the result array (the ``result`` hook's
+        # argument); the run it kept is the last outcome recorded here.
+        outcomes: list[OnlineFusedOutcome] = []
+
+        def compute(backend_name: str) -> np.ndarray:
             backend = self._backends.get(backend_name)
             executor = getattr(backend, "tile_executor", lambda: None)()
-            return online_fused_matmul(
-                a_arr,
-                b_arr,
-                row_layout=plan.row_layout,
-                col_layout=plan.col_layout,
-                col_eps=col_eps,
-                row_eps=row_eps,
-                tile_blocks=cfg.fused_tile_blocks,
-                gemm_tile=plan.tile,
-                pool=plan.pool,
-                executor=executor,
-                inject_hook=inject_hook,
+            outcomes.append(
+                online_fused_matmul(
+                    a_arr,
+                    b_arr,
+                    row_layout=plan.row_layout,
+                    col_layout=plan.col_layout,
+                    col_eps=col_eps,
+                    row_eps=row_eps,
+                    tile_blocks=cfg.fused_tile_blocks,
+                    gemm_tile=plan.tile,
+                    pool=plan.pool,
+                    executor=executor,
+                    inject_hook=inject_hook,
+                )
             )
+            return outcomes[-1].out
 
-        fallback_text = None
-        try:
-            if hook is not None:
-                # Chaos seam: a raising hook emulates a backend failure
-                # and rides the real never-silent fallback below.
-                hook("dispatch", backend=name)
-            outcome = run(name)
-        except Exception as exc:
-            if name == "numpy":
-                raise
-            self._m_backend_fallbacks.labels(
-                backend=name, reason="dispatch"
-            ).inc()
-            outcome = run("numpy")
-            name = "numpy"
-            fallback_text = (
-                f"dispatch on {plan.backend_name!r} failed "
-                f"({type(exc).__name__}: {exc}); recomputed on 'numpy'"
-            )
+        t0 = time.perf_counter()
+        c_fc, used, fallback_text = self._dispatch(plan, compute)
+        t1 = time.perf_counter()
+        outcome = outcomes[-1]
         self._m_fused_calls.inc()
         self._m_fused_tiles.inc(outcome.tiles_checked)
         if outcome.recomputed_tiles:
             self._m_fused_recomputes.inc(len(outcome.recomputed_tiles))
         if outcome.early_abort:
             self._m_fused_aborts.inc()
-        if hook is not None:
-            hook("result", backend=name, c_fc=outcome.out)
-        return outcome, name, fallback_text
+        report = self._fused_report(outcome, col_eps, row_eps, plan)
+        check_s = outcome.check_seconds + (time.perf_counter() - t1)
+        mul_s = max(0.0, t1 - t0 - outcome.check_seconds)
+        return c_fc, report, used, fallback_text, mul_s, check_s
 
     def _fused_report(
         self,
@@ -1291,6 +1230,30 @@ def _quantize_data_region(
     cols = plan.col_layout.all_data_indices()
     region = c_fc[np.ix_(rows, cols)]
     c_fc[np.ix_(rows, cols)] = region.astype(storage_dtype).astype(c_fc.dtype)
+
+
+def _aabft_provider(
+    cfg: AbftConfig, plan: ExecutionPlan, row_tops, col_tops
+) -> AABFTEpsilonProvider:
+    """The A-ABFT provider of one product from stacked top-p data.
+
+    ``row_tops`` / ``col_tops`` are the ``(values, indices)`` top-p arrays
+    of the encoded left rows and right columns.  Array-native: they feed
+    the vectorised grids directly, and per-vector ``TopP`` objects are
+    only materialised if a scalar re-check asks.  Shared by
+    :meth:`MatmulEngine._make_provider` and the pipelined executor.
+    """
+    return AABFTEpsilonProvider.from_arrays(
+        scheme=plan.scheme,
+        row_values=row_tops[0],
+        row_indices=row_tops[1],
+        col_values=col_tops[0],
+        col_indices=col_tops[1],
+        row_layout=plan.row_layout,
+        col_layout=plan.col_layout,
+        inner_dim=plan.n,
+        epsilon_floor=cfg.epsilon_floor,
+    )
 
 
 def _operand_dtype(operand) -> np.dtype:

@@ -48,7 +48,7 @@ from ..abft.checking import (
     row_discrepancies,
 )
 from ..abft.encoding import strip_encoding
-from ..abft.providers import AABFTEpsilonProvider, aabft_epsilon_grids
+from ..abft.providers import aabft_epsilon_grids
 from ..abft.result import AbftResult
 from ..kernels.stage_split import ChunkEncodedB, encode_b_chunk
 from ..telemetry import span
@@ -280,7 +280,12 @@ def run_pipelined(engine, a_items, b_items, cfg) -> list:
     back in submission order, bitwise identical to sequential
     :meth:`~repro.engine.MatmulEngine.matmul` calls.
     """
-    from .engine import EncodedOperand, _operand_dtype, _resolve_dtype
+    from .engine import (
+        EncodedOperand,
+        _aabft_provider,
+        _operand_dtype,
+        _resolve_dtype,
+    )
 
     t_start = time.perf_counter()
     dtype = _resolve_dtype(*[_operand_dtype(x) for x in a_items + b_items])
@@ -306,20 +311,13 @@ def run_pipelined(engine, a_items, b_items, cfg) -> list:
     for idx, a in enumerate(a_items):
         group = by_id.get(id(a))
         if group is None:
-            if isinstance(a, EncodedOperand):
-                engine._check_handle(a, "a", cfg, dtype)
-                enc_a, fresh = a, False
-            else:
-                enc_a = engine._encode_with_plan(
-                    np.asarray(a).astype(dtype, copy=False), "a", cfg, plan
-                )
-                fresh = True
+            enc_a, fresh = engine._encode_or_reuse(a, "a", cfg, dtype, plan)
             group = _Group(enc_a=enc_a, fresh=fresh, indices=[])
             by_id[id(a)] = group
             groups.append(group)
-        # Reuse accounting: handles always count, dedup hits count from
-        # the second use on.
-        if isinstance(a, EncodedOperand) or group.indices:
+        else:
+            # Dedup hits count as reuses from the second use on (a
+            # handle's first use already counted in _encode_or_reuse).
             engine._m_reuses.inc()
         group.indices.append(idx)
     elapsed = time.perf_counter() - t0
@@ -414,7 +412,6 @@ def run_pipelined(engine, a_items, b_items, cfg) -> list:
         for j, (idx, _b) in enumerate(state.items):
             c_fc = state.c_fcs[j]
             report = state.reports[j]
-            col_values, col_indices = state.item_tops[j]
             c = strip_encoding(
                 c_fc,
                 plan.row_layout,
@@ -422,16 +419,8 @@ def run_pipelined(engine, a_items, b_items, cfg) -> list:
                 ea.padding,
                 state.enc_padding,
             )
-            provider = AABFTEpsilonProvider.from_arrays(
-                scheme=plan.scheme,
-                row_values=ea.top_values,
-                row_indices=ea.top_indices,
-                col_values=col_values,
-                col_indices=col_indices,
-                row_layout=plan.row_layout,
-                col_layout=plan.col_layout,
-                inner_dim=plan.n,
-                epsilon_floor=cfg.epsilon_floor,
+            provider = _aabft_provider(
+                cfg, plan, (ea.top_values, ea.top_indices), state.item_tops[j]
             )
             engine._m_calls.inc()
             if report.error_detected:
@@ -484,20 +473,15 @@ def _encode_chunk(engine, plan, cfg, state: _ChunkState, dtype) -> None:
     slot runs one fused tile loop per pair against per-pair tolerance
     grids, so there is no concatenated GEMM to feed.
     """
-    items = [
-        np.asarray(b).astype(dtype, copy=False) for _idx, b in state.items
-    ]
     if (
         cfg.fusion == "fused"
-        or _stacked_verdict(engine, plan, len(items)) is False
+        or _stacked_verdict(engine, plan, len(state.items)) is False
     ):
-        state.encoded = [
-            engine._encode_with_plan(item, "b", cfg, plan) for item in items
-        ]
+        state.encoded = _encode_items(engine, plan, cfg, state, dtype)
         state.enc_padding = plan.cols_added
         return
     state.encoded = encode_b_chunk(
-        items,
+        [np.asarray(b).astype(dtype, copy=False) for _idx, b in state.items],
         cfg.block_size,
         q=plan.q,
         p=cfg.p,
@@ -507,27 +491,54 @@ def _encode_chunk(engine, plan, cfg, state: _ChunkState, dtype) -> None:
     state.enc_padding = state.encoded.padding
 
 
+def _encode_items(engine, plan, cfg, state: _ChunkState, dtype) -> list:
+    """The chunk's right operands encoded one by one, as ``matmul`` does."""
+    return [
+        engine._encode(np.asarray(b).astype(dtype, copy=False), "b", cfg, plan)
+        for _idx, b in state.items
+    ]
+
+
+def _reencode_items(engine, plan, cfg, state: _ChunkState, busy) -> list:
+    """Per-item encodes inside a multiply slot, charged to the encode stage."""
+    t0 = time.perf_counter()
+    encoded = _encode_items(
+        engine, plan, cfg, state, state.encoded.encoded.dtype
+    )
+    elapsed = time.perf_counter() - t0
+    engine._add_seconds("encode", elapsed)
+    busy["encode"] += elapsed
+    return encoded
+
+
 def _multiply_chunk(engine, plan, cfg, state: _ChunkState, busy) -> None:
     """Multiply slot: probe, concatenated GEMM, or per-item reference."""
     a_arr = state.group.enc_a.array
     count = len(state.items)
-    verdict = _stacked_verdict(engine, plan, count)
-    if isinstance(state.encoded, ChunkEncodedB) and verdict is None:
-        _probe_chunk(engine, plan, cfg, state, busy)
-        return
-    if isinstance(state.encoded, ChunkEncodedB):
-        # Probed byte-identical: one GEMM covers the whole chunk.
-        enc: ChunkEncodedB = state.encoded
-        c_cat, used, fallback = engine._dispatch_gemm(plan, a_arr, enc.encoded)
-        w = enc.item_width
-        state.c_cat = c_cat
-        state.c_fcs = [c_cat[:, j * w : (j + 1) * w] for j in range(count)]
-        state.backends = [used] * count
-        state.fallbacks = [fallback] * count
-        state.item_tops = [enc.item_tops(j) for j in range(count)]
+    enc = state.encoded
+    if isinstance(enc, ChunkEncodedB):
+        verdict = _stacked_verdict(engine, plan, count)
+        if verdict is None:
+            _probe_chunk(engine, plan, cfg, state, busy)
+            return
+        if verdict:
+            # Probed byte-identical: one GEMM covers the whole chunk.
+            c_cat, used, fallback = engine._dispatch_gemm(
+                plan, a_arr, enc.encoded
+            )
+            w = enc.item_width
+            state.c_cat = c_cat
+            state.c_fcs = [c_cat[:, j * w : (j + 1) * w] for j in range(count)]
+            state.backends = [used] * count
+            state.fallbacks = [fallback] * count
+            state.item_tops = [enc.item_tops(j) for j in range(count)]
+            plan.pool.give(enc.encoded)
+            return
+        # A prefetched encode slot concatenated this chunk before its
+        # signature's probe failed: re-encode per item for the reference.
+        state.encoded = _reencode_items(engine, plan, cfg, state, busy)
         plan.pool.give(enc.encoded)
-        return
-    # Reference path (probe failed for this signature earlier).
+    # Reference path (the probe failed for this signature).
     state.c_fcs, state.backends, state.fallbacks = [], [], []
     state.item_tops = []
     for enc_b in state.encoded:
@@ -536,6 +547,14 @@ def _multiply_chunk(engine, plan, cfg, state: _ChunkState, busy) -> None:
         state.backends.append(used)
         state.fallbacks.append(fallback)
         state.item_tops.append((enc_b.top_values, enc_b.top_indices))
+
+
+def _same_bytes(x: np.ndarray, y: np.ndarray) -> bool:
+    """Byte identity (``np.array_equal`` treats NaN as unequal to itself
+    and ``-0.0`` as equal to ``0.0``)."""
+    return (
+        x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+    )
 
 
 def _probe_chunk(engine, plan, cfg, state: _ChunkState, busy) -> None:
@@ -548,25 +567,13 @@ def _probe_chunk(engine, plan, cfg, state: _ChunkState, busy) -> None:
     a_arr = state.group.enc_a.array
     enc: ChunkEncodedB = state.encoded
     count = len(state.items)
-    dtype = enc.encoded.dtype
-
-    # Reference per-item encode (timed as encode work, not multiply).
-    t0 = time.perf_counter()
-    ref_enc = [
-        engine._encode_with_plan(
-            np.asarray(b).astype(dtype, copy=False), "b", cfg, plan
-        )
-        for _idx, b in state.items
-    ]
-    enc_elapsed = time.perf_counter() - t0
-    engine._add_seconds("encode", enc_elapsed)
-    busy["encode"] += enc_elapsed
+    ref_enc = _reencode_items(engine, plan, cfg, state, busy)
 
     w = enc.item_width
     ok = all(
-        np.array_equal(ref.array, enc.item_encoded(j))
-        and np.array_equal(ref.top_values, enc.item_tops(j)[0])
-        and np.array_equal(ref.top_indices, enc.item_tops(j)[1])
+        _same_bytes(ref.array, enc.item_encoded(j))
+        and _same_bytes(ref.top_values, enc.item_tops(j)[0])
+        and _same_bytes(ref.top_indices, enc.item_tops(j)[1])
         for j, ref in enumerate(ref_enc)
     )
 
@@ -575,7 +582,7 @@ def _probe_chunk(engine, plan, cfg, state: _ChunkState, busy) -> None:
         engine._dispatch_gemm(plan, a_arr, ref.array) for ref in ref_enc
     ]
     ok = ok and all(
-        np.array_equal(run[0], c_cat[:, j * w : (j + 1) * w])
+        _same_bytes(run[0], c_cat[:, j * w : (j + 1) * w])
         for j, run in enumerate(ref_runs)
     )
     if ok:
@@ -586,11 +593,11 @@ def _probe_chunk(engine, plan, cfg, state: _ChunkState, busy) -> None:
         cat_row = row_discrepancies(c_cat, enc.layout)
         blocks = plan.col_layout.num_blocks
         ok = all(
-            np.array_equal(
+            _same_bytes(
                 column_discrepancies(run[0], plan.row_layout),
                 cat_col[:, j * w : (j + 1) * w],
             )
-            and np.array_equal(
+            and _same_bytes(
                 row_discrepancies(run[0], plan.col_layout),
                 cat_row[:, j * blocks : (j + 1) * blocks],
             )
@@ -618,36 +625,35 @@ def _fused_chunk(engine, plan, cfg, state: _ChunkState) -> tuple[float, float]:
     """Fused-online chunk: multiply and in-loop check in one stage slot.
 
     Builds the chunk's tolerance grids (check work — they must exist
-    before the tiles run), walks one fused tile loop per pair against its
-    grid slices, and produces the chunk's reports on the spot; the
+    before the tiles run), runs one fused multiply+check per pair against
+    its grid slices, and produces the chunk's reports on the spot; the
     schedule's check slot for this chunk is a no-op.  Returns the slot's
-    ``(multiply_seconds, check_seconds)`` split — the kernel self-times
-    its in-loop checks, so the split stays honest for the cost model.
+    ``(multiply_seconds, check_seconds)`` split.
     """
     ea = state.group.enc_a
     enc_b = state.encoded
     state.item_tops = [(eb.top_values, eb.top_indices) for eb in enc_b]
     t0 = time.perf_counter()
     col_e, row_e = _chunk_grids(plan, cfg, state)
-    check_s = time.perf_counter() - t0  # grid build is check work
-    state.c_fcs, state.backends, state.fallbacks = [], [], []
-    state.reports = []
+    mul_s, check_s = 0.0, time.perf_counter() - t0  # grids are check work
+    state.c_fcs, state.reports, state.backends, state.fallbacks = (
+        [], [], [], []
+    )
     for j, eb in enumerate(enc_b):
         ce, re_ = _item_slices(col_e, row_e, plan, j)
-        outcome, used, fallback = engine._fused_online_gemm(
-            plan, cfg, ea.array, eb.array, ce, re_
+        c_fc, report, used, fallback, item_mul, item_chk = (
+            engine._fused_multiply_check(plan, cfg, ea.array, eb.array, ce, re_)
         )
-        t1 = time.perf_counter()
-        state.reports.append(engine._fused_report(outcome, ce, re_, plan))
-        check_s += outcome.check_seconds + (time.perf_counter() - t1)
-        state.c_fcs.append(outcome.out)
+        state.c_fcs.append(c_fc)
+        state.reports.append(report)
         state.backends.append(used)
         state.fallbacks.append(fallback)
+        mul_s += item_mul
+        check_s += item_chk
     plan.pool.give(col_e)
     plan.pool.give(row_e)
     for eb in enc_b:
         plan.pool.give(eb.array)
-    mul_s = max(0.0, time.perf_counter() - t0 - check_s)
     engine._add_seconds("multiply", mul_s)
     engine._add_seconds("check", check_s)
     return mul_s, check_s

@@ -161,8 +161,8 @@ class ExecutionPlan:
     def pad_a(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """Zero-pad ``a`` along axis 0, reusing a pooled workspace.
 
-        Returns ``(padded, workspace)``; pass the workspace to
-        :meth:`release` once the padded view is no longer needed.  When no
+        Returns ``(padded, workspace)``; give the workspace back to
+        :attr:`pool` once the padded view is no longer needed.  When no
         padding is required the operand is returned as-is.
         """
         if self.rows_added == 0:
@@ -180,12 +180,6 @@ class ExecutionPlan:
         buf[:, : self.q] = b
         buf[:, self.q :] = 0.0
         return buf, buf
-
-    def release(self, workspace: np.ndarray | None, side: str) -> None:
-        """Return a padding workspace to its pool."""
-        if workspace is None:
-            return
-        self.pool.give(workspace)
 
 
 def build_plan(

@@ -43,41 +43,18 @@ class ExecutionPolicy:
         meet (heterogeneous shapes, non-``aabft`` scheme, …) runs serial —
         the fallback is counted in ``abft_pipeline_fallbacks_total``,
         never silent.
-    backend:
-        Pin the GEMM stage to a named compute backend for this batch;
-        ``None`` keeps the config's choice (``"auto"`` negotiation by
-        default).
-    exclude_backends:
-        Backends negotiation must not consider for this batch (merged
-        with the config's own exclusions).
-    fusion:
-        Online-ABFT fusion strategy for this batch: ``"fused"``,
-        ``"separate"`` or ``"auto"`` (negotiated).  ``None`` keeps the
-        config's own ``fusion`` knob.
+
+    Backend pins, backend exclusions and the fusion strategy are
+    :class:`~repro.engine.config.AbftConfig` fields; pass
+    ``execute_batch(config=...)`` to set them for one batch.
     """
 
     mode: str = "auto"
-    backend: str | None = None
-    exclude_backends: tuple[str, ...] = ()
-    fusion: str | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in EXECUTION_MODES:
             raise ConfigurationError(
                 f"mode must be one of {EXECUTION_MODES}, got {self.mode!r}"
-            )
-        if self.backend is not None and not isinstance(self.backend, str):
-            raise ConfigurationError(
-                f"backend must be a backend name or None, got "
-                f"{type(self.backend).__name__}"
-            )
-        object.__setattr__(
-            self, "exclude_backends", tuple(self.exclude_backends)
-        )
-        if self.fusion not in (None, "auto", "fused", "separate"):
-            raise ConfigurationError(
-                f"fusion must be None, 'auto', 'fused' or 'separate', got "
-                f"{self.fusion!r}"
             )
 
     def replace(self, **changes) -> "ExecutionPolicy":

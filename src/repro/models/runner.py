@@ -3,7 +3,7 @@
 The :class:`ModelRunner` walks a :class:`~repro.models.planner.ModelPlan`
 layer by layer through a :class:`~repro.engine.engine.MatmulEngine`:
 protected layers run as ABFT-protected multiplications under their
-planned per-layer config (submitted via ``execute_batch`` so policy
+planned per-layer config (submitted via ``execute_batch`` so backend
 negotiation applies), unchecked layers run the raw GEMM with an explicit
 ``unchecked`` record — never silently.
 
@@ -27,7 +27,7 @@ Two properties the serving and campaign layers build on:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from ..abft.encoding import PartitionedLayout, strip_data_columns
 from ..bounds.upper_bound import top_p_arrays
 from ..engine.config import AbftConfig
 from ..engine.engine import EncodedOperand, MatmulEngine, default_engine
-from ..engine.policy import ExecutionPolicy
 from ..errors import ConfigurationError
 from ..fp.constants import format_for_dtype, format_for_name
 from ..fp.bits import flip_bit
@@ -280,7 +279,6 @@ class ModelRunner:
         inject: ModelInjection | None = None,
         verify: bool = False,
         rung_cap=None,
-        policy: ExecutionPolicy | None = None,
     ) -> ModelRunResult:
         """One forward pass under the plan's per-layer protection.
 
@@ -304,8 +302,10 @@ class ModelRunner:
             each layer's protection (the serving deadline ladder); a
             served rung below the planned one is recorded as degraded —
             never silently.
-        policy:
-            Execution policy for protected layers (backend pins etc.).
+
+        Protected layers run through the engine's ``execute_batch`` under
+        each layer's planned :class:`~repro.engine.config.AbftConfig`,
+        which carries any backend pin or fusion strategy.
         """
         if plan is None:
             plan = ProtectionPlanner().plan(model)
@@ -360,7 +360,6 @@ class ModelRunner:
                     prev_reusable,
                     injection,
                     run,
-                    policy,
                 )
             run.seconds = time.perf_counter() - t0
             self._h_layer.labels(rung=rung).observe(run.seconds)
@@ -436,7 +435,6 @@ class ModelRunner:
         prev_reusable: EncodedOperand | None,
         injection,
         run: LayerRun,
-        policy: ExecutionPolicy | None,
     ):
         layer = assignment.layer
         storage, compute = _layer_dtypes(layer)
@@ -485,9 +483,7 @@ class ModelRunner:
             if injection is not None:
                 self.engine.set_chaos_hook(chaos_hook)
                 installed_hook = True
-            results = self.engine.execute_batch(
-                [(a_operand, w)], policy=policy, config=cfg
-            )
+            results = self.engine.execute_batch([(a_operand, w)], config=cfg)
         finally:
             if installed_hook:
                 self.engine.set_chaos_hook(None)
@@ -565,21 +561,16 @@ def _reusable_from_result(result, layer, cfg, batch: int) -> EncodedOperand:
 
     The checksum *rows* of ``c_fc`` propagate (column checksums are linear
     in the data rows and the check just verified them within tolerance);
-    checksum columns and column padding are dropped, and the scheme
-    preprocessing (top-p / norms) is recomputed on the slice — it depends
-    on the checked layer's values, not the original operand's.  ``shape``
-    and ``padding`` record the *true* batch so the next layer's strip
-    removes the same zero rows this layer's encode added.
+    checksum columns and column padding are dropped.  The scheme
+    preprocessing is left to the layer that consumes the handle
+    (:func:`_rebuild_handle`).  ``shape`` and ``padding`` record the
+    *true* batch so the next layer's strip removes the same zero rows
+    this layer's encode added.
     """
     sliced = strip_data_columns(result.c_fc, result.col_layout)
     d_out = layer.d_out
     if sliced.shape[1] != d_out:
         sliced = np.ascontiguousarray(sliced[:, :d_out])
-    top_values = top_indices = norms = None
-    if cfg.scheme == "aabft":
-        top_values, top_indices = top_p_arrays(sliced, cfg.p, axis=1)
-    elif cfg.scheme in ("sea", "adaptive"):
-        norms = np.linalg.norm(sliced, axis=1)
     return EncodedOperand(
         side="a",
         array=sliced,
@@ -587,48 +578,29 @@ def _reusable_from_result(result, layer, cfg, batch: int) -> EncodedOperand:
         shape=(batch, d_out),
         padding=result.row_layout.data_rows - batch,
         config=cfg,
-        top_values=top_values,
-        top_indices=top_indices,
-        norms=norms,
     )
 
 
 def _rebuild_handle(handle: EncodedOperand, cfg: AbftConfig) -> EncodedOperand:
-    """Adapt a reusable handle to the next layer's config.
+    """Adapt a reusable handle to the consuming layer's config.
 
-    The encoded bytes only depend on the block size (already matched);
-    the scheme preprocessing must match the *next* layer's scheme, so it
-    is recomputed here when the schemes differ.
+    The encoded bytes only depend on the block size (already matched).
+    The scheme preprocessing — top-p for ``aabft``, norms for ``sea`` /
+    ``adaptive`` — depends on the checked values and on this layer's
+    scheme, so it is computed here, once per consuming layer.  The
+    ``TopP`` cache starts empty: ``replace`` would otherwise share the old
+    handle's cached list.
     """
-    if handle.config.scheme == cfg.scheme and (
-        cfg.scheme != "aabft" or handle.config.p == cfg.p
-    ):
-        if handle.config == cfg:
-            return handle
-        return EncodedOperand(
-            side="a",
-            array=handle.array,
-            layout=handle.layout,
-            shape=handle.shape,
-            padding=handle.padding,
-            config=cfg,
-            top_values=handle.top_values,
-            top_indices=handle.top_indices,
-            norms=handle.norms,
-        )
     top_values = top_indices = norms = None
     if cfg.scheme == "aabft":
         top_values, top_indices = top_p_arrays(handle.array, cfg.p, axis=1)
     elif cfg.scheme in ("sea", "adaptive"):
         norms = np.linalg.norm(handle.array, axis=1)
-    return EncodedOperand(
-        side="a",
-        array=handle.array,
-        layout=handle.layout,
-        shape=handle.shape,
-        padding=handle.padding,
+    return replace(
+        handle,
         config=cfg,
         top_values=top_values,
         top_indices=top_indices,
         norms=norms,
+        _tops_cache=[],
     )

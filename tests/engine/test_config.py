@@ -77,14 +77,19 @@ class TestValueSemantics:
 
 
 class TestDeprecationShims:
-    def test_positional_tuning_args_warn(self):
+    def test_positional_tuning_args_rejected(self):
         rng = np.random.default_rng(0)
         a = rng.uniform(-1, 1, (32, 32))
-        from repro.abft import aabft_matmul
+        from repro.abft import aabft_matmul, fixed_abft_matmul, sea_abft_matmul
 
-        with pytest.warns(DeprecationWarning, match="positionally"):
-            result = aabft_matmul(a, a, 16)
-        assert result.row_layout.block_size == 16
+        with pytest.raises(TypeError):
+            aabft_matmul(a, a, 16)
+        with pytest.raises(TypeError):
+            sea_abft_matmul(a, a, 16)
+        with pytest.raises(TypeError):
+            fixed_abft_matmul(a, a, 1e-6, 16)
+        # epsilon stays positional
+        assert fixed_abft_matmul(a, a, 1e-6).row_layout.block_size == 64
 
     def test_keyword_call_does_not_warn(self):
         import warnings

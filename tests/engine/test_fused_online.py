@@ -67,7 +67,9 @@ class TestNegotiation:
         engine = MatmulEngine(SEPARATE)
         pairs = [(a, b) for b in bs]
         results = engine.execute_batch(
-            pairs, policy=ExecutionPolicy(mode="serial", fusion="fused")
+            pairs,
+            policy=ExecutionPolicy(mode="serial"),
+            config=SEPARATE.replace(fusion="fused"),
         )
         assert all(r.fused for r in results)
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,12 +18,16 @@ from repro.engine import (
     pipeline_supported,
     plan_schedule,
 )
+from repro.engine import pipeline
 from repro.engine.pipeline import _WINDOW, _greedy_slots
 from repro.engine.stats import StageCost, StageCosts
 from repro.errors import ConfigurationError
+from repro.kernels.stage_split import ChunkEncodedB
 from repro.telemetry import MetricsRegistry
 
 PIPELINED = ExecutionPolicy(mode="pipelined")
+#: The probe guards the concatenated path, which fused-online chunks skip.
+SEPARATE = AbftConfig(fusion="separate")
 
 
 def fresh_engine(**kwargs) -> MatmulEngine:
@@ -150,6 +157,93 @@ class TestBitwiseIdentity:
         assert (3, 5) in report.located_errors
 
 
+
+class TestProbeVerdicts:
+    """The first-chunk probe decides, byte for byte, which path every
+    later chunk of its ``(plan, chunk width)`` signature takes."""
+
+    def test_prefetched_chunk_after_a_failed_probe_runs_per_item(
+        self, monkeypatch
+    ):
+        # With overlap on, chunk 1's encode slot is prefetched — and
+        # concatenated — before chunk 0's probe runs.  The probe's first
+        # comparison is made to fail whatever the BLAS does, so chunk 1
+        # must take the per-item path too: no concatenated GEMM after the
+        # probe's own, and bytes equal to matmul.
+        monkeypatch.setattr(pipeline, "_SLOT_OVERHEAD_S", 0.0)
+        prefetched = threading.Event()
+        encode_calls = []
+        real_encode_b_chunk = pipeline.encode_b_chunk
+
+        def encode_b_chunk(*args, **kwargs):
+            out = real_encode_b_chunk(*args, **kwargs)
+            encode_calls.append(out)
+            if len(encode_calls) == 2:
+                prefetched.set()
+            return out
+
+        real_item_encoded = ChunkEncodedB.item_encoded
+
+        def mismatching_item_encoded(self, j):
+            prefetched.wait(10.0)  # chunk 1 is encoded before the verdict
+            return real_item_encoded(self, j) + 1.0
+
+        monkeypatch.setattr(pipeline, "encode_b_chunk", encode_b_chunk)
+        monkeypatch.setattr(
+            ChunkEncodedB, "item_encoded", mismatching_item_encoded
+        )
+        cfg = AbftConfig(block_size=16, fusion="separate")
+        rng = np.random.default_rng(31)
+        a = rng.uniform(-1, 1, (32, 32))
+        bs = [rng.uniform(-1, 1, (32, 32)) for _ in range(4)]
+        reference = [MatmulEngine(cfg).matmul(a, b) for b in bs]
+        engine = fresh_engine(config=cfg, max_workers=2)
+        engine.matmul(a, bs[0])  # stage timings make overlap win
+        widths = []
+
+        def hook(event, **kwargs):
+            if event == "result":
+                widths.append(kwargs["c_fc"].shape[1])
+
+        engine.set_chaos_hook(hook)
+        results = engine.execute_batch([(a, b) for b in bs], policy=PIPELINED)
+        assert prefetched.is_set()
+        assert_bitwise_equal(results, reference)
+        item_width = reference[0].c_fc.shape[1]
+        assert widths.count(2 * item_width) == 1  # the probe's own GEMM
+
+    def test_nan_operand_keeps_the_probe_verdict(self):
+        # A NaN is byte-identical to itself on both paths, so it must not
+        # pin the signature to the per-item path (np.array_equal would).
+        rng = np.random.default_rng(32)
+        a = rng.uniform(-1, 1, (128, 128))
+        bs = [rng.uniform(-1, 1, (128, 16)) for _ in range(16)]
+        poisoned = [b.copy() for b in bs]
+        poisoned[0][3, 5] = np.nan
+
+        def run(batch):
+            engine = fresh_engine(max_workers=1)
+            results = engine.execute_batch(
+                [(a, b) for b in batch], policy=PIPELINED, config=SEPARATE
+            )
+            fallbacks = engine.registry.counter(
+                "abft_pipeline_fallbacks_total", labelnames=("reason",)
+            )
+            return results, fallbacks.labels(reason="bitwise_probe").get()
+
+        _clean, clean_fallbacks = run(bs)
+        results, fallbacks = run(poisoned)
+        assert fallbacks == clean_fallbacks
+        reference = [
+            MatmulEngine(SEPARATE).matmul(a, b) for b in poisoned
+        ]
+        for got, ref in zip(results, reference):
+            assert got.c_fc.tobytes() == ref.c_fc.tobytes()
+            assert got.report.column_disc.tobytes() == (
+                ref.report.column_disc.tobytes()
+            )
+            assert got.detected == ref.detected
+
 WARM = StageCosts(
     encode=StageCost(seconds=0.4, observations=100),
     multiply=StageCost(seconds=1.0, observations=100),
@@ -220,11 +314,11 @@ class TestExecutionPolicy:
         with pytest.raises(ConfigurationError, match="mode"):
             ExecutionPolicy(mode="turbo")
 
-    def test_invalid_backend_and_fusion_rejected(self):
-        with pytest.raises(ConfigurationError, match="backend"):
-            ExecutionPolicy(backend=3)
-        with pytest.raises(ConfigurationError, match="fusion"):
-            ExecutionPolicy(fusion="online")
+    def test_mode_is_the_only_field(self):
+        # Backend pins, exclusions and fusion live on AbftConfig.
+        assert [f.name for f in dataclasses.fields(ExecutionPolicy)] == ["mode"]
+        with pytest.raises(TypeError):
+            ExecutionPolicy(backend="numpy")
 
     def test_replace_revalidates(self):
         policy = ExecutionPolicy()

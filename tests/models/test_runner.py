@@ -135,6 +135,33 @@ class TestEncodingReuse:
         runner.run(model, full_plan(model))
         assert counter_value(reg, "abft_model_encode_reuses_total") == 3.0
 
+    def test_alternating_schemes_rebuild_reused_handles(self, runner):
+        # full/sea alternate, so every consuming layer computes the other
+        # scheme's preprocessing (top-p vs norms) on the reused slice.
+        model = self.linear_chain()
+        result = runner.run(
+            model,
+            full_plan(model),
+            verify=True,
+            rung_cap=lambda i, a: "full" if i % 2 == 0 else "sea",
+        )
+        assert [run.scheme for run in result.layers] == [
+            "aabft", "sea", "aabft", "sea",
+        ]
+        assert all(run.reused_encoding for run in result.layers[1:])
+        assert result.verified is True
+        assert not result.detected
+
+    def test_rebuilt_handle_reports_its_own_top_p_depth(self, engine):
+        from repro.models.runner import _rebuild_handle
+
+        x = np.random.default_rng(5).uniform(-1, 1, (32, 32))
+        handle = engine.encode(x, side="a")
+        assert {len(t.values) for t in handle.tops()} == {CFG.p}
+        rebuilt = _rebuild_handle(handle, CFG.replace(p=CFG.p + 1))
+        assert {len(t.values) for t in rebuilt.tops()} == {CFG.p + 1}
+        assert {len(t.values) for t in handle.tops()} == {CFG.p}
+
     def test_relu_blocks_reuse(self, runner):
         model = mlp(name="m", batch=32, d_in=32, hidden=32, depth=4, d_out=32)
         result = runner.run(model, full_plan(model), verify=True)
