@@ -7,7 +7,7 @@ planned per-layer config (submitted via ``execute_batch`` so backend
 negotiation applies), unchecked layers run the raw GEMM with an explicit
 ``unchecked`` record — never silently.
 
-Two properties the serving and campaign layers build on:
+Three properties the serving and campaign layers build on:
 
 * **Encoding reuse** — when layer ``k`` ran protected and clean, its
   activation is the identity, both layers share block size and compute
@@ -18,6 +18,17 @@ Two properties the serving and campaign layers build on:
   ``c_fc`` into an A-side :class:`~repro.engine.engine.EncodedOperand` —
   recomputing only the cheap top-p/norm preprocessing — and skips the
   encode pass entirely.
+* **Weight-encoding reuse** — a protected layer's weight is the same
+  matrix on every pass, so the runner keeps one B-side
+  :class:`~repro.engine.engine.EncodedOperand` per slot (model name,
+  layer name, layer config) and passes it to the engine in place of the
+  raw weight.  The slot is keyed by content, not by array identity:
+  before each use the weight's bytes, in the compute dtype, are compared
+  with the handle's data columns, and any difference re-encodes.  An
+  updated or replaced weight is therefore never multiplied from a stale
+  encoding, and never reads as a detection.  A detection evicts the slot,
+  so a fault in a cached checksum costs one recompute; a fault in a
+  cached data column fails the byte check.
 * **Named-layer fault injection** — :class:`ModelInjection` flips one bit
   of the named layer's result through the engine's chaos-hook seam (or
   directly, for unchecked layers), firing exactly once; per-layer
@@ -34,7 +45,12 @@ import numpy as np
 from ..abft.encoding import PartitionedLayout, strip_data_columns
 from ..bounds.upper_bound import top_p_arrays
 from ..engine.config import AbftConfig
-from ..engine.engine import EncodedOperand, MatmulEngine, default_engine
+from ..engine.engine import (
+    EncodedOperand,
+    MatmulEngine,
+    _resolve_storage_compute,
+    default_engine,
+)
 from ..errors import ConfigurationError
 from ..fp.constants import format_for_dtype, format_for_name
 from ..fp.bits import flip_bit
@@ -242,6 +258,18 @@ class ModelRunner:
             "Layers whose A-side encoding reused the previous layer's "
             "verified output checksums",
         )
+        weight_cache = reg.counter(
+            "abft_model_weight_cache_total",
+            "Protected-layer weight encodings by cache outcome: hit (bytes "
+            "matched), miss (empty slot) or changed (slot held other bytes)",
+            ("outcome",),
+        )
+        self._m_weight_cache = {
+            outcome: weight_cache.labels(outcome=outcome)
+            for outcome in ("hit", "miss", "changed")
+        }
+        # One B-side handle per (model name, layer name, layer config).
+        self._weights: dict[tuple, EncodedOperand] = {}
         self._m_degraded = reg.counter(
             "abft_model_degraded_layers_total",
             "Layers served below their planned protection rung "
@@ -452,6 +480,11 @@ class ModelRunner:
             a_operand = _rebuild_handle(prev_reusable, cfg)
             run.reused_encoding = True
             self._m_reuses.inc()
+        slot = (model.name, layer.name, cfg)
+        _storage, call_dtype = _resolve_storage_compute(
+            cfg, a_operand.dtype, w.dtype
+        )
+        b_operand = self._weight_handle(slot, w, cfg, call_dtype)
 
         hook_state = {"armed": injection is not None}
 
@@ -483,20 +516,26 @@ class ModelRunner:
             if injection is not None:
                 self.engine.set_chaos_hook(chaos_hook)
                 installed_hook = True
-            results = self.engine.execute_batch([(a_operand, w)], config=cfg)
+            results = self.engine.execute_batch(
+                [(a_operand, b_operand)], config=cfg
+            )
         finally:
             if installed_hook:
                 self.engine.set_chaos_hook(None)
         result = results[0]
         run.detected = bool(result.report.error_detected)
-        run.backend = result.backend
         if run.scheme == "adaptive":
             self._record_adaptive_threshold(layer.name, result)
-        if run.detected and injection is None:
-            # A real (non-campaign) detection: recompute once, explicitly.
-            results = self.engine.execute_batch([(x, w)], config=cfg)
-            result = results[0]
-            run.recomputed = True
+        if run.detected:
+            # The fault may sit in the cached checksums: re-encode next use.
+            self._weights.pop(slot, None)
+            if injection is None:
+                # A real (non-campaign) detection: recompute once, from the
+                # raw weight; it recovered only if its own check passed.
+                results = self.engine.execute_batch([(x, w)], config=cfg)
+                result = results[0]
+                run.recomputed = not result.report.error_detected
+        run.backend = result.backend
 
         y = result.c
         reusable = None
@@ -508,6 +547,26 @@ class ModelRunner:
         ):
             reusable = _reusable_from_result(result, layer, cfg, model.batch)
         return _activate(layer, y, storage, compute), reusable
+
+    def _weight_handle(
+        self, slot: tuple, w, cfg: AbftConfig, dtype: np.dtype
+    ) -> EncodedOperand:
+        """The slot's handle if it encodes ``w`` (:func:`_encodes`), else a
+        fresh encoding that replaces it.  Each call checks the handle it
+        returns, so concurrent runs can at worst encode a weight twice.
+        """
+        handle = self._weights.get(slot)
+        if handle is not None and _encodes(handle, w.astype(dtype, copy=False)):
+            self._m_weight_cache["hit"].inc()
+            return handle
+        self._m_weight_cache["miss" if handle is None else "changed"].inc()
+        # Release a stale encoding before building its replacement, so
+        # the new buffers can reuse its memory.
+        self._weights.pop(slot, None)
+        del handle
+        handle = self.engine.encode(w, side="b", config=cfg, dtype=dtype)
+        self._weights[slot] = handle
+        return handle
 
     def _config_for(self, assignment: LayerAssignment, rung: str) -> AbftConfig:
         if rung == assignment.rung and assignment.config is not None:
@@ -578,6 +637,36 @@ def _reusable_from_result(result, layer, cfg, batch: int) -> EncodedOperand:
         shape=(batch, d_out),
         padding=result.row_layout.data_rows - batch,
         config=cfg,
+    )
+
+
+def _encodes(handle: EncodedOperand, w: np.ndarray) -> bool:
+    """Whether a B-side handle's data columns hold exactly ``w``'s bytes.
+
+    ``w`` is already in the compute dtype.  The first row is compared on
+    its own first, so a weight that changes every pass costs one row; a
+    match then compares every byte as unsigned words, so a NaN or a
+    signed zero matches only itself.  The zero padding columns are not
+    compared: they reach the output only through the checksums, so, as in
+    the checksum columns, a fault there shows as a detection.
+    """
+    if handle.shape != w.shape or handle.dtype != w.dtype:
+        return False
+    rows, cols = w.shape
+    layout = handle.layout
+    bs = layout.block_size
+    blocks = handle.array.reshape(rows, layout.num_blocks, layout.stride)
+    full = cols // bs
+    pairs = [(w[:, : full * bs].reshape(rows, full, bs), blocks[:, :full, :bs])]
+    if full * bs < cols:
+        pairs.append((w[:, full * bs :], blocks[:, full, : cols - full * bs]))
+    words = np.dtype(f"u{w.dtype.itemsize}")
+    return all(
+        np.array_equal(ours[0].view(words), theirs[0].view(words))
+        for ours, theirs in pairs
+    ) and all(
+        np.array_equal(ours.view(words), theirs.view(words))
+        for ours, theirs in pairs
     )
 
 

@@ -1,10 +1,16 @@
 """ModelRunner: verified chains, encoding reuse, injection, degradation."""
 
+import gc
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 
-from repro.engine import AbftConfig, MatmulEngine
+from repro.engine import AbftConfig, EncodedOperand, MatmulEngine
 from repro.errors import ConfigurationError
+from repro.fp.bits import flip_bit
 from repro.models import (
     LayerSpec,
     ModelInjection,
@@ -176,6 +182,332 @@ class TestEncodingReuse:
         result = runner.run(model, full_plan(model), verify=True)
         assert result.verified is True
         assert result.reuse_count == 0  # storage quantisation invalidates
+
+
+def mlp32():
+    # fc1 6.4, fc2 8.0, head 2.9 flops/byte at batch 32.
+    return mlp(name="m", batch=32, d_in=32, hidden=64, depth=3, d_out=8)
+
+
+def attention16():
+    return attention(name="a16", batch=32, d_model=32, dtype="float16")
+
+
+PLANNERS = {
+    "full": ProtectionPlanner(
+        CFG, coverage_target=1.0, full_intensity=0.0, sea_intensity=0.0
+    ),
+    "sea": ProtectionPlanner(
+        CFG, coverage_target=0.0, full_intensity=float("inf"), sea_intensity=0.0
+    ),
+    # fp32 MLP: fc2 full, fc1 sea, head unchecked.
+    "mixed": ProtectionPlanner(
+        CFG, coverage_target=0.0, full_intensity=7.0, sea_intensity=5.0
+    ),
+    # fp16 attention: wo unchecked, the rest adaptive.
+    "mixed16": ProtectionPlanner(CFG, coverage_target=0.85),
+}
+
+
+def layer_fields(result):
+    return [
+        {k: v for k, v in run.to_dict().items() if k != "seconds"}
+        for run in result.layers
+    ]
+
+
+def assert_same_run(one, two):
+    assert one.output.dtype == two.output.dtype
+    assert one.output.tobytes() == two.output.tobytes()
+    assert layer_fields(one) == layer_fields(two)
+
+
+def cache_counts(registry):
+    return {
+        outcome: counter_value(
+            registry, "abft_model_weight_cache_total", outcome=outcome
+        )
+        for outcome in ("hit", "miss", "changed")
+    }
+
+
+def fresh_run(engine, model, plan, inputs):
+    return ModelRunner(engine, registry=MetricsRegistry()).run(
+        model, plan, inputs
+    )
+
+
+def record_weight_handles(engine, monkeypatch):
+    """Spy on ``execute_batch``: the B handles it receives, in call order."""
+    seen = []
+    real = engine.execute_batch
+
+    def spy(requests, **kwargs):
+        seen.extend(b for _a, b in requests if isinstance(b, EncodedOperand))
+        return real(requests, **kwargs)
+
+    monkeypatch.setattr(engine, "execute_batch", spy)
+    return seen
+
+
+def flip_largest(array, col):
+    """Flip a mid exponent bit of the largest-magnitude entry of a column."""
+    row = int(np.argmax(np.abs(array[:, col])))
+    array[row, col] = flip_bit(array[row, col], 25)
+
+
+class TestWeightCache:
+    @pytest.mark.parametrize(
+        "build, plan_name",
+        [
+            (mlp32, "full"),
+            (mlp32, "sea"),
+            (mlp32, "mixed"),
+            (attention16, "full"),
+            (attention16, "sea"),
+            (attention16, "mixed16"),
+        ],
+    )
+    def test_ten_passes_match_a_fresh_runner_per_pass(
+        self, engine, build, plan_name
+    ):
+        model = build()
+        plan = PLANNERS[plan_name].plan(model)
+        reg = MetricsRegistry()
+        runner = ModelRunner(engine, registry=reg)
+        weights = ModelInputs.generate(model, seed=3).weights
+        rng = np.random.default_rng(4)
+        for _ in range(10):
+            x = rng.standard_normal((model.batch, model.d_in))
+            inputs = ModelInputs(x=x.astype(weights[0].dtype), weights=weights)
+            cached = runner.run(model, plan, inputs)
+            assert_same_run(cached, fresh_run(engine, model, plan, inputs))
+            assert not cached.detected
+        protected = sum(1 for a in plan.assignments if a.rung != "unchecked")
+        assert protected > 0
+        assert cache_counts(reg) == {
+            "hit": 9.0 * protected, "miss": protected, "changed": 0.0,
+        }
+
+    def test_cached_weight_gives_the_raw_weight_product(self, engine):
+        model = ModelSpec("one", 30, (LayerSpec("l0", 40, 24),))
+        plan = full_plan(model)
+        inputs = ModelInputs.generate(model, seed=1)
+        runner = ModelRunner(engine, registry=MetricsRegistry())
+        runner.run(model, plan, inputs)
+        cached = runner.run(model, plan, inputs)  # served from the cache
+        raw = engine.matmul(
+            inputs.x, inputs.weights[0], config=plan.assignments[0].config
+        )
+        assert cached.output.tobytes() == raw.c.tobytes()
+
+    def test_weight_updated_in_place_is_re_encoded(self, engine):
+        model = mlp32()
+        plan = full_plan(model)
+        reg = MetricsRegistry()
+        runner = ModelRunner(engine, registry=reg)
+        inputs = ModelInputs.generate(model, seed=5)
+        runner.run(model, plan, inputs)
+        inputs.weights[1][3, 7] *= 1.5
+        updated = runner.run(model, plan, inputs)
+        assert not updated.detected
+        assert_same_run(updated, fresh_run(engine, model, plan, inputs))
+        assert cache_counts(reg) == {"hit": 2.0, "miss": 3.0, "changed": 1.0}
+
+    def test_new_array_with_the_same_bytes_hits(self, engine):
+        model = mlp32()
+        plan = full_plan(model)
+        reg = MetricsRegistry()
+        runner = ModelRunner(engine, registry=reg)
+        inputs = ModelInputs.generate(model, seed=6)
+        runner.run(model, plan, inputs)
+        # Column-major copies: the same values in another memory layout.
+        copies = ModelInputs(
+            x=inputs.x,
+            weights=tuple(w.copy(order="F") for w in inputs.weights),
+        )
+        runner.run(model, plan, copies)
+        assert cache_counts(reg) == {"hit": 3.0, "miss": 3.0, "changed": 0.0}
+
+    def test_signed_zero_is_a_different_weight(self, engine):
+        model = mlp32()
+        plan = full_plan(model)
+        reg = MetricsRegistry()
+        runner = ModelRunner(engine, registry=reg)
+        inputs = ModelInputs.generate(model, seed=10)
+        inputs.weights[0][2, 5] = 0.0
+        runner.run(model, plan, inputs)
+        inputs.weights[0][2, 5] = -0.0
+        runner.run(model, plan, inputs)
+        assert cache_counts(reg) == {"hit": 2.0, "miss": 3.0, "changed": 1.0}
+
+    def test_checksum_fault_in_cached_handle_recomputes_once(
+        self, engine, monkeypatch
+    ):
+        model = mlp32()
+        plan = full_plan(model)
+        reg = MetricsRegistry()
+        runner = ModelRunner(engine, registry=reg)
+        inputs = ModelInputs.generate(model, seed=7)
+        clean = runner.run(model, plan, inputs)
+        handles = record_weight_handles(engine, monkeypatch)
+        runner.run(model, plan, inputs)
+        fc2 = handles[1]
+        flip_largest(fc2.array, fc2.layout.checksum_index(0))
+
+        faulty = runner.run(model, plan, inputs)
+        run = faulty.layer_run("fc2")
+        assert run.detected and run.recomputed
+        assert faulty.output.tobytes() == clean.output.tobytes()
+        assert cache_counts(reg) == {"hit": 6.0, "miss": 3.0, "changed": 0.0}
+
+        after = runner.run(model, plan, inputs)
+        assert not after.detected
+        assert after.output.tobytes() == clean.output.tobytes()
+        assert cache_counts(reg) == {"hit": 8.0, "miss": 4.0, "changed": 0.0}
+
+    def test_data_fault_in_cached_handle_is_re_encoded(
+        self, engine, monkeypatch
+    ):
+        model = mlp32()
+        plan = full_plan(model)
+        reg = MetricsRegistry()
+        runner = ModelRunner(engine, registry=reg)
+        inputs = ModelInputs.generate(model, seed=8)
+        clean = runner.run(model, plan, inputs)
+        handles = record_weight_handles(engine, monkeypatch)
+        runner.run(model, plan, inputs)
+        fc2 = handles[1]
+        flip_largest(fc2.array, fc2.layout.data_indices(1)[3])
+
+        after = runner.run(model, plan, inputs)
+        assert not after.detected
+        assert_same_run(after, clean)
+        assert cache_counts(reg) == {"hit": 5.0, "miss": 3.0, "changed": 1.0}
+
+    def test_new_weights_every_pass_keep_one_handle_per_slot(
+        self, engine, monkeypatch
+    ):
+        model = mlp32()
+        plan = full_plan(model)
+        reg = MetricsRegistry()
+        runner = ModelRunner(engine, registry=reg)
+        handles = record_weight_handles(engine, monkeypatch)
+        alive = []
+        for seed in range(50):
+            runner.run(model, plan, ModelInputs.generate(model, seed=seed))
+            alive.extend(weakref.ref(h) for h in handles)
+            handles.clear()
+        gc.collect()
+        assert sum(ref() is not None for ref in alive) <= model.depth
+        assert cache_counts(reg) == {"hit": 0.0, "miss": 3.0, "changed": 147.0}
+
+
+    def test_threads_sharing_a_runner_multiply_their_own_weights(
+        self, engine
+    ):
+        # Two weight sets alternate between four threads, so every slot
+        # keeps changing under the other threads' byte checks.
+        model = mlp32()
+        plan = full_plan(model)
+        sets = [ModelInputs.generate(model, seed=s) for s in (11, 12)]
+        expected = [
+            fresh_run(engine, model, plan, inputs).output.tobytes()
+            for inputs in sets
+        ]
+        runner = ModelRunner(engine, registry=MetricsRegistry())
+        wrong = []
+
+        def worker(k):
+            for i in range(20):
+                which = (i + k) % 2
+                result = runner.run(model, plan, sets[which])
+                if result.detected or result.output.tobytes() != expected[which]:
+                    wrong.append((k, i))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(k,)) for k in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+
+class TestRecompute:
+    """A detection without an injection recomputes once from the raw weight."""
+
+    CFG32 = AbftConfig(block_size=32, p=2)
+
+    def run_with_hook(self, hook, cfg=CFG32, **kwargs):
+        model = mlp(name="m2", batch=64, d_in=64, hidden=64, depth=2, d_out=32)
+        plan = ProtectionPlanner(
+            cfg, coverage_target=1.0, full_intensity=0.0, sea_intensity=0.0
+        ).plan(model)
+        with MatmulEngine(cfg, registry=MetricsRegistry()) as eng:
+            runner = ModelRunner(eng, registry=MetricsRegistry())
+            clean = runner.run(model, plan, seed=9)
+            eng.set_chaos_hook(hook)
+            faulty = runner.run(model, plan, seed=9, **kwargs)
+        return clean, faulty
+
+    @staticmethod
+    def flip_corner(c_fc):
+        c_fc[0, 0] = flip_bit(c_fc[0, 0], 25)
+
+    def test_persistent_fault_is_not_reported_recovered(self):
+        def every_result(event, c_fc=None, **_):
+            if event == "result":
+                self.flip_corner(c_fc)
+
+        _clean, faulty = self.run_with_hook(every_result)
+        for run in faulty.layers:
+            assert run.detected
+            assert not run.recomputed
+
+    def test_recovered_fault_is_reported_recomputed(self):
+        armed = [True]
+
+        def first_result(event, c_fc=None, **_):
+            if event == "result" and armed[0]:
+                armed[0] = False
+                self.flip_corner(c_fc)
+
+        clean, faulty = self.run_with_hook(first_result, verify=True)
+        fc1, head = faulty.layers
+        assert fc1.detected and fc1.recomputed
+        assert not head.detected and not head.recomputed
+        assert faulty.verified is True
+        assert faulty.output.tobytes() == clean.output.tobytes()
+
+    def test_recompute_reports_its_own_backend(self):
+        # The first product runs on the pinned backend and is corrupted;
+        # the recompute's dispatch fails over to numpy.
+        events = {"result": 0, "dispatch": 0}
+
+        def hook(event, c_fc=None, **_):
+            if event not in events:
+                return
+            events[event] += 1
+            if event == "result" and events[event] == 1:
+                self.flip_corner(c_fc)
+            if event == "dispatch" and events[event] == 2:
+                raise RuntimeError("backend lost")
+
+        _clean, faulty = self.run_with_hook(
+            hook, cfg=self.CFG32.replace(backend="blocked")
+        )
+        fc1, head = faulty.layers
+        assert fc1.detected and fc1.recomputed
+        assert fc1.backend == "numpy"
+        assert head.backend == "blocked"
 
 
 class TestInjection:
