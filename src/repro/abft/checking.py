@@ -18,7 +18,7 @@ maps them back to data coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol
+from typing import Callable, Protocol
 
 import numpy as np
 
@@ -34,6 +34,8 @@ __all__ = [
     "check_partitioned",
     "checks_pass",
     "check_grids",
+    "decide_checks",
+    "item_grids",
     "build_report",
 ]
 
@@ -266,9 +268,75 @@ def check_grids(
         return build_report(
             col_disc, col_eps, row_disc, row_eps, row_layout, col_layout
         )
+    return _clean_report(col_disc, row_disc)
+
+
+def _clean_report(col_disc: np.ndarray, row_disc: np.ndarray) -> CheckReport:
     report = CheckReport(column_disc=col_disc, row_disc=row_disc)
     report.num_checks = col_disc.size + row_disc.size
     return report
+
+
+def decide_checks(
+    discrepancies: Callable[[], tuple[np.ndarray, np.ndarray]],
+    lower: tuple[np.ndarray, np.ndarray] | None,
+    exact: Callable[[], tuple[np.ndarray, np.ndarray]],
+    row_layout: PartitionedLayout,
+    col_layout: PartitionedLayout,
+    *,
+    items: int = 1,
+) -> tuple[list[CheckReport], bool]:
+    """The check decision of ``items`` products, lower bound first.
+
+    ``discrepancies`` computes the products' ``(column, row)`` discrepancy
+    grids, side by side (see :func:`item_grids`).  ``lower`` is a pair of
+    tolerance grids of the same shapes, each entry at most the exact
+    tolerance, or ``None``; ``exact`` builds the exact pair.  When
+    :func:`checks_pass` accepts every discrepancy against ``lower`` it
+    would accept it against the exact grids too, so each product gets the
+    clean report :func:`check_grids` returns and the exact grids are never
+    built.  Otherwise they are built once and :func:`check_grids` decides
+    each product.  Without ``lower`` the exact grids are built before the
+    discrepancies, so a build that raises (an Inf operand) does so first.
+    Returns the reports and whether the lower bound decided.
+    """
+    exact_grids = exact() if lower is None else None
+    col_disc, row_disc = discrepancies()
+    if exact_grids is None and not checks_pass(
+        col_disc, lower[0], row_disc, lower[1]
+    ):
+        exact_grids = exact()
+    reports = []
+    for j in range(items):
+        cd, rd = item_grids(col_disc, row_disc, col_layout, j, items)
+        if exact_grids is None:
+            reports.append(_clean_report(cd, rd))
+        else:
+            ce, re_ = item_grids(*exact_grids, col_layout, j, items)
+            reports.append(check_grids(cd, ce, rd, re_, row_layout, col_layout))
+    return reports, exact_grids is None
+
+
+def item_grids(
+    col_grid: np.ndarray,
+    row_grid: np.ndarray,
+    col_layout: PartitionedLayout,
+    j: int,
+    items: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Product ``j``'s slices of ``items`` products' grids side by side.
+
+    The products share the left operand; right operand ``j`` owns
+    encoded columns ``[j * w, (j + 1) * w)`` of a column grid and block
+    columns ``[j * b, (j + 1) * b)`` of a row grid (``w`` encoded columns
+    and ``b`` blocks per product, from ``col_layout``).  A single
+    product's grids are returned as they are.
+    """
+    if items == 1:
+        return col_grid, row_grid
+    w = col_layout.encoded_rows
+    b = col_layout.num_blocks
+    return col_grid[:, j * w : (j + 1) * w], row_grid[:, j * b : (j + 1) * b]
 
 
 def build_report(

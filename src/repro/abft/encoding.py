@@ -136,6 +136,12 @@ class PartitionedLayout:
         """Encoded indices of every checksum row."""
         return np.arange(self.num_blocks) * self.stride + self.block_size
 
+    def checksum_slice(self) -> slice:
+        """:meth:`all_checksum_indices` as a slice (basic indexing, no
+        copy).  It also picks every checksum vector out of several such
+        layouts stacked end to end."""
+        return slice(self.block_size, None, self.stride)
+
     def all_data_indices(self) -> np.ndarray:
         """Encoded indices of every data row, in original order."""
         mask = np.ones(self.encoded_rows, dtype=bool)

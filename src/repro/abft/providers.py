@@ -8,14 +8,25 @@ the checker performs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..bounds.adaptive import AdaptiveBound, adaptive_epsilon_array
 from ..bounds.base import BoundContext, BoundScheme
+from ..bounds.probabilistic import (
+    LINEAR_BOUND_MIN_Y,
+    ProbabilisticBound,
+    safe_epsilon_coefficient,
+)
 from ..bounds.sea import SEABound, sea_epsilon_array
-from ..bounds.upper_bound import TopP, determine_upper_bound, upper_bound_grid_arrays
+from ..bounds.upper_bound import (
+    TopP,
+    add_shared_index_bound,
+    determine_upper_bound,
+    missing_index_bound_arrays,
+)
 from .encoding import PartitionedLayout
 
 __all__ = [
@@ -23,7 +34,7 @@ __all__ = [
     "AABFTEpsilonProvider",
     "SEAEpsilonProvider",
     "AdaptiveEpsilonProvider",
-    "aabft_epsilon_grids",
+    "AABFTToleranceGrids",
 ]
 
 
@@ -228,6 +239,26 @@ class AABFTEpsilonProvider:
             self._stacked = cached
         return cached
 
+    def tolerance_grids(self, *, pool=None) -> "AABFTToleranceGrids | None":
+        """The two-step grid build of this product (see
+        :class:`AABFTToleranceGrids`), or ``None`` when the bound scheme
+        has no array form.  ``pool`` recycles its scratch grids."""
+        if getattr(self.scheme, "epsilon_array", None) is None:
+            return None
+        row_vals, row_idx, col_vals, col_idx = self._stacked_tops()
+        return AABFTToleranceGrids(
+            self.scheme,
+            self.inner_dim,
+            row_vals,
+            row_idx,
+            col_vals,
+            col_idx,
+            self.row_layout.checksum_slice(),
+            self.col_layout.checksum_slice(),
+            epsilon_floor=self.epsilon_floor,
+            pool=pool,
+        )
+
     def epsilon_grids(
         self,
         row_layout: PartitionedLayout,
@@ -246,68 +277,171 @@ class AABFTEpsilonProvider:
         intermediate upper-bound grids; the returned epsilon arrays are
         freshly owned either way (the engine gives them back itself).
         """
-        if getattr(self.scheme, "epsilon_array", None) is None:
+        grids = self.tolerance_grids(pool=pool)
+        if grids is None:
             return None
-        row_vals, row_idx, col_vals, col_idx = self._stacked_tops()
-        return aabft_epsilon_grids(
-            self.scheme,
-            self.inner_dim,
-            row_vals,
-            row_idx,
-            col_vals,
-            col_idx,
-            self.row_layout.all_checksum_indices(),
-            self.col_layout.all_checksum_indices(),
-            epsilon_floor=self.epsilon_floor,
-            pool=pool,
+        exact = grids.exact()
+        grids.release()
+        return exact
+
+
+class AABFTToleranceGrids:
+    """The A-ABFT ``(column, row)`` tolerance grids, built in two steps.
+
+    Construction evaluates cases 2 and 3 of the upper bound for every
+    comparison (:func:`~repro.bounds.upper_bound.
+    missing_index_bound_arrays`), a grid ``y_lb <= y``.  :meth:`lower`
+    turns it into certified lower bounds of the tolerances in three array
+    operations (both grids share one buffer); :meth:`exact` adds case 1
+    to the same ``y_lb`` grids (cases 2 and 3 are not recomputed) and
+    applies the scheme's ``epsilon_array`` — the exact grids, bitwise the
+    scalar :meth:`AABFTEpsilonProvider.column_epsilon` /
+    :meth:`~AABFTEpsilonProvider.row_epsilon` values.  Every grid entry
+    is an elementwise function of one (row top-p, column top-p) pair, so
+    the columns of several right operands may be stacked: the grids then
+    hold each operand's grids side by side.  ``cs_rows`` / ``cs_cols``
+    (index arrays or slices) pick the checksum vectors among the stacked
+    rows / columns.
+
+    :meth:`lower` certifies, i.e. ``lower <= exact`` elementwise and
+    :meth:`exact` does not raise, under these conditions; it returns
+    ``None`` (take the exact path) unless all of them hold:
+
+    * **Scheme.** The scheme is exactly
+      :class:`~repro.bounds.probabilistic.ProbabilisticBound` with
+      ``t <= 53``, whose tolerance is ``K * y`` evaluated in floats.
+    * **Raise parity.** Every top-p value is finite and non-negative
+      (NaN-holding vectors can carry ``-inf`` fill values) and the
+      largest row value times the largest column value is finite.  Every
+      candidate of the three-case rule, and so every ``y`` and ``y_lb``,
+      then lies in ``[0, inf)``: the exact build would not raise, so an
+      Inf operand still reaches :class:`~repro.errors.BoundSchemeError`
+      there.
+    * **Lower bound.** ``y >= y_lb`` exactly (case 1 only raises entries)
+      and the float tolerance formula is monotone in ``y``.
+    * **Margin.** The coefficient is ``K * (1 - 2**-30)``
+      (:func:`~repro.bounds.probabilistic.safe_epsilon_coefficient`),
+      which covers the rounding of ``K``, of ``K * y`` and of the float
+      tolerance formula.
+    * **Underflow.** The bound is ``K_safe * (y_lb - 2**-400)``: equal to
+      ``K_safe * y_lb`` for any ``y_lb`` above ``2**-340``, and negative
+      below ``2**-400``.  The float formula's ``y * y`` terms lose
+      precision to underflow from about ``y = 2**-469`` on, where
+      ``K * y`` would exceed it.
+    * **Floor.** The bound is clamped from below at ``epsilon_floor`` (at
+      0 without one), as the exact tolerances are, so below ``2**-400``
+      only a discrepancy within the floor certifies.
+
+    ``pool`` (a :class:`~repro.engine.plan.WorkspacePool`) supplies the
+    ``y_lb`` and lower grids; :meth:`release` gives them back.  The exact
+    grids are freshly owned by the caller.
+    """
+
+    def __init__(
+        self,
+        scheme: BoundScheme,
+        inner_dim: int,
+        row_values: np.ndarray,
+        row_indices: np.ndarray,
+        col_values: np.ndarray,
+        col_indices: np.ndarray,
+        cs_rows,
+        cs_cols,
+        *,
+        epsilon_floor: float = 0.0,
+        pool=None,
+    ) -> None:
+        self.scheme = scheme
+        self.inner_dim = inner_dim
+        self.epsilon_floor = epsilon_floor
+        self._tops = (row_values, row_indices, col_values, col_indices)
+        self._checksums = (cs_rows, cs_cols)
+        self._pool = pool
+        cs_row_values = row_values[cs_rows]
+        cs_col_values = col_values[cs_cols]
+        # Both grids live in one buffer, so lower() is three operations.
+        col_size = cs_row_values.shape[0] * col_values.shape[0]
+        self._y_lb = self._take(col_size + row_values.shape[0] * cs_col_values.shape[0])
+        self._y = (
+            missing_index_bound_arrays(
+                cs_row_values, col_values,
+                out=self._y_lb[:col_size].reshape(-1, col_values.shape[0]),
+            ),
+            missing_index_bound_arrays(
+                row_values, cs_col_values,
+                out=self._y_lb[col_size:].reshape(row_values.shape[0], -1),
+            ),
+        )
+        self._scratch = [self._y_lb]
+
+    def _take(self, size: int) -> np.ndarray:
+        return np.empty(size) if self._pool is None else self._pool.take((size,))
+
+    def _coefficient(self) -> float | None:
+        """``K_safe`` when every soundness condition holds, else ``None``."""
+        scheme = self.scheme
+        if type(scheme) is not ProbabilisticBound or scheme.fmt.t > 53:
+            return None
+        row_values, _, col_values, _ = self._tops
+        lowest, highest = np.minimum.reduce, np.maximum.reduce
+        if not (
+            lowest(row_values, axis=None) >= 0.0
+            and lowest(col_values, axis=None) >= 0.0
+            and math.isfinite(
+                float(highest(row_values, axis=None))
+                * float(highest(col_values, axis=None))
+            )
+        ):
+            return None
+        return safe_epsilon_coefficient(
+            self.inner_dim, scheme.fmt.t, scheme.omega, scheme.fma
         )
 
+    def lower(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Certified lower bounds of the exact grids, or ``None``."""
+        k_safe = self._coefficient()
+        if k_safe is None:
+            return None
+        bound = self._take(self._y_lb.size)
+        self._scratch.append(bound)
+        np.subtract(self._y_lb, LINEAR_BOUND_MIN_Y, out=bound)
+        bound *= k_safe
+        np.maximum(bound, self.epsilon_floor, out=bound)
+        col_y, row_y = self._y
+        return (
+            bound[: col_y.size].reshape(col_y.shape),
+            bound[col_y.size :].reshape(row_y.shape),
+        )
 
-def aabft_epsilon_grids(
-    scheme: BoundScheme,
-    inner_dim: int,
-    row_values: np.ndarray,
-    row_indices: np.ndarray,
-    col_values: np.ndarray,
-    col_indices: np.ndarray,
-    cs_rows: np.ndarray,
-    cs_cols: np.ndarray,
-    *,
-    epsilon_floor: float = 0.0,
-    pool=None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dense A-ABFT ``(column, row)`` tolerance grids from stacked top-p data.
+    def exact(self) -> tuple[np.ndarray, np.ndarray]:
+        """The exact grids: case 1 added to ``y_lb``, then the tolerances.
 
-    ``cs_rows`` / ``cs_cols`` index the checksum vectors among the stacked
-    rows / columns.  Every grid entry is an elementwise function of one
-    (row top-p, column top-p) pair, so the columns of several right
-    operands may be stacked into one call: the grids then hold each
-    operand's grids side by side, bitwise equal to separate calls.  Each
-    tolerance is clamped from below at ``epsilon_floor``.  ``pool`` (a
-    :class:`~repro.engine.plan.WorkspacePool`) recycles the intermediate
-    upper-bound grids; the returned arrays are freshly owned.
-    """
-    col_y = row_y = None
-    if pool is not None:
-        col_y = pool.take((cs_rows.size, col_values.shape[0]))
-        row_y = pool.take((row_values.shape[0], cs_cols.size))
-    col_y = upper_bound_grid_arrays(
-        row_values[cs_rows], row_indices[cs_rows], col_values, col_indices,
-        out=col_y,
-    )
-    row_y = upper_bound_grid_arrays(
-        row_values, row_indices, col_values[cs_cols], col_indices[cs_cols],
-        out=row_y,
-    )
-    col_eps = scheme.epsilon_array(inner_dim, col_y)
-    row_eps = scheme.epsilon_array(inner_dim, row_y)
-    if pool is not None:
-        pool.give(col_y)
-        pool.give(row_y)
-    if epsilon_floor > 0.0:
-        np.maximum(col_eps, epsilon_floor, out=col_eps)
-        np.maximum(row_eps, epsilon_floor, out=row_eps)
-    return col_eps, row_eps
+        Call at most once; the ``y_lb`` grids become ``y`` in place.
+        """
+        row_values, row_indices, col_values, col_indices = self._tops
+        cs_rows, cs_cols = self._checksums
+        col_y, row_y = self._y
+        add_shared_index_bound(
+            col_y, row_values[cs_rows], row_indices[cs_rows],
+            col_values, col_indices,
+        )
+        add_shared_index_bound(
+            row_y, row_values, row_indices,
+            col_values[cs_cols], col_indices[cs_cols],
+        )
+        col_eps = self.scheme.epsilon_array(self.inner_dim, col_y)
+        row_eps = self.scheme.epsilon_array(self.inner_dim, row_y)
+        if self.epsilon_floor > 0.0:
+            np.maximum(col_eps, self.epsilon_floor, out=col_eps)
+            np.maximum(row_eps, self.epsilon_floor, out=row_eps)
+        return col_eps, row_eps
+
+    def release(self) -> None:
+        """Give the scratch buffers back to the pool."""
+        if self._pool is not None:
+            for buffer in self._scratch:
+                self._pool.give(buffer)
+        self._scratch = []
 
 
 class SEAEpsilonProvider:
@@ -392,44 +526,51 @@ class SEAEpsilonProvider:
 
         Bitwise equal to looping the scalar methods; ``None`` when the bound
         scheme is not the plain :class:`~repro.bounds.sea.SEABound` (custom
-        schemes fall back to the scalar check).  ``pool`` supplies the grid
-        buffers when given (every element is overwritten below).
+        schemes fall back to the scalar check).  One broadcast per grid:
+        each block's summed data norms and checksum norm form a column
+        (column grid) or a row (row grid) against every checked vector's
+        norm.  ``pool`` is accepted for interface uniformity.
         """
         if type(self.scheme) is not SEABound:
             return None
-        t = self.scheme.fmt.t
-        n = self.inner_dim
-        col_shape = (self.row_layout.num_blocks, self.col_layout.encoded_rows)
-        col_eps = np.empty(col_shape) if pool is None else pool.take(col_shape)
-        m = self.row_layout.block_size
-        for blk in range(self.row_layout.num_blocks):
-            data_norms = self.a_row_norms[self.row_layout.data_indices(blk)]
-            col_eps[blk, :] = sea_epsilon_array(
-                n=n,
-                m=m,
-                data_norm_sum=float(data_norms.sum()),
-                checksum_row_norm=float(
-                    self.a_row_norms[self.row_layout.checksum_index(blk)]
-                ),
-                b_norms=self.b_col_norms,
-                t=t,
-            )
-        row_shape = (self.row_layout.encoded_rows, self.col_layout.num_blocks)
-        row_eps = np.empty(row_shape) if pool is None else pool.take(row_shape)
-        m_t = self.col_layout.block_size
-        for blk in range(self.col_layout.num_blocks):
-            data_norms = self.b_col_norms[self.col_layout.data_indices(blk)]
-            row_eps[:, blk] = sea_epsilon_array(
-                n=n,
-                m=m_t,
-                data_norm_sum=float(data_norms.sum()),
-                checksum_row_norm=float(
-                    self.b_col_norms[self.col_layout.checksum_index(blk)]
-                ),
-                b_norms=self.a_row_norms,
-                t=t,
-            )
+        return self._broadcast_grids(sea_epsilon_array, t=self.scheme.fmt.t)
+
+    def _broadcast_grids(self, epsilon_array, **terms) -> tuple[np.ndarray, np.ndarray]:
+        """``epsilon_array`` over every comparison, one call per grid.
+
+        The column check of block ``blk`` against encoded column ``j``
+        reads block ``blk``'s row norms and column ``j``'s norm; the row
+        check is the column check of the transposed problem.
+        """
+        a_sums, a_checksums = _block_norms(self.a_row_norms, self.row_layout)
+        b_sums, b_checksums = _block_norms(self.b_col_norms, self.col_layout)
+        col_eps = epsilon_array(
+            n=self.inner_dim,
+            m=self.row_layout.block_size,
+            data_norm_sum=a_sums[:, None],
+            checksum_row_norm=a_checksums[:, None],
+            b_norms=self.b_col_norms[None, :],
+            **terms,
+        )
+        row_eps = epsilon_array(
+            n=self.inner_dim,
+            m=self.col_layout.block_size,
+            data_norm_sum=b_sums[None, :],
+            checksum_row_norm=b_checksums[None, :],
+            b_norms=self.a_row_norms[:, None],
+            **terms,
+        )
         return col_eps, row_eps
+
+
+def _block_norms(
+    norms: np.ndarray, layout: PartitionedLayout
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per block: the summed norms of its data vectors and the norm of its
+    checksum vector.  Each row sum is the pairwise sum of that block's
+    norms, bitwise the scalar path's ``norms[data_indices].sum()``."""
+    blocks = norms.reshape(layout.num_blocks, layout.stride)
+    return blocks[:, : layout.block_size].sum(axis=1), blocks[:, layout.block_size]
 
 
 class AdaptiveEpsilonProvider(SEAEpsilonProvider):
@@ -458,42 +599,9 @@ class AdaptiveEpsilonProvider(SEAEpsilonProvider):
         """
         if type(self.scheme) is not AdaptiveBound:
             return None
-        t = self.scheme.fmt.t
-        u_s = self.scheme.storage_fmt.unit_roundoff
-        k = self.scheme.effective_k
-        n = self.inner_dim
-        col_shape = (self.row_layout.num_blocks, self.col_layout.encoded_rows)
-        col_eps = np.empty(col_shape) if pool is None else pool.take(col_shape)
-        m = self.row_layout.block_size
-        for blk in range(self.row_layout.num_blocks):
-            data_norms = self.a_row_norms[self.row_layout.data_indices(blk)]
-            col_eps[blk, :] = adaptive_epsilon_array(
-                n=n,
-                m=m,
-                data_norm_sum=float(data_norms.sum()),
-                checksum_row_norm=float(
-                    self.a_row_norms[self.row_layout.checksum_index(blk)]
-                ),
-                b_norms=self.b_col_norms,
-                t_compute=t,
-                u_storage=u_s,
-                k=k,
-            )
-        row_shape = (self.row_layout.encoded_rows, self.col_layout.num_blocks)
-        row_eps = np.empty(row_shape) if pool is None else pool.take(row_shape)
-        m_t = self.col_layout.block_size
-        for blk in range(self.col_layout.num_blocks):
-            data_norms = self.b_col_norms[self.col_layout.data_indices(blk)]
-            row_eps[:, blk] = adaptive_epsilon_array(
-                n=n,
-                m=m_t,
-                data_norm_sum=float(data_norms.sum()),
-                checksum_row_norm=float(
-                    self.b_col_norms[self.col_layout.checksum_index(blk)]
-                ),
-                b_norms=self.a_row_norms,
-                t_compute=t,
-                u_storage=u_s,
-                k=k,
-            )
-        return col_eps, row_eps
+        return self._broadcast_grids(
+            adaptive_epsilon_array,
+            t_compute=self.scheme.fmt.t,
+            u_storage=self.scheme.storage_fmt.unit_roundoff,
+            k=self.scheme.effective_k,
+        )

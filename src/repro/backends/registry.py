@@ -228,6 +228,7 @@ def negotiate(
     tile = config.gemm_tile
 
     tuned = None
+    looked_up = False
     requested: str | None = None
     source = "default"
     require_deterministic = True
@@ -241,6 +242,7 @@ def negotiate(
             require_deterministic = False
         elif autotuner is not None:
             tuned = autotuner.lookup(m, n, q, dtype, config)
+            looked_up = True
             if tuned is not None and tuned.backend != DEFAULT_BACKEND:
                 requested, source = tuned.backend, "autotuned"
                 if tile is None:
@@ -269,8 +271,11 @@ def negotiate(
                 fallback_from=requested,
                 fallback_reason=reason,
             )
+    # One cache lookup per call: after a miss here, ``tuned`` is None and
+    # fusion resolution must not look the same signature up again.
     return _resolve_fusion(
-        selection, config, reg, env, tuned, autotuner, m, n, q, dtype
+        selection, config, reg, env, tuned,
+        None if looked_up else autotuner, m, n, q, dtype,
     )
 
 
@@ -293,6 +298,8 @@ def _resolve_fusion(
     one actually selected) > ``"separate"``.  A requested ``"fused"``
     strategy against a backend without the ``fused_online`` capability
     falls back to ``"separate"`` with a recorded reason — never silently.
+    ``autotuner`` is ``None`` when backend selection already looked the
+    call up; ``tuned`` then holds its answer.
     """
     fusion: str | None = None
     fusion_source = "default"
@@ -306,7 +313,7 @@ def _resolve_fusion(
         if env_pin and env_pin != "auto":
             fusion, fusion_source = env_pin, "env"
         else:
-            if tuned is None and autotuner is not None:
+            if autotuner is not None:
                 tuned = autotuner.lookup(m, n, q, dtype, config)
             if (
                 tuned is not None

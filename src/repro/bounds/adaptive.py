@@ -85,7 +85,7 @@ def quantization_epsilon(
 
 
 def quantization_epsilon_array(
-    data_norm_sum: float, b_norms: np.ndarray, u_storage: float, k: float
+    data_norm_sum: float | np.ndarray, b_norms: np.ndarray, u_storage: float, k: float
 ) -> np.ndarray:
     """Vectorised :func:`quantization_epsilon` over many checked columns."""
     if u_storage < 0.0:
@@ -122,8 +122,8 @@ def adaptive_epsilon(
 def adaptive_epsilon_array(
     n: int,
     m: int,
-    data_norm_sum: float,
-    checksum_row_norm: float,
+    data_norm_sum: float | np.ndarray,
+    checksum_row_norm: float | np.ndarray,
     b_norms: np.ndarray,
     t_compute: int,
     u_storage: float,
@@ -132,7 +132,9 @@ def adaptive_epsilon_array(
     """Vectorised :func:`adaptive_epsilon` over many checked columns.
 
     Operation order mirrors the scalar form (SEA term first, quantisation
-    term added last), so scalar and array paths agree bitwise.
+    term added last), so scalar and array paths agree bitwise.  As in
+    :func:`~repro.bounds.sea.sea_epsilon_array`, the per-group values may
+    be arrays broadcasting against ``b_norms``.
     """
     base = sea_epsilon_array(
         n=n,

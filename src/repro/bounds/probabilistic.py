@@ -19,6 +19,12 @@ and ``omega`` the confidence scale (the paper evaluates with the conservative
 
 For fused multiply-add pipelines (Section IV-D) the multiplication
 contributes no rounding error, so only the summation terms remain.
+
+Both closed forms are linear in ``y``, so ``epsilon = K(n, t, omega, fma)
+* y``; :func:`safe_epsilon_coefficient` gives a ``K`` that provably stays
+below the floating-point evaluation of :meth:`ProbabilisticBound.
+epsilon_array`, which lets a check decide clean comparisons without
+building the exact tolerance grids.
 """
 
 from __future__ import annotations
@@ -42,8 +48,21 @@ __all__ = [
     "inner_product_sigma_bound",
     "inner_product_mean_bound",
     "confidence_interval",
+    "epsilon_coefficient",
+    "safe_epsilon_coefficient",
+    "LINEAR_BOUND_MIN_Y",
     "ProbabilisticBound",
 ]
+
+#: Smallest ``y`` at which :func:`safe_epsilon_coefficient` bounds the
+#: float tolerance from below.  Under it the ``y * y`` terms of
+#: :meth:`ProbabilisticBound.epsilon_array` lose precision to underflow
+#: (from about ``2**-469`` at binary64 on), so a lower bound must be 0.
+LINEAR_BOUND_MIN_Y = 2.0**-400
+#: Relative margin taken off the closed-form coefficient: it covers the
+#: roughly 20 roundings (each at most ``2**-53`` relative) of evaluating
+#: ``K`` and the tolerance formula in float64, with room to spare.
+_LINEAR_BOUND_MARGIN = 2.0**-30
 
 
 def mantissa_error_moments(op: str, t: int) -> tuple[float, float]:
@@ -147,6 +166,35 @@ def confidence_interval(
     ev = inner_product_mean_bound(n, y, t, fma)
     sigma = inner_product_sigma_bound(n, y, t, fma)
     return ev - omega * sigma, ev + omega * sigma
+
+
+def epsilon_coefficient(n: int, t: int, omega: float = 3.0, fma: bool = False) -> float:
+    """The ``K`` with ``|EV| + omega * sigma = K * y`` (Eqs. 7, 43 and 45).
+
+    ``K = (n/3) 2**-2t + omega * sqrt(n(n+1)(2n+1)/48 + n/12) * 2**-t``;
+    with ``fma`` the mean and the ``n/12`` multiplication variance vanish.
+    """
+    _require_positive_n(n)
+    variance = n * (n + 1) * (2 * n + 1) / 48.0
+    if fma:
+        return omega * math.ldexp(math.sqrt(variance), -t)
+    variance += n / 12.0
+    return math.ldexp(n / 3.0, -2 * t) + omega * math.ldexp(math.sqrt(variance), -t)
+
+
+def safe_epsilon_coefficient(
+    n: int, t: int, omega: float = 3.0, fma: bool = False
+) -> float:
+    """A ``K_safe`` with ``K_safe * y <= epsilon_array(n, y)`` in floats.
+
+    Holds for every ``y >= LINEAR_BOUND_MIN_Y`` and ``t <= 53``: the
+    coefficient is :func:`epsilon_coefficient` times ``1 - 2**-30``, far
+    more than the rounding of ``K``, of the product ``K_safe * y`` and of
+    the float tolerance formula can take back, and that formula is
+    monotone in ``y``, so ``K_safe * y_lb`` also bounds the tolerance of
+    any ``y >= y_lb``.
+    """
+    return epsilon_coefficient(n, t, omega, fma) * (1.0 - _LINEAR_BOUND_MARGIN)
 
 
 @dataclass

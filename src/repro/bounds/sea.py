@@ -68,8 +68,8 @@ def sea_epsilon(
 def sea_epsilon_array(
     n: int,
     m: int,
-    data_norm_sum: float,
-    checksum_row_norm: float,
+    data_norm_sum: float | np.ndarray,
+    checksum_row_norm: float | np.ndarray,
     b_norms: np.ndarray,
     t: int,
 ) -> np.ndarray:
@@ -77,8 +77,11 @@ def sea_epsilon_array(
 
     ``data_norm_sum`` is the summed Euclidean norm of the ``m`` data rows of
     one checksum group and ``b_norms`` the norms of all checked columns.
-    Operation order mirrors the scalar form exactly, so results are bitwise
-    equal; used by the engine's plan-cached fast checking path.
+    ``data_norm_sum`` and ``checksum_row_norm`` may also be arrays of many
+    groups' values that broadcast against ``b_norms`` (one call then builds
+    a whole tolerance grid).  Operation order mirrors the scalar form
+    exactly, so results are bitwise equal; used by the engine's
+    plan-cached fast checking path.
     """
     if m < 1:
         raise ValueError("at least one data row norm is required")

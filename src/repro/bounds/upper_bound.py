@@ -31,6 +31,8 @@ __all__ = [
     "top_p_arrays",
     "determine_upper_bound",
     "upper_bound_grid_arrays",
+    "missing_index_bound_arrays",
+    "add_shared_index_bound",
     "exact_upper_bound",
 ]
 
@@ -190,18 +192,45 @@ def upper_bound_grid_arrays(
     Returns the ``(k_rows, k_cols)`` grid of upper bounds, bitwise equal to
     calling :func:`determine_upper_bound` on every pair.  ``out``, when
     given, receives the grid in place (it must be float64 of the right
-    shape); two scratch arrays are reused across all ``p x p`` rounds of
-    the shared-index case instead of allocating three per round.
+    shape).  The build is :func:`missing_index_bound_arrays` followed by
+    :func:`add_shared_index_bound`.
     """
-    shape = (row_vals.shape[0], col_vals.shape[0])
+    out = missing_index_bound_arrays(row_vals, col_vals, out=out)
+    return add_shared_index_bound(out, row_vals, row_idx, col_vals, col_idx)
+
+
+def missing_index_bound_arrays(
+    row_vals: np.ndarray, col_vals: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Cases 2 and 3 for every (row, column) pair: a lower bound of ``y``.
+
+    One side's maximum times the other side's ``p``-th largest value,
+    whichever is larger.  The three-case ``y`` is the maximum of this grid
+    and the shared-index candidates, so every entry is ``<=`` the matching
+    :func:`upper_bound_grid_arrays` entry; :func:`add_shared_index_bound`
+    turns it into that grid in place.
+    """
     if out is None:
-        out = np.empty(shape)
-    # Cases 2 and 3: max of one side times the p-th largest of the other.
+        out = np.empty((row_vals.shape[0], col_vals.shape[0]))
     np.multiply(row_vals[:, 0][:, None], col_vals[:, -1][None, :], out=out)
     np.maximum(out, row_vals[:, -1][:, None] * col_vals[:, 0][None, :], out=out)
-    # Case 1: shared indices pair their actual values.  ``where=match``
-    # leaves non-matching entries untouched — bitwise the old
-    # ``np.where(match, candidate, -inf)`` masking without its temporary.
+    return out
+
+
+def add_shared_index_bound(
+    out: np.ndarray,
+    row_vals: np.ndarray,
+    row_idx: np.ndarray,
+    col_vals: np.ndarray,
+    col_idx: np.ndarray,
+) -> np.ndarray:
+    """Case 1 in place: shared indices pair their actual values.
+
+    Raises a :func:`missing_index_bound_arrays` grid to the full
+    three-case ``y``.  ``where=match`` leaves non-matching entries
+    untouched, and two scratch arrays serve all ``p x p`` rounds.
+    """
+    shape = out.shape
     candidate = np.empty(shape)
     match = np.empty(shape, dtype=bool)
     for ri in range(row_vals.shape[1]):

@@ -40,6 +40,7 @@ from ..abft.checking import (
     check_grids,
     check_partitioned,
     column_discrepancies,
+    decide_checks,
     row_discrepancies,
 )
 from ..abft.encoding import PartitionedLayout, strip_encoding
@@ -276,6 +277,16 @@ class MatmulEngine:
             "abft_engine_detections_total",
             "Multiplications whose check flagged at least one comparison",
         )
+        self._m_decisions = reg.counter(
+            "abft_check_decisions_total",
+            "Checked products by the tolerance grids that decided them "
+            "(lower_bound: certified lower grids, exact: exact grids)",
+            ("by",),
+        )
+        self._m_decided = {
+            by: self._m_decisions.labels(by=by)
+            for by in ("lower_bound", "exact")
+        }
         stage_seconds = reg.counter(
             "abft_engine_stage_seconds_total",
             "Accumulated wall seconds per pipeline stage",
@@ -600,7 +611,8 @@ class MatmulEngine:
     def reset_stats(self) -> None:
         """Zero the engine's metrics (cached plans are kept)."""
         for metric in (self._m_calls, self._m_batched, self._m_reuses,
-                       self._m_detections, self._m_exec_mode,
+                       self._m_detections, self._m_decisions,
+                       self._m_exec_mode,
                        self._m_pipe_batches, self._m_pipe_chunks,
                        self._m_pipe_fallbacks, self._g_pipe_bubble,
                        self._m_fused_calls, self._m_fused_tiles,
@@ -1083,26 +1095,44 @@ class MatmulEngine:
     def _check(
         self, c_fc: np.ndarray, plan: ExecutionPlan, provider
     ) -> CheckReport:
-        """Vectorised full check; falls back to the scalar path when the
-        provider has no array form."""
-        grids = self._provider_grids(provider, plan)
-        if grids is None:
-            return check_partitioned(
-                c_fc, plan.row_layout, plan.col_layout, provider
-            )
-        col_eps, row_eps = grids
-        report = check_grids(
-            column_discrepancies(c_fc, plan.row_layout),
-            col_eps,
-            row_discrepancies(c_fc, plan.col_layout),
-            row_eps,
+        """Vectorised full check through :func:`decide_checks`.
+
+        An A-ABFT product is tested against its certified lower grids
+        first; its exact grids are built only when a discrepancy fails
+        that test.  Other providers decide on their exact grids, and one
+        without an array form falls back to the scalar path.
+        """
+        staged = grids = None
+        if isinstance(provider, AABFTEpsilonProvider):
+            staged = provider.tolerance_grids(pool=plan.pool)
+        if staged is not None:
+            lower, exact = staged.lower(), staged.exact
+        else:
+            grids = self._provider_grids(provider, plan)
+            if grids is None:
+                self._m_decided["exact"].inc()
+                return check_partitioned(
+                    c_fc, plan.row_layout, plan.col_layout, provider
+                )
+            lower, exact = None, lambda: grids
+        (report,), by_lower = decide_checks(
+            lambda: (
+                column_discrepancies(c_fc, plan.row_layout),
+                row_discrepancies(c_fc, plan.col_layout),
+            ),
+            lower,
+            exact,
             plan.row_layout,
             plan.col_layout,
         )
+        self._m_decided["lower_bound" if by_lower else "exact"].inc()
         # Reports keep only the discrepancy arrays (and scalar epsilons on
-        # findings), so the dense tolerance grids recycle.
-        plan.pool.give(col_eps)
-        plan.pool.give(row_eps)
+        # findings), so the scratch and tolerance grids recycle.
+        if staged is not None:
+            staged.release()
+        else:
+            plan.pool.give(grids[0])
+            plan.pool.give(grids[1])
         return report
 
     def _provider_grids(self, provider, plan: ExecutionPlan):
@@ -1175,6 +1205,7 @@ class MatmulEngine:
         t1 = time.perf_counter()
         outcome = outcomes[-1]
         self._m_fused_calls.inc()
+        self._m_decided["exact"].inc()
         self._m_fused_tiles.inc(outcome.tiles_checked)
         if outcome.recomputed_tiles:
             self._m_fused_recomputes.inc(len(outcome.recomputed_tiles))

@@ -43,12 +43,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..abft.checking import (
-    check_grids,
     column_discrepancies,
+    decide_checks,
+    item_grids,
     row_discrepancies,
 )
 from ..abft.encoding import strip_encoding
-from ..abft.providers import aabft_epsilon_grids
+from ..abft.providers import AABFTToleranceGrids
 from ..abft.result import AbftResult
 from ..kernels.stage_split import ChunkEncodedB, encode_b_chunk
 from ..telemetry import span
@@ -634,13 +635,16 @@ def _fused_chunk(engine, plan, cfg, state: _ChunkState) -> tuple[float, float]:
     enc_b = state.encoded
     state.item_tops = [(eb.top_values, eb.top_indices) for eb in enc_b]
     t0 = time.perf_counter()
-    col_e, row_e = _chunk_grids(plan, cfg, state)
+    grids = _chunk_grids(plan, cfg, state)
+    col_e, row_e = grids.exact()
+    grids.release()
     mul_s, check_s = 0.0, time.perf_counter() - t0  # grids are check work
     state.c_fcs, state.reports, state.backends, state.fallbacks = (
         [], [], [], []
     )
+    count = len(enc_b)
     for j, eb in enumerate(enc_b):
-        ce, re_ = _item_slices(col_e, row_e, plan, j)
+        ce, re_ = item_grids(col_e, row_e, plan.col_layout, j, count)
         c_fc, report, used, fallback, item_mul, item_chk = (
             engine._fused_multiply_check(plan, cfg, ea.array, eb.array, ce, re_)
         )
@@ -660,44 +664,57 @@ def _fused_chunk(engine, plan, cfg, state: _ChunkState) -> tuple[float, float]:
 
 
 def _check_chunk(engine, plan, cfg, state: _ChunkState) -> None:
-    """Check slot: one grid build per chunk, sliced per item."""
-    col_e, row_e = _chunk_grids(plan, cfg, state)
-    if isinstance(state.encoded, ChunkEncodedB):
-        # One discrepancy pass over the concatenation; slices are the items'.
-        cat_col = column_discrepancies(state.c_cat, plan.row_layout)
-        cat_row = row_discrepancies(state.c_cat, state.encoded.layout)
-        discs = [
-            _item_slices(cat_col, cat_row, plan, j)
-            for j in range(len(state.items))
-        ]
-    else:
-        discs = [
-            (
-                column_discrepancies(c_fc, plan.row_layout),
-                row_discrepancies(c_fc, plan.col_layout),
-            )
-            for c_fc in state.c_fcs
-        ]
+    """Check slot: one lower-bound test per chunk, exact grids on demand.
+
+    The items' discrepancy grids sit side by side like their tolerance
+    grids, so :func:`decide_checks` tests the whole chunk against its
+    certified lower grids at once; a chunk that fails builds its exact
+    grids once and decides each item on its slices.
+    """
+    count = len(state.items)
+    grids = _chunk_grids(plan, cfg, state)
+    state.reports, by_lower = decide_checks(
+        lambda: _chunk_discrepancies(plan, state),
+        grids.lower(),
+        grids.exact,
+        plan.row_layout,
+        plan.col_layout,
+        items=count,
+    )
+    engine._m_decided["lower_bound" if by_lower else "exact"].inc(count)
+    grids.release()
+    if not isinstance(state.encoded, ChunkEncodedB):
         for enc_b in state.encoded:
             plan.pool.give(enc_b.array)
-    state.reports = []
-    for j, (col_disc, row_disc) in enumerate(discs):
-        col_eps, row_eps = _item_slices(col_e, row_e, plan, j)
-        state.reports.append(
-            check_grids(
-                col_disc, col_eps, row_disc, row_eps,
-                plan.row_layout, plan.col_layout,
-            )
+
+
+def _chunk_discrepancies(plan, state: _ChunkState):
+    """The chunk's discrepancy grids, its items' side by side."""
+    if isinstance(state.encoded, ChunkEncodedB):
+        # One discrepancy pass over the concatenation.
+        return (
+            column_discrepancies(state.c_cat, plan.row_layout),
+            row_discrepancies(state.c_cat, state.encoded.layout),
         )
-    plan.pool.give(col_e)
-    plan.pool.give(row_e)
+    count = len(state.items)
+    col_disc = np.empty(
+        (plan.row_layout.num_blocks, count * plan.col_layout.encoded_rows)
+    )
+    row_disc = np.empty(
+        (plan.row_layout.encoded_rows, count * plan.col_layout.num_blocks)
+    )
+    for j, c_fc in enumerate(state.c_fcs):
+        cd, rd = item_grids(col_disc, row_disc, plan.col_layout, j, count)
+        column_discrepancies(c_fc, plan.row_layout, out=cd)
+        row_discrepancies(c_fc, plan.col_layout, out=rd)
+    return col_disc, row_disc
 
 
-def _chunk_grids(plan, cfg, state: _ChunkState):
+def _chunk_grids(plan, cfg, state: _ChunkState) -> AABFTToleranceGrids:
     """The chunk's tolerance grids: one build over its stacked top-p data.
 
-    The items' grids come out side by side; :func:`_item_slices` cuts
-    item ``j``'s, bitwise equal to building it alone.
+    The items' grids come out side by side; :func:`item_grids` cuts item
+    ``j``'s, bitwise equal to building it alone.
     """
     if isinstance(state.encoded, ChunkEncodedB):
         col_values = state.encoded.top_values
@@ -706,27 +723,15 @@ def _chunk_grids(plan, cfg, state: _ChunkState):
         col_values = np.concatenate([v for v, _i in state.item_tops])
         col_indices = np.concatenate([i for _v, i in state.item_tops])
     ea = state.group.enc_a
-    width = plan.col_layout.encoded_rows
-    cs_cols = plan.col_layout.all_checksum_indices()
-    return aabft_epsilon_grids(
+    return AABFTToleranceGrids(
         plan.scheme,
         plan.n,
         ea.top_values,
         ea.top_indices,
         col_values,
         col_indices,
-        plan.row_layout.all_checksum_indices(),
-        np.concatenate([cs_cols + j * width for j in range(len(state.items))]),
+        plan.row_layout.checksum_slice(),
+        plan.col_layout.checksum_slice(),  # spans every stacked item
         epsilon_floor=cfg.epsilon_floor,
         pool=plan.pool,
-    )
-
-
-def _item_slices(col_grid, row_grid, plan, j: int):
-    """Item ``j``'s column-grid and row-grid slices of a chunk's grids."""
-    width = plan.col_layout.encoded_rows
-    blocks = plan.col_layout.num_blocks
-    return (
-        col_grid[:, j * width : (j + 1) * width],
-        row_grid[:, j * blocks : (j + 1) * blocks],
     )

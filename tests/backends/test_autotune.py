@@ -98,6 +98,24 @@ class TestAutotuner:
         )
         assert counter.labels(event="cache_miss").get() == 1.0
 
+    def test_each_untuned_call_looks_the_cache_up_once(self, cache):
+        # Backend selection and fusion resolution share one lookup: ten
+        # matmul calls on a fresh cache count ten misses, not twenty.
+        from repro.engine import MatmulEngine
+
+        reg = MetricsRegistry()
+        engine = MatmulEngine(
+            autotuner=Autotuner(cache, metrics_registry=reg), registry=reg
+        )
+        a = np.random.default_rng(0).uniform(-1, 1, (48, 48))
+        for _ in range(10):
+            engine.matmul(a, a)
+        counter = reg.counter(
+            "abft_backend_autotune_total", labelnames=("event",)
+        )
+        assert counter.labels(event="cache_miss").get() == 10.0
+        assert counter.labels(event="cache_hit").get() == 0.0
+
     def test_winner_never_slower_than_numpy_baseline(self, cache):
         tuner = Autotuner(cache, repeats=2)
         choice = tuner.tune(128, 96, 64)

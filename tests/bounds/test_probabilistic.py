@@ -9,18 +9,22 @@ from hypothesis import strategies as st
 
 from repro.bounds.base import BoundContext
 from repro.bounds.probabilistic import (
+    LINEAR_BOUND_MIN_Y,
     ProbabilisticBound,
     confidence_interval,
+    epsilon_coefficient,
     inner_product_mean_bound,
     inner_product_sigma_bound,
     inner_product_variance_bound,
     mantissa_error_moments,
     prod_mean_bound,
     prod_variance_bound,
+    safe_epsilon_coefficient,
     sum_sigma_bound,
     sum_variance_bound,
 )
 from repro.errors import BoundSchemeError
+from repro.fp.constants import BINARY32
 
 T = 53  # binary64
 
@@ -169,6 +173,41 @@ class TestProbabilisticBoundScheme:
         text = ProbabilisticBound(omega=2.0, fma=True).describe()
         assert "omega=2" in text
         assert "fma" in text
+
+
+class TestLinearCoefficient:
+    """epsilon = K * y: the closed forms are linear in the upper bound."""
+
+    @pytest.mark.parametrize("fma", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 64, 1000])
+    def test_coefficient_times_y_is_the_scalar_tolerance(self, n, fma):
+        scheme = ProbabilisticBound(fma=fma)
+        for y in (1e-30, 0.5, 3.0, 1e30):
+            expected = scheme.epsilon(BoundContext(n=n, m=1, upper_bound=y))
+            assert epsilon_coefficient(n, T, 3.0, fma) * y == pytest.approx(
+                expected, rel=1e-14
+            )
+
+    def test_paper_closed_form_without_fma(self):
+        n = 37
+        sigma = math.sqrt((n * (n + 1) * (n + 0.5) + 2 * n) / 24) * 2.0**-T
+        expected = n / 3 * 2.0 ** (-2 * T) + 3.0 * sigma
+        assert epsilon_coefficient(n, T) == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize("fma", [False, True])
+    @pytest.mark.parametrize("fmt", [None, BINARY32])
+    def test_safe_coefficient_stays_below_the_float_tolerance(self, fma, fmt):
+        scheme = ProbabilisticBound(fma=fma) if fmt is None else (
+            ProbabilisticBound(fma=fma, fmt=fmt)
+        )
+        rng = np.random.default_rng(11)
+        y = rng.uniform(1, 2, 5000) * 2.0 ** rng.integers(-400, 400, 5000)
+        y = np.append(y, LINEAR_BOUND_MIN_Y)
+        for n in (1, 3, 256, 8192):
+            k_safe = safe_epsilon_coefficient(
+                n, scheme.fmt.t, scheme.omega, scheme.fma
+            )
+            assert np.all(k_safe * y <= scheme.epsilon_array(n, y))
 
 
 class TestEmpiricalCoverage:
