@@ -79,9 +79,6 @@ from .engine import (
     EngineStats,
     ExecutionPolicy,
     MatmulEngine,
-    PipelineSchedule,
-    StageCost,
-    StageCosts,
     default_engine,
 )
 from .bounds import (
@@ -214,7 +211,6 @@ __all__ = [
     "NULL_REGISTRY",
     "PrometheusTextSink",
     "PipelineResult",
-    "PipelineSchedule",
     "ProbabilisticBound",
     "ProtectedResult",
     "ReproError",
@@ -222,8 +218,6 @@ __all__ = [
     "SLOSpec",
     "ServeConfig",
     "ShapeError",
-    "StageCost",
-    "StageCosts",
     "TunedChoice",
     "VerificationStatus",
     "ErrorMap",

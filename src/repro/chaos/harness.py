@@ -12,8 +12,8 @@ Injection mechanics per kind:
 
 * ``stage_stall`` sleeps inside the engine's stage-completion hook, so
   the stall lands on whichever thread executes the stage — serial and
-  pipelined paths alike — without polluting the stage timers
-  the pipeline cost model feeds on.
+  pipelined paths alike — without polluting the stage timers, which
+  report real work only.
 * ``backend_failure`` raises :class:`InjectedFault` from the dispatch
   hook for the targeted backend and simultaneously submits probe
   requests pinned to that backend, so the window exercises the engine's

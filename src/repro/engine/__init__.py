@@ -36,10 +36,10 @@ Example
 
 from .config import SCHEMES, AbftConfig
 from .engine import EncodedOperand, MatmulEngine, default_engine
-from .pipeline import PipelineSchedule, pipeline_supported, plan_schedule
+from .pipeline import pipeline_supported
 from .plan import ExecutionPlan, PlanCache, build_plan
 from .policy import EXECUTION_MODES, ExecutionPolicy
-from .stats import EngineStats, StageCost, StageCosts
+from .stats import EngineStats
 
 __all__ = [
     "AbftConfig",
@@ -47,15 +47,11 @@ __all__ = [
     "MatmulEngine",
     "EncodedOperand",
     "EngineStats",
-    "StageCost",
-    "StageCosts",
     "ExecutionPlan",
     "ExecutionPolicy",
     "EXECUTION_MODES",
-    "PipelineSchedule",
     "PlanCache",
     "build_plan",
     "default_engine",
     "pipeline_supported",
-    "plan_schedule",
 ]

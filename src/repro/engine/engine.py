@@ -67,7 +67,7 @@ from ..telemetry import MetricsRegistry
 from .config import AbftConfig
 from .plan import ExecutionPlan, PlanCache
 from .policy import ExecutionPolicy
-from .stats import EngineStats, StageCost, StageCosts
+from .stats import EngineStats
 
 __all__ = ["EncodedOperand", "MatmulEngine", "default_engine"]
 
@@ -380,10 +380,6 @@ class MatmulEngine:
         self._g_pipe_occupancy = {
             s: pipe_occupancy.labels(stage=s) for s in self.STAGES
         }
-        # Bitwise-probe verdicts of the pipelined executor's concatenated
-        # fast path, keyed by (plan key, chunk width).
-        self._stacked_ok: dict = {}
-        self._stacked_lock = threading.Lock()
         # Chaos/test seam (see set_chaos_hook); None == no instrumentation.
         self._chaos_hook = None
 
@@ -546,9 +542,8 @@ class MatmulEngine:
         * ``event in ("encode", "multiply", "check")`` — fired when a
           pipeline stage completes, on every execution path (serial,
           pipelined and fused online).  Sleeping here injects a stage
-          stall; the stall is *not* charged to the stage timers, so the
-          pipeline cost model keeps seeing real stage costs.  Stage
-          hooks must not raise.
+          stall; the stall is *not* charged to the stage timers, which
+          report real work only.  Stage hooks must not raise.
         * ``event == "dispatch"`` (``backend=<name>``) — fired just
           before the GEMM stage executes on a compute backend.  An
           exception raised here flows through the engine's never-silent
@@ -605,7 +600,6 @@ class MatmulEngine:
             encode_seconds=self._m_stage["encode"].get(),
             multiply_seconds=self._m_stage["multiply"].get(),
             check_seconds=self._m_stage["check"].get(),
-            stage_costs=self._stage_costs(),
         )
 
     def reset_stats(self) -> None:
@@ -676,23 +670,9 @@ class MatmulEngine:
         self._h_stage[stage].observe(elapsed)
         hook = self._chaos_hook
         if hook is not None:
-            # After the timers, so injected stalls never pollute the
-            # measured stage costs the pipeline scheduler feeds on.
+            # After the timers, so the stage timers report real work
+            # only, never an injected stall.
             hook(stage)
-
-    def _stage_costs(self) -> StageCosts:
-        """The measured per-stage costs (the pipeline cost model's seed)."""
-        def cost(stage: str) -> StageCost:
-            return StageCost(
-                seconds=self._m_stage[stage].get(),
-                observations=int(self._h_stage[stage].count),
-            )
-
-        return StageCosts(
-            encode=cost("encode"),
-            multiply=cost("multiply"),
-            check=cost("check"),
-        )
 
     def _run_serial_batch(self, pairs, cfg: AbftConfig) -> list[AbftResult]:
         """The ``serial`` execution mode: per-pair runs, thread-fanned.

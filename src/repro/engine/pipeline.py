@@ -1,16 +1,20 @@
-"""Zero-bubble stage-pipelined batch execution.
+"""Stage-pipelined batch execution.
 
 The A-ABFT flow is inherently three-staged — encode, multiply, check.
 This module, the engine's one batched execution mode, executes a batch
-as a sequence of *chunks* whose stage slots are scheduled by a cost
-model, in the style of the zero-bubble pipeline-parallel schedules
-(F/B/W reordering): encode slots are prefetched onto the engine's thread
-pool up to a bounded window (the ``F`` warm-up), the caller thread walks
-the multiply slots (the steady-state ``B`` lane), and check slots are
-deferred onto the pool to drain inside multiply bubbles (the ``W``
-fill).  On a single-worker engine — or whenever the cost model predicts
-overlap loses to its dispatch overhead — the schedule degenerates to the
-serial ``E M C`` slot order and every slot runs inline.
+as a sequence of *chunks* walked in one loop.  When the batch overlaps,
+encode slots are prefetched onto the engine's thread pool up to a
+bounded window, the caller thread runs the multiplies, and each chunk's
+check is submitted to the pool to drain while the next chunk multiplies
+(slot order ``E0 E1 E2 M0 C0 E3 M1 C1 …``) — the paper's overlap of the
+top-p reduction with the GEMM on a concurrent stream (Section V-A), on
+host threads.  Otherwise every slot runs inline in ``E M C`` order.
+
+Whether to overlap is a fixed property of the batch's shape, not of the
+engine's history: the engine needs two or more workers, the batch two or
+more chunks, and one item's encoded GEMM at least
+``_OVERLAP_MIN_FLOPS``.  Below that the thread hand-offs cost more than
+the overlap saves.
 
 Even without thread overlap the chunked execution wins: every distinct
 left operand is encoded once for the whole batch, and each chunk's right
@@ -23,21 +27,23 @@ concatenated encode/check reductions are block-local, and the tolerance
 grids are elementwise in the top-p data — but a concatenated GEMM is
 *not* guaranteed to slice into the per-item GEMM bytes (BLAS kernel
 selection depends on operand shapes).  The executor therefore
-dual-computes the **first** chunk of every ``(plan, chunk width)``
-signature along both the concatenated and the per-item reference path
-and compares every artifact — encoded slices, top-p data, result bytes,
+dual-computes the **first** chunk of every chunk width of a plan along
+both the concatenated and the per-item reference path and compares
+every artifact — encoded slices, top-p data, result bytes,
 discrepancies.  Only a byte-identical probe enables the concatenated
-path for that signature; any mismatch pins the signature to the per-item
+path for that width; any mismatch pins the width to the per-item
 reference path (counted in ``abft_pipeline_fallbacks_total``), which
 encodes and multiplies each pair exactly as
-:meth:`~repro.engine.MatmulEngine.matmul` does.  Tolerance grids are
-elementwise in the top-p data, so both paths build one grid per chunk
-and slice it per item.
+:meth:`~repro.engine.MatmulEngine.matmul` does.  The verdicts live on
+the :class:`~repro.engine.plan.ExecutionPlan`, so they go when the plan
+is evicted.  Tolerance grids are elementwise in the top-p data, so both
+paths build one grid per chunk and slice it per item.
 """
 
 from __future__ import annotations
 
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,19 +59,16 @@ from ..abft.providers import AABFTToleranceGrids
 from ..abft.result import AbftResult
 from ..kernels.stage_split import ChunkEncodedB, encode_b_chunk
 from ..telemetry import span
-from .stats import StageCosts
 
-__all__ = [
-    "PipelineSchedule",
-    "pipeline_supported",
-    "plan_schedule",
-    "run_pipelined",
-]
+__all__ = ["pipeline_supported", "run_pipelined"]
 
-#: Thread-dispatch overhead the cost model charges per asynchronous slot.
-_SLOT_OVERHEAD_S = 2e-4
 #: Encode-prefetched chunks kept in flight ahead of the multiply lane.
 _WINDOW = 3
+#: One item's encoded GEMM flops from which a batch overlaps its stages.
+#: On a two-worker host with one BLAS thread, 256x256 @ 256x16 float64
+#: items (8.65 Mflop encoded) ran faster overlapped and 128x128 @ 128x16
+#: items (2.16 Mflop) faster inline; 2**22 sits about 2x from each.
+_OVERLAP_MIN_FLOPS = 2**22
 
 
 def pipeline_supported(a_items, b_items, cfg) -> bool:
@@ -109,144 +112,6 @@ def pipeline_supported(a_items, b_items, cfg) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class PipelineSchedule:
-    """The cost model's decision for one pipelined batch.
-
-    Attributes
-    ----------
-    chunks:
-        ``(group_index, count)`` per chunk, in execution order — each
-        chunk draws ``count`` consecutive pairs from one shared-left
-        operand group.
-    overlap:
-        Whether encode/check slots ride the engine's thread pool while
-        the caller thread walks the multiplies.  ``False`` replays the
-        serial slot order inline (the cost model said overlap loses, or
-        the engine has a single worker).
-    window:
-        Bound on encode-prefetched chunks in flight ahead of the multiply
-        lane (1 when not overlapping).
-    slots:
-        The greedy ``(stage, chunk_index)`` slot order: check slots drain
-        first, encode slots fill the window, multiply slots otherwise.
-    predicted_serial_s / predicted_overlap_s:
-        The cost model's wall-time estimates (0 when the engine has no
-        stage timings yet).
-    """
-
-    chunks: tuple[tuple[int, int], ...]
-    overlap: bool
-    window: int
-    slots: tuple[tuple[str, int], ...]
-    predicted_serial_s: float = 0.0
-    predicted_overlap_s: float = 0.0
-
-    @property
-    def num_chunks(self) -> int:
-        return len(self.chunks)
-
-
-def _greedy_slots(
-    num_chunks: int, window: int
-) -> tuple[tuple[str, int], ...]:
-    """Greedy slot order: drain checks first, keep the encode window full.
-
-    Priorities mirror the zero-bubble F/B/W rule — a completed multiply's
-    check is issued immediately (it drains asynchronously in the next
-    multiply's bubble), the encode lane is kept ``window`` chunks ahead,
-    and the caller thread otherwise advances the multiply lane.  With
-    ``window=1`` this degenerates to the serial ``E M C`` order.
-    """
-    slots: list[tuple[str, int]] = []
-    encoded = multiplied = checked = 0
-    while checked < num_chunks:
-        if checked < multiplied:
-            slots.append(("check", checked))
-            checked += 1
-        elif encoded < num_chunks and encoded - multiplied < window:
-            slots.append(("encode", encoded))
-            encoded += 1
-        else:
-            slots.append(("multiply", multiplied))
-            multiplied += 1
-    return tuple(slots)
-
-
-def plan_schedule(
-    group_sizes: list[int],
-    stage_costs: StageCosts,
-    workers: int,
-    *,
-    fused_online: bool = False,
-) -> PipelineSchedule:
-    """Build the stage-slot schedule for one batch.
-
-    The decision is seeded from the per-stage timings the engine has
-    already measured (:attr:`~repro.engine.stats.EngineStats.
-    stage_costs`): overlap is enabled only when the engine has spare
-    workers *and* the predicted overlapped wall time — multiply lane vs.
-    the encode/check side lane, plus per-slot dispatch overhead — beats
-    the serial slot order.  A cold engine (no timings yet) stays serial;
-    the measurements its first batches produce seed later decisions.
-
-    ``fused_online=True`` models the fused online-ABFT chunk, which
-    collapses multiply+check into one stage slot: the check lane is
-    empty (its cost rides the multiply lane), so the pipeline can only
-    overlap encode prefetch against the fused multiplies and there is no
-    check drain after the last chunk.
-    """
-    total = sum(group_sizes)
-    if workers <= 1:
-        # No overlap possible: one chunk per group maximises amortisation.
-        chunk_size = max(total, 1)
-    else:
-        # Enough chunks to keep every lane busy through fill and drain.
-        target_chunks = max(3, 2 * workers)
-        chunk_size = max(2, -(-total // target_chunks))
-    chunks: list[tuple[int, int]] = []
-    for gi, size in enumerate(group_sizes):
-        for lo in range(0, size, chunk_size):
-            chunks.append((gi, min(chunk_size, size - lo)))
-
-    enc, mul, chk = (
-        stage_costs.encode.mean,
-        stage_costs.multiply.mean,
-        stage_costs.check.mean,
-    )
-    observed = enc > 0.0 and mul > 0.0 and chk > 0.0
-    if fused_online:
-        # The fused chunk runs its checks inside the multiply slot; the
-        # check lane contributes nothing on its own.
-        mul, chk = mul + chk, 0.0
-    counts = [count for _gi, count in chunks]
-    serial_s = sum((enc + mul + chk) * k for k in counts)
-    fill = enc * counts[0] if counts else 0.0
-    drain = chk * counts[-1] if counts else 0.0
-    side_lane = sum((enc + chk) * k for k in counts) - fill - drain
-    overlap_s = (
-        fill
-        + max(mul * total, side_lane)
-        + drain
-        + 2 * len(chunks) * _SLOT_OVERHEAD_S
-    )
-    overlap = (
-        workers >= 2
-        and len(chunks) >= 2
-        and observed
-        and overlap_s < serial_s
-    )
-    window = _WINDOW if overlap else 1
-    return PipelineSchedule(
-        chunks=tuple(chunks),
-        overlap=overlap,
-        window=window,
-        slots=_greedy_slots(len(chunks), window),
-        predicted_serial_s=serial_s if observed else 0.0,
-        predicted_overlap_s=overlap_s if observed else 0.0,
-    )
-
-
 @dataclass
 class _Group:
     """One shared-left-operand group of the batch."""
@@ -263,8 +128,6 @@ class _ChunkState:
     group: _Group
     items: list[tuple[int, object]]  # (original index, raw right operand)
     encoded: object = None  # ChunkEncodedB | list[EncodedOperand]
-    encode_future: object = None
-    check_future: object = None
     c_cat: object = None  # concatenated GEMM result (batched path only)
     c_fcs: list | None = None
     backends: list | None = None
@@ -325,80 +188,79 @@ def run_pipelined(engine, a_items, b_items, cfg) -> list:
     engine._add_seconds("encode", elapsed)
     busy["encode"] += elapsed
 
-    schedule = plan_schedule(
-        [len(g.indices) for g in groups],
-        engine._stage_costs(),
-        engine._max_workers,
-        fused_online=fused_online,
-    )
-
-    # --- materialise chunk states in schedule order ---------------------
-    cursors = [0] * len(groups)
-    states: list[_ChunkState] = []
-    for gi, count in schedule.chunks:
-        group = groups[gi]
-        lo = cursors[gi]
-        cursors[gi] = lo + count
-        states.append(
-            _ChunkState(
-                group=group,
-                items=[
-                    (idx, b_items[idx])
-                    for idx in group.indices[lo : lo + count]
-                ],
-            )
+    # --- chunks: on one worker nothing overlaps, so one chunk per group
+    # amortises most; otherwise enough chunks to keep every lane busy
+    # through fill and drain ---------------------------------------------
+    workers = engine._max_workers
+    total = len(a_items)
+    size = total if workers <= 1 else max(2, -(-total // max(3, 2 * workers)))
+    states = [
+        _ChunkState(
+            group=group,
+            items=[(idx, b_items[idx]) for idx in group.indices[lo : lo + size]],
         )
+        for group in groups
+        for lo in range(0, len(group.indices), size)
+    ]
 
-    executor = engine._get_executor() if schedule.overlap else None
+    # --- the overlap rule reads only the batch and its plan ------------
+    item_flops = (
+        2 * plan.row_layout.encoded_rows * plan.n * plan.col_layout.encoded_rows
+    )
+    overlap = (
+        workers >= 2 and len(states) >= 2 and item_flops >= _OVERLAP_MIN_FLOPS
+    )
+    executor = engine._get_executor() if overlap else None
+    window = _WINDOW if overlap else 1
 
-    def _timed(stage: str, fn, *args):
+    def _timed(stage: str, fn, *args) -> dict[str, float]:
+        """Run one stage slot; charge and return its seconds per stage.
+
+        ``fn`` returns the seconds it spent on other stages' work (a
+        probe's re-encode and discrepancy comparison, a fused chunk's
+        checks), or ``None``; the rest of the slot is ``stage``'s.  Every
+        second is charged to exactly one stage, after the slot's timer
+        has stopped.
+        """
         t0 = time.perf_counter()
         with span(f"pipeline.{stage}", engine.registry):
-            out = fn(*args)
-        elapsed = time.perf_counter() - t0
-        engine._add_seconds(stage, elapsed)
-        return out, elapsed
+            seconds = fn(*args) or {}
+        seconds[stage] = time.perf_counter() - t0 - sum(seconds.values())
+        for name, elapsed in seconds.items():
+            engine._add_seconds(name, elapsed)
+        return seconds
 
-    def _encode_slot(state: _ChunkState):
-        return _timed("encode", _encode_chunk, engine, plan, cfg, state, dtype)
+    def _issue(stage: str, fn, *args) -> Future:
+        """An encode or check slot: on the pool when overlapping, else inline."""
+        if executor is not None:
+            return executor.submit(_timed, stage, fn, *args)
+        done: Future = Future()
+        done.set_result(_timed(stage, fn, *args))
+        return done
 
-    def _check_slot(state: _ChunkState):
-        return _timed("check", _check_chunk, engine, plan, cfg, state)
+    def _charge(seconds: dict[str, float]) -> None:
+        for name, elapsed in seconds.items():
+            busy[name] += elapsed
 
-    # --- walk the stage slots ------------------------------------------
-    for stage, ci in schedule.slots:
-        state = states[ci]
-        if stage == "encode":
-            if executor is not None:
-                state.encode_future = executor.submit(_encode_slot, state)
-            else:
-                _res, elapsed = _encode_slot(state)
-                busy["encode"] += elapsed
-        elif stage == "multiply":
-            if state.encode_future is not None:
-                _res, elapsed = state.encode_future.result()
-                busy["encode"] += elapsed
-            if fused_online:
-                mul_s, chk_s = _fused_chunk(engine, plan, cfg, state)
-                busy["multiply"] += mul_s
-                busy["check"] += chk_s
-                continue
-            _res, elapsed = _timed(
-                "multiply", _multiply_chunk, engine, plan, cfg, state, busy
+    # --- walk the chunks: encodes run up to ``window`` chunks ahead, the
+    # caller multiplies, and each check follows its multiply ------------
+    encodes: list[Future] = []
+    checks: list[Future] = []
+    for i, state in enumerate(states):
+        while len(encodes) < min(i + window, len(states)):
+            encodes.append(
+                _issue(
+                    "encode", _encode_chunk,
+                    engine, plan, cfg, states[len(encodes)], dtype,
+                )
             )
-            busy["multiply"] += elapsed
-        else:  # check
-            if fused_online:
-                continue  # fused chunks report inside their multiply slot
-            if executor is not None:
-                state.check_future = executor.submit(_check_slot, state)
-            else:
-                _res, elapsed = _check_slot(state)
-                busy["check"] += elapsed
-    for state in states:
-        if state.check_future is not None:
-            _res, elapsed = state.check_future.result()
-            busy["check"] += elapsed
+        _charge(encodes[i].result())
+        multiply = _fused_chunk if fused_online else _multiply_chunk
+        _charge(_timed("multiply", multiply, engine, plan, cfg, state))
+        if not fused_online:  # fused chunks check inside their multiply slot
+            checks.append(_issue("check", _check_chunk, engine, plan, cfg, state))
+    for future in checks:
+        _charge(future.result())
 
     # The left-operand encodings are fully consumed once every multiply
     # has run; internally encoded buffers recycle (handles are untouched).
@@ -461,10 +323,9 @@ def run_pipelined(engine, a_items, b_items, cfg) -> list:
 # ----------------------------------------------------------------------
 # chunk stage bodies
 # ----------------------------------------------------------------------
-def _stacked_verdict(engine, plan, count) -> bool | None:
-    key = (plan.key, count)
-    with engine._stacked_lock:
-        return engine._stacked_ok.get(key)
+def _probe_verdict(plan, width: int) -> bool | None:
+    with plan.probe_lock:
+        return plan.probe_verdicts.get(width)
 
 
 def _encode_chunk(engine, plan, cfg, state: _ChunkState, dtype) -> None:
@@ -476,7 +337,7 @@ def _encode_chunk(engine, plan, cfg, state: _ChunkState, dtype) -> None:
     """
     if (
         cfg.fusion == "fused"
-        or _stacked_verdict(engine, plan, len(state.items)) is False
+        or _probe_verdict(plan, len(state.items)) is False
     ):
         state.encoded = _encode_items(engine, plan, cfg, state, dtype)
         state.enc_padding = plan.cols_added
@@ -500,28 +361,31 @@ def _encode_items(engine, plan, cfg, state: _ChunkState, dtype) -> list:
     ]
 
 
-def _reencode_items(engine, plan, cfg, state: _ChunkState, busy) -> list:
-    """Per-item encodes inside a multiply slot, charged to the encode stage."""
+def _reencode_items(engine, plan, cfg, state: _ChunkState, other) -> list:
+    """Per-item encodes inside a multiply slot, timed into ``other``."""
     t0 = time.perf_counter()
     encoded = _encode_items(
         engine, plan, cfg, state, state.encoded.encoded.dtype
     )
-    elapsed = time.perf_counter() - t0
-    engine._add_seconds("encode", elapsed)
-    busy["encode"] += elapsed
+    other["encode"] = time.perf_counter() - t0
     return encoded
 
 
-def _multiply_chunk(engine, plan, cfg, state: _ChunkState, busy) -> None:
-    """Multiply slot: probe, concatenated GEMM, or per-item reference."""
+def _multiply_chunk(engine, plan, cfg, state: _ChunkState) -> dict:
+    """Multiply slot: probe, concatenated GEMM, or per-item reference.
+
+    Returns the seconds the slot spent on encode and check work (the
+    probe's, or a re-encode after a failed probe), keyed by stage.
+    """
     a_arr = state.group.enc_a.array
     count = len(state.items)
     enc = state.encoded
+    other: dict[str, float] = {}
     if isinstance(enc, ChunkEncodedB):
-        verdict = _stacked_verdict(engine, plan, count)
+        verdict = _probe_verdict(plan, count)
         if verdict is None:
-            _probe_chunk(engine, plan, cfg, state, busy)
-            return
+            _probe_chunk(engine, plan, cfg, state, other)
+            return other
         if verdict:
             # Probed byte-identical: one GEMM covers the whole chunk.
             c_cat, used, fallback = engine._dispatch_gemm(
@@ -534,12 +398,12 @@ def _multiply_chunk(engine, plan, cfg, state: _ChunkState, busy) -> None:
             state.fallbacks = [fallback] * count
             state.item_tops = [enc.item_tops(j) for j in range(count)]
             plan.pool.give(enc.encoded)
-            return
+            return other
         # A prefetched encode slot concatenated this chunk before its
-        # signature's probe failed: re-encode per item for the reference.
-        state.encoded = _reencode_items(engine, plan, cfg, state, busy)
+        # width's probe failed: re-encode per item for the reference.
+        state.encoded = _reencode_items(engine, plan, cfg, state, other)
         plan.pool.give(enc.encoded)
-    # Reference path (the probe failed for this signature).
+    # Reference path (the probe failed for this width).
     state.c_fcs, state.backends, state.fallbacks = [], [], []
     state.item_tops = []
     for enc_b in state.encoded:
@@ -548,6 +412,7 @@ def _multiply_chunk(engine, plan, cfg, state: _ChunkState, busy) -> None:
         state.backends.append(used)
         state.fallbacks.append(fallback)
         state.item_tops.append((enc_b.top_values, enc_b.top_indices))
+    return other
 
 
 def _same_bytes(x: np.ndarray, y: np.ndarray) -> bool:
@@ -558,17 +423,18 @@ def _same_bytes(x: np.ndarray, y: np.ndarray) -> bool:
     )
 
 
-def _probe_chunk(engine, plan, cfg, state: _ChunkState, busy) -> None:
+def _probe_chunk(engine, plan, cfg, state: _ChunkState, other) -> None:
     """Dual-compute the chunk along both paths and compare every byte.
 
     The reference artifacts are kept as the chunk's results (they are the
-    guaranteed ones either way); the verdict decides how every *later*
-    chunk of this ``(plan, chunk width)`` signature executes.
+    guaranteed ones either way); the verdict, kept on the plan, decides
+    how every *later* chunk of this width executes.  The re-encode and
+    the discrepancy comparison are timed into ``other``.
     """
     a_arr = state.group.enc_a.array
     enc: ChunkEncodedB = state.encoded
     count = len(state.items)
-    ref_enc = _reencode_items(engine, plan, cfg, state, busy)
+    ref_enc = _reencode_items(engine, plan, cfg, state, other)
 
     w = enc.item_width
     ok = all(
@@ -604,12 +470,10 @@ def _probe_chunk(engine, plan, cfg, state: _ChunkState, busy) -> None:
             )
             for j, run in enumerate(ref_runs)
         )
-        chk_elapsed = time.perf_counter() - t0
-        engine._add_seconds("check", chk_elapsed)
-        busy["check"] += chk_elapsed
+        other["check"] = time.perf_counter() - t0
 
-    with engine._stacked_lock:
-        engine._stacked_ok[(plan.key, count)] = ok
+    with plan.probe_lock:
+        plan.probe_verdicts[count] = ok
     if not ok:
         engine._m_pipe_fallbacks.labels(reason="bitwise_probe").inc()
 
@@ -622,14 +486,14 @@ def _probe_chunk(engine, plan, cfg, state: _ChunkState, busy) -> None:
     plan.pool.give(enc.encoded)
 
 
-def _fused_chunk(engine, plan, cfg, state: _ChunkState) -> tuple[float, float]:
+def _fused_chunk(engine, plan, cfg, state: _ChunkState) -> dict:
     """Fused-online chunk: multiply and in-loop check in one stage slot.
 
     Builds the chunk's tolerance grids (check work — they must exist
     before the tiles run), runs one fused multiply+check per pair against
-    its grid slices, and produces the chunk's reports on the spot; the
-    schedule's check slot for this chunk is a no-op.  Returns the slot's
-    ``(multiply_seconds, check_seconds)`` split.
+    its grid slices, and produces the chunk's reports on the spot, so the
+    chunk has no check slot.  Returns the slot's check seconds, keyed by
+    stage.
     """
     ea = state.group.enc_a
     enc_b = state.encoded
@@ -638,29 +502,26 @@ def _fused_chunk(engine, plan, cfg, state: _ChunkState) -> tuple[float, float]:
     grids = _chunk_grids(plan, cfg, state)
     col_e, row_e = grids.exact()
     grids.release()
-    mul_s, check_s = 0.0, time.perf_counter() - t0  # grids are check work
+    check_s = time.perf_counter() - t0  # grids are check work
     state.c_fcs, state.reports, state.backends, state.fallbacks = (
         [], [], [], []
     )
     count = len(enc_b)
     for j, eb in enumerate(enc_b):
         ce, re_ = item_grids(col_e, row_e, plan.col_layout, j, count)
-        c_fc, report, used, fallback, item_mul, item_chk = (
+        c_fc, report, used, fallback, _mul_s, item_chk = (
             engine._fused_multiply_check(plan, cfg, ea.array, eb.array, ce, re_)
         )
         state.c_fcs.append(c_fc)
         state.reports.append(report)
         state.backends.append(used)
         state.fallbacks.append(fallback)
-        mul_s += item_mul
         check_s += item_chk
     plan.pool.give(col_e)
     plan.pool.give(row_e)
     for eb in enc_b:
         plan.pool.give(eb.array)
-    engine._add_seconds("multiply", mul_s)
-    engine._add_seconds("check", check_s)
-    return mul_s, check_s
+    return {"check": check_s}
 
 
 def _check_chunk(engine, plan, cfg, state: _ChunkState) -> None:

@@ -126,6 +126,10 @@ class ExecutionPlan:
         (``None`` = one full-result tile).  The engine resolves
         ``backend="auto"`` through capability negotiation *before* the
         plan lookup, so plans always carry a concrete backend.
+    probe_verdicts / probe_lock:
+        The pipelined executor's bitwise-probe verdicts by chunk width
+        (``True``: the concatenated chunk path is byte-identical), read
+        and written under the lock.  They live and die with the plan.
     """
 
     key: PlanKey
@@ -143,6 +147,12 @@ class ExecutionPlan:
     pool: WorkspacePool = field(repr=False, default=None)
     backend_name: str = "numpy"
     tile: int | None = None
+    probe_verdicts: dict[int, bool] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    probe_lock: threading.Lock = field(
+        default_factory=threading.Lock, repr=False, compare=False
+    )
 
     def backend(self):
         """The shared :class:`~repro.backends.base.Backend` instance."""

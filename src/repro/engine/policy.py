@@ -7,10 +7,10 @@
 * ``mode="serial"`` — per-pair execution, fanned across the engine's
   thread pool when it has more than one worker;
 * ``mode="pipelined"`` — the stage-pipelined executor
-  (:mod:`repro.engine.pipeline`): chunked execution with
-  encode/multiply/check stage slots scheduled by a cost model,
-  overlapping the encode of chunk ``i+1`` with the multiply of chunk
-  ``i`` and deferring checks into pipeline bubbles;
+  (:mod:`repro.engine.pipeline`): chunked execution that, when the
+  engine has two or more workers and the batch's items are large enough,
+  overlaps each chunk's multiply with the encodes of the chunks after it
+  and the check of the chunk before it;
 * ``mode="auto"`` (default) — pipelined whenever the batch meets its
   preconditions, serial otherwise.
 

@@ -10,45 +10,9 @@ always agrees with a Prometheus scrape of the same registry.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
-__all__ = ["EngineStats", "StageCost", "StageCosts"]
-
-
-@dataclass(frozen=True)
-class StageCost:
-    """Accumulated cost of one pipeline stage.
-
-    ``seconds`` is total wall time, ``observations`` the number of timed
-    stage executions; :attr:`mean` is what the pipeline cost model
-    consumes when planning stage slots.
-    """
-
-    seconds: float = 0.0
-    observations: int = 0
-
-    @property
-    def mean(self) -> float:
-        """Mean seconds per observed stage execution (0 when unobserved)."""
-        return self.seconds / self.observations if self.observations else 0.0
-
-
-@dataclass(frozen=True)
-class StageCosts:
-    """Per-stage encode/multiply/check costs in one stable structured field.
-
-    Exposed on :attr:`EngineStats.stage_costs` so consumers (the pipeline
-    scheduler's cost model, dashboards) no longer re-derive stage means
-    from raw span histograms.
-    """
-
-    encode: StageCost = field(default_factory=StageCost)
-    multiply: StageCost = field(default_factory=StageCost)
-    check: StageCost = field(default_factory=StageCost)
-
-    def mean_total(self) -> float:
-        """Mean seconds of one full encode+multiply+check pass."""
-        return self.encode.mean + self.multiply.mean + self.check.mean
+__all__ = ["EngineStats"]
 
 
 @dataclass(frozen=True)
@@ -70,11 +34,9 @@ class EngineStats:
     detections:
         Multiplications whose check flagged at least one comparison.
     encode_seconds / multiply_seconds / check_seconds:
-        Accumulated wall time of the three pipeline stages.
-    stage_costs:
-        The same stage wall times paired with their observation counts as
-        a structured :class:`StageCosts` (per-stage means for the pipeline
-        cost model).
+        Accumulated wall time of the three pipeline stages.  Each second
+        is charged to exactly one stage, so the stage times of work done
+        on one thread add up to no more than that thread's wall time.
     """
 
     plan_hits: int = 0
@@ -87,7 +49,6 @@ class EngineStats:
     encode_seconds: float = 0.0
     multiply_seconds: float = 0.0
     check_seconds: float = 0.0
-    stage_costs: StageCosts = field(default_factory=StageCosts)
 
     @property
     def total_seconds(self) -> float:

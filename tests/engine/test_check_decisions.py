@@ -57,9 +57,10 @@ def run_path(path, a, bs, cfg=SEPARATE, hook=None):
         engine.set_chaos_hook(hook)
         return engine, [engine.matmul(a, b) for b in bs]
     engine.execute_batch([(a, b) for b in bs], policy=PIPELINED)
-    with engine._stacked_lock:
-        for key in engine._stacked_ok:
-            engine._stacked_ok[key] = path == "concatenated"
+    for plan in list(engine._plans._plans.values()):
+        with plan.probe_lock:
+            for width in plan.probe_verdicts:
+                plan.probe_verdicts[width] = path == "concatenated"
     engine.reset_stats()
     engine.set_chaos_hook(hook)
     results = engine.execute_batch([(a, b) for b in bs], policy=PIPELINED)

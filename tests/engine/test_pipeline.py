@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import threading
+import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -14,13 +16,9 @@ from repro.engine import (
     AbftConfig,
     ExecutionPolicy,
     MatmulEngine,
-    PipelineSchedule,
     pipeline_supported,
-    plan_schedule,
 )
 from repro.engine import pipeline
-from repro.engine.pipeline import _WINDOW, _greedy_slots
-from repro.engine.stats import StageCost, StageCosts
 from repro.errors import ConfigurationError
 from repro.kernels.stage_split import ChunkEncodedB
 from repro.telemetry import MetricsRegistry
@@ -169,8 +167,9 @@ class TestProbeVerdicts:
         # concatenated — before chunk 0's probe runs.  The probe's first
         # comparison is made to fail whatever the BLAS does, so chunk 1
         # must take the per-item path too: no concatenated GEMM after the
-        # probe's own, and bytes equal to matmul.
-        monkeypatch.setattr(pipeline, "_SLOT_OVERHEAD_S", 0.0)
+        # probe's own, and bytes equal to matmul.  The 32x32 items fall
+        # below the overlap threshold, so the test lowers it.
+        monkeypatch.setattr(pipeline, "_OVERLAP_MIN_FLOPS", 0)
         prefetched = threading.Event()
         encode_calls = []
         real_encode_b_chunk = pipeline.encode_b_chunk
@@ -198,7 +197,6 @@ class TestProbeVerdicts:
         bs = [rng.uniform(-1, 1, (32, 32)) for _ in range(4)]
         reference = [MatmulEngine(cfg).matmul(a, b) for b in bs]
         engine = fresh_engine(config=cfg, max_workers=2)
-        engine.matmul(a, bs[0])  # stage timings make overlap win
         widths = []
 
         def hook(event, **kwargs):
@@ -244,69 +242,158 @@ class TestProbeVerdicts:
             )
             assert got.detected == ref.detected
 
-WARM = StageCosts(
-    encode=StageCost(seconds=0.4, observations=100),
-    multiply=StageCost(seconds=1.0, observations=100),
-    check=StageCost(seconds=0.3, observations=100),
-)
-COLD = StageCosts()
+    def test_verdicts_live_and_die_with_their_plan(self, monkeypatch):
+        # Each verdict describes one plan: an evicted or cleared plan
+        # takes its verdict along, and a rebuilt plan probes again.
+        probes = []
+        real_probe_chunk = pipeline._probe_chunk
+
+        def probe_chunk(*args):
+            probes.append(args[1].q)
+            return real_probe_chunk(*args)
+
+        monkeypatch.setattr(pipeline, "_probe_chunk", probe_chunk)
+        rng = np.random.default_rng(33)
+        a = rng.uniform(-1, 1, (32, 32))
+        widths = (8, 16, 24, 40, 48, 56)
+        batches = {
+            q: [(a, rng.uniform(-1, 1, (32, q))) for _ in range(3)]
+            for q in widths
+        }
+        engine = fresh_engine(config=SEPARATE, max_workers=1, plan_cache_size=2)
+        for q in widths:
+            engine.execute_batch(batches[q], policy=PIPELINED)
+        assert probes == list(widths)
+        engine.execute_batch(batches[8], policy=PIPELINED)  # evicted: probes
+        engine.execute_batch(batches[56], policy=PIPELINED)  # cached: no probe
+        assert probes == list(widths) + [8]
+        cached = list(engine._plans._plans.values())
+        assert sorted(plan.q for plan in cached) == [8, 56]
+        assert all(list(plan.probe_verdicts) == [3] for plan in cached)
+        engine.clear_plans()
+        engine.execute_batch(batches[56], policy=PIPELINED)
+        assert probes == list(widths) + [8, 56]
 
 
-def stage_complete(schedule: PipelineSchedule) -> None:
-    """Every chunk is encoded, multiplied and checked exactly once, in
-    dependency order, and the encode lane never runs past the window."""
-    n = schedule.num_chunks
-    done: dict[str, set[int]] = {"encode": set(), "multiply": set(), "check": set()}
-    for stage, idx in schedule.slots:
-        assert idx not in done[stage], f"duplicate {stage} slot {idx}"
-        if stage == "multiply":
-            assert idx in done["encode"], "multiply before encode"
-        if stage == "check":
-            assert idx in done["multiply"], "check before multiply"
-        if stage == "encode":
-            lead = len(done["encode"]) - len(done["multiply"])
-            assert lead < schedule.window, "encode lane overran the window"
-        done[stage].add(idx)
-    assert all(len(v) == n for v in done.values())
+class _InlineExecutor:
+    """Runs each submitted slot at once, so slots run in issue order."""
+
+    def submit(self, fn, *args):
+        done = Future()
+        done.set_result(fn(*args))
+        return done
 
 
-class TestPlanSchedule:
-    def test_cold_engine_stays_serial(self):
-        schedule = plan_schedule([8], COLD, workers=4)
-        assert not schedule.overlap
-        assert schedule.window == 1
-        assert schedule.predicted_serial_s == 0.0
-        assert schedule.predicted_overlap_s == 0.0
-        stage_complete(schedule)
+def stage_threads(engine) -> dict[str, set[str]]:
+    """Install a stage hook; the names of the threads each stage ran on."""
+    threads: dict[str, set[str]] = {}
 
-    def test_single_worker_uses_one_chunk_per_group(self):
-        schedule = plan_schedule([6, 4], WARM, workers=1)
-        assert not schedule.overlap
-        # one chunk per group: maximum amortisation when nothing overlaps
-        assert schedule.chunks == ((0, 6), (1, 4))
-        stage_complete(schedule)
+    def hook(event, **kwargs):
+        threads.setdefault(event, set()).add(threading.current_thread().name)
 
-    def test_warm_multiworker_overlaps(self):
-        schedule = plan_schedule([24], WARM, workers=4)
-        assert schedule.overlap
-        assert schedule.window == _WINDOW
-        assert schedule.num_chunks >= 2
-        assert 0 < schedule.predicted_overlap_s < schedule.predicted_serial_s
-        stage_complete(schedule)
+    engine.set_chaos_hook(hook)
+    return threads
 
-    def test_window_one_is_the_serial_slot_order(self):
-        slots = _greedy_slots(3, window=1)
-        assert slots == (
-            ("encode", 0), ("multiply", 0), ("check", 0),
-            ("encode", 1), ("multiply", 1), ("check", 1),
-            ("encode", 2), ("multiply", 2), ("check", 2),
+
+class TestOverlapRule:
+    """Overlap is decided by the batch's shape: two or more workers, two
+    or more chunks, and one item's encoded GEMM of at least
+    ``_OVERLAP_MIN_FLOPS``."""
+
+    def test_one_worker_runs_one_chunk_per_group_inline(self):
+        rng = np.random.default_rng(40)
+        lefts = [rng.uniform(-1, 1, (256, 256)) for _ in range(2)]
+        pairs = [
+            (lefts[i // 6], rng.uniform(-1, 1, (256, 16))) for i in range(10)
+        ]
+        engine = fresh_engine(config=SEPARATE, max_workers=1)
+        threads = stage_threads(engine)
+        engine.execute_batch(pairs, policy=PIPELINED)
+        chunks = engine.registry.counter("abft_pipeline_chunks_total").get()
+        assert chunks == 2
+        caller = {threading.current_thread().name}
+        for stage in ("encode", "multiply", "check"):
+            assert threads[stage] == caller, stage
+
+    def test_serve_burst_batch_overlaps_on_a_cold_engine(self):
+        # 32 pairs of 256x256 @ 256x16 float64 in groups 28+1+1+1+1: one
+        # serving micro-batch.  Its items' encoded GEMMs (8.65 Mflop) sit
+        # above the threshold, so even the engine's first batch overlaps.
+        rng = np.random.default_rng(41)
+        shared = rng.uniform(-1, 1, (256, 256))
+        lefts = [shared] * 28 + [rng.uniform(-1, 1, (256, 256)) for _ in range(4)]
+        pairs = [(a, rng.uniform(-1, 1, (256, 16))) for a in lefts]
+        engine = fresh_engine(config=SEPARATE, max_workers=2)
+        threads = stage_threads(engine)
+        results = engine.execute_batch(pairs, policy=PIPELINED)
+        chunks = engine.registry.counter("abft_pipeline_chunks_total").get()
+        assert chunks == 8
+        for stage in ("encode", "check"):
+            assert any(
+                name.startswith("abft-engine") for name in threads[stage]
+            ), (stage, threads[stage])
+        assert threads["multiply"] == {threading.current_thread().name}
+        reference = MatmulEngine(SEPARATE)
+        assert_bitwise_equal(results, [reference.matmul(a, b) for a, b in pairs])
+
+    @pytest.mark.parametrize(
+        "m, q, pairs", [(64, 8, 8), (128, 16, 16)], ids=["64x64", "128x128"]
+    )
+    def test_small_items_run_inline_cold_and_warm(self, m, q, pairs):
+        rng = np.random.default_rng(42)
+        a = rng.uniform(-1, 1, (m, m))
+        batch = [(a, rng.uniform(-1, 1, (m, q))) for _ in range(pairs)]
+        engine = fresh_engine(config=SEPARATE, max_workers=2)
+        threads = stage_threads(engine)
+        for _ in range(2):  # a cold batch, then a warm one
+            engine.execute_batch(batch, policy=PIPELINED)
+        caller = {threading.current_thread().name}
+        for stage in ("encode", "multiply", "check"):
+            assert threads[stage] == caller, stage
+
+    def slot_order(self, monkeypatch, engine, pairs) -> list[str]:
+        """The batch's stage slots in issue order, as ``E0 M0 C0 ...``."""
+        order: list[str] = []
+        starts: dict[int, int] = {}
+
+        def record(name, real):
+            def slot(engine, plan, cfg, state, *rest):
+                first = state.items[0][0]
+                chunk = starts.setdefault(first, len(starts))
+                order.append(f"{name}{chunk}")
+                return real(engine, plan, cfg, state, *rest)
+
+            return slot
+
+        for name, fn in (("E", "_encode_chunk"), ("M", "_multiply_chunk"),
+                         ("C", "_check_chunk")):
+            monkeypatch.setattr(
+                pipeline, fn, record(name, getattr(pipeline, fn))
+            )
+        monkeypatch.setattr(engine, "_get_executor", _InlineExecutor)
+        engine.execute_batch(pairs, policy=PIPELINED)
+        return order
+
+    def test_overlapping_slot_order(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "_OVERLAP_MIN_FLOPS", 0)
+        rng = np.random.default_rng(43)
+        a = rng.uniform(-1, 1, (32, 32))
+        pairs = [(a, rng.uniform(-1, 1, (32, 8))) for _ in range(10)]
+        engine = fresh_engine(config=SEPARATE, max_workers=2)
+        # 10 pairs on two workers: chunks of 3, 3, 3 and 1.
+        assert self.slot_order(monkeypatch, engine, pairs) == (
+            "E0 E1 E2 M0 C0 E3 M1 C1 M2 C2 M3 C3".split()
         )
 
-    def test_wide_window_prefetches_encodes(self):
-        slots = _greedy_slots(4, window=3)
-        # the warm-up fills the window before the first multiply
-        assert slots[:3] == (("encode", 0), ("encode", 1), ("encode", 2))
-        assert slots[3] == ("multiply", 0)
+    def test_inline_slot_order(self, monkeypatch):
+        rng = np.random.default_rng(44)
+        a = rng.uniform(-1, 1, (32, 32))
+        pairs = [(a, rng.uniform(-1, 1, (32, 8))) for _ in range(6)]
+        engine = fresh_engine(config=SEPARATE, max_workers=2)
+        # 6 pairs on two workers: chunks of 2; 32x32 items run inline.
+        assert self.slot_order(monkeypatch, engine, pairs) == (
+            "E0 M0 C0 E1 M1 C1 E2 M2 C2".split()
+        )
 
 
 class TestExecutionPolicy:
@@ -372,20 +459,34 @@ class TestTelemetry:
         assert modes.labels(mode="pipelined").get() == 1
         assert modes.labels(mode="serial").get() == 1
 
-    def test_stage_costs_in_stats(self):
-        rng = np.random.default_rng(29)
+    def test_probe_chunk_charges_each_second_to_one_stage(self, monkeypatch):
+        # The probe re-encodes the chunk item by item inside its multiply
+        # slot.  That time is encode time only: on one worker nothing
+        # overlaps, so the three stages add up to no more than the wall.
+        stall = 0.2
+        real_encode_items = pipeline._encode_items
+
+        def slow_encode_items(*args):
+            time.sleep(stall)
+            return real_encode_items(*args)
+
+        monkeypatch.setattr(pipeline, "_encode_items", slow_encode_items)
+        rng = np.random.default_rng(34)
         a = rng.uniform(-1, 1, (64, 64))
-        engine = fresh_engine()
-        engine.matmul(a, a)
-        costs = engine.stats().stage_costs
-        assert isinstance(costs, StageCosts)
-        for cost in (costs.encode, costs.multiply, costs.check):
-            assert cost.observations >= 1
-            assert cost.seconds > 0
-            assert cost.mean == pytest.approx(
-                cost.seconds / cost.observations
-            )
-        assert costs.mean_total() > 0
+        pairs = [(a, rng.uniform(-1, 1, (64, 16))) for _ in range(4)]
+        engine = fresh_engine(config=SEPARATE, max_workers=1)
+        t0 = time.perf_counter()
+        engine.execute_batch(pairs, policy=PIPELINED)
+        wall = time.perf_counter() - t0
+        stats = engine.stats()
+        assert stats.encode_seconds >= stall
+        assert stats.multiply_seconds < stall
+        assert stats.total_seconds <= wall
+        busy = engine.registry.counter(
+            "abft_pipeline_stage_busy_seconds_total", labelnames=("stage",)
+        )
+        assert busy.labels(stage="encode").get() >= stall
+        assert busy.labels(stage="multiply").get() < stall
 
     def test_reset_stats_clears_pipeline_metrics(self):
         rng = np.random.default_rng(30)

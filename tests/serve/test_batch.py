@@ -249,10 +249,11 @@ def verdict(result):
 
 
 def force_probe_verdicts(engine, ok):
-    """Pin every probed (plan, chunk width) signature to one chunk path."""
-    with engine._stacked_lock:
-        for key in engine._stacked_ok:
-            engine._stacked_ok[key] = ok
+    """Pin every probed chunk width of every cached plan to one chunk path."""
+    for plan in list(engine._plans._plans.values()):
+        with plan.probe_lock:
+            for width in plan.probe_verdicts:
+                plan.probe_verdicts[width] = ok
 
 
 class TestNonFiniteParity:

@@ -74,9 +74,6 @@ class TestImports:
             "MatmulEngine",
             "ExecutionPolicy",
             "EXECUTION_MODES",
-            "PipelineSchedule",
-            "StageCost",
-            "StageCosts",
             "EngineStats",
         ):
             assert symbol in repro.__all__
@@ -90,17 +87,13 @@ class TestImports:
             "MatmulEngine",
             "EncodedOperand",
             "EngineStats",
-            "StageCost",
-            "StageCosts",
             "ExecutionPlan",
             "ExecutionPolicy",
             "EXECUTION_MODES",
-            "PipelineSchedule",
             "PlanCache",
             "build_plan",
             "default_engine",
             "pipeline_supported",
-            "plan_schedule",
         }
 
     def test_execution_modes_locked(self):
