@@ -1,4 +1,4 @@
-"""Pluggable compute backends with capability negotiation and autotuning.
+"""Pluggable compute backends with capability negotiation.
 
 The engine's heavy GEMM stage dispatches through this subsystem instead
 of a hard-wired ``a @ b``:
@@ -7,30 +7,23 @@ of a hard-wired ``a @ b``:
   contract and the capability descriptor negotiation consults;
 * :class:`BackendRegistry` / :func:`negotiate` — name -> backend mapping
   and the selection policy (config pin > ``AABFT_BACKEND`` env pin >
-  autotuned winner > ``numpy``), with a never-silent fallback to
-  ``numpy`` recorded on results and in ``abft_backend_*`` telemetry;
-* three shipped backends — :class:`NumpyBackend` (serial bitwise
-  reference), :class:`BlockedBackend` (tile-parallel thread-pool GEMM
-  mapping the paper's CUDA result-block grid onto workers) and
-  :class:`CupyBackend` (guarded-import device GEMM, capability-gated);
+  ``numpy``), with a never-silent fallback to ``numpy`` recorded on
+  results and in ``abft_backend_*`` telemetry;
+* two shipped backends — :class:`NumpyBackend` (one host BLAS call that
+  lets BLAS own the cores; the bitwise reference) and
+  :class:`CupyBackend` (guarded-import device GEMM, capability-gated —
+  the seam for a real GPU);
 * :class:`Autotuner` / :class:`AutotuneCache` — per-``(shape, dtype,
-  scheme)`` timing of candidate ``(backend, tile)`` configs with winners
-  persisted on disk and fed into execution plans.
-
-The load-bearing invariant: tile geometry is a *plan* property
-(``AbftConfig.gemm_tile``), and every deterministic backend executes the
-same canonical tile list (:func:`repro.kernels.matmul_tiled.plan_tiles`)
-— so ``numpy`` and ``blocked`` results are bitwise identical by
-construction, for every tile size, including clipped edge tiles.
+  scheme)`` timing of the fused online-ABFT loop against the separate
+  GEMM + check, with decisions persisted on disk and fed into
+  negotiation.
 
 Example
 -------
 >>> import numpy as np
 >>> from repro.backends import get_backend
 >>> a = np.ones((8, 4)); b = np.ones((4, 6))
->>> serial = get_backend("numpy").matmul(a, b, tile=3)
->>> parallel = get_backend("blocked").matmul(a, b, tile=3)
->>> bool((serial == parallel).all())
+>>> bool((get_backend("numpy").matmul(a, b) == a @ b).all())
 True
 """
 
@@ -42,7 +35,6 @@ from .autotune import (
     default_cache_path,
 )
 from .base import Backend, BackendCapabilities, BackendUnavailable
-from .blocked import BlockedBackend
 from .cupy_backend import CupyBackend
 from .numpy_backend import NumpyBackend
 from .registry import (
@@ -62,7 +54,6 @@ __all__ = [
     "BackendRegistry",
     "BackendSelection",
     "BackendUnavailable",
-    "BlockedBackend",
     "CupyBackend",
     "NumpyBackend",
     "Autotuner",

@@ -1,28 +1,23 @@
-"""Backend/tile autotuner with a persisted on-disk winner cache.
+"""Fusion autotuner with a persisted on-disk decision cache.
 
 In the spirit of A-ABFT's "autonomous, no user-provided tuning": for each
-``(shape, dtype, scheme, block_size, p)`` key the tuner times candidate
-``(backend, tile)`` configurations on warm-up calls over synthetic
-operands of the *encoded* GEMM shapes (checksum rows/columns included, so
-the timed problem is exactly what the engine dispatches), picks the
-fastest, and persists the winner to a JSON cache
-(``AABFT_AUTOTUNE_CACHE``, default ``~/.cache/aabft/autotune.json``).
+``(shape, dtype, scheme, block_size, p)`` key the tuner decides whether
+the fused online-ABFT tile loop
+(:func:`~repro.kernels.online_fused.online_fused_matmul`) beats the
+separate GEMM + grid check.  It times both on warm-up calls over
+synthetic operands of the *encoded* GEMM shapes (checksum rows/columns
+included, so the timed problem is exactly what the engine dispatches) on
+the ``numpy`` backend, and persists the decision with its evidence to a
+JSON cache (``AABFT_AUTOTUNE_CACHE``, default
+``~/.cache/aabft/autotune.json``).
 
-The ``numpy`` single-tile reference is always timed in the same session,
-and a non-``numpy`` winner must beat it by the hysteresis margin —
-otherwise the reference wins.  The autotuner therefore *cannot* select a
-configuration slower than the ``numpy`` default (the
-``BENCH_backends.json`` acceptance criterion holds by construction, and
-the benchmark re-verifies it empirically).
-
-Trials only run through the explicit entry points
+Fused wins only by the hysteresis margin, so noise keeps the separate
+default.  Trials only run through the explicit entry points
 (:meth:`Autotuner.tune`, ``aabft autotune``,
 ``MatmulEngine.autotune()``); ordinary engine calls consult the cache via
-:meth:`Autotuner.lookup` and never pay timing overhead inline.
-
-Automatic selection only considers *deterministic* backends, so an
-autotuned winner never changes result bytes — it only changes how fast
-they are produced.
+:meth:`Autotuner.lookup` and never pay timing overhead inline.  A cached
+decision only applies to calls that run on ``numpy``, the backend it was
+timed on.
 """
 
 from __future__ import annotations
@@ -31,14 +26,13 @@ import json
 import os
 import threading
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from ..abft.encoding import PartitionedLayout
 from ..telemetry import MetricsRegistry
-from .registry import BackendRegistry, default_registry
 
 __all__ = [
     "Autotuner",
@@ -60,44 +54,36 @@ def default_cache_path() -> Path:
     return Path.home() / ".cache" / "aabft" / "autotune.json"
 
 
+#: On-disk format version.  A file of any other version reads as empty, so
+#: entries written in an older format are re-tuned, never migrated.
+_CACHE_VERSION = 2
+
+
 @dataclass(frozen=True)
 class TunedChoice:
-    """One cached autotune winner.
+    """One cached fusion decision and the timed evidence behind it.
 
     Attributes
     ----------
-    backend / tile:
-        The winning configuration (``tile=None`` = one full-result tile).
     per_call_s:
-        The winner's best-of-repeats GEMM seconds.
-    baseline_per_call_s:
-        The ``numpy`` single-tile reference timed in the same session.
+        The ``numpy`` GEMM's best-of-repeats seconds: the separate
+        path's multiply.
     fusion / fused_tile_blocks:
-        The winning fusion strategy: ``"fused"`` when the online-ABFT
-        tile loop (GEMM + in-loop check) beat the separate GEMM + grid
-        check by the hysteresis margin on this backend, else
-        ``"separate"``.
+        ``"fused"`` when the online-ABFT tile loop (GEMM + in-loop check)
+        beat the separate GEMM + grid check by the hysteresis margin,
+        else ``"separate"``; the winning fused tile edge in encoded
+        blocks (``None`` = the single full-result tile).
     fused_per_call_s / separate_check_s:
-        The timed evidence behind the fusion decision: best fused
-        multiply+check seconds, and the separate grid-check seconds that
-        ride on top of ``per_call_s`` in the separate strategy.
+        The best fused multiply+check seconds, and the separate
+        grid-check seconds that ride on top of ``per_call_s`` in the
+        separate strategy.
     """
 
-    backend: str
-    tile: int | None
     per_call_s: float
-    baseline_per_call_s: float
     fusion: str = "separate"
     fused_tile_blocks: int | None = None
     fused_per_call_s: float | None = None
     separate_check_s: float | None = None
-
-    @property
-    def speedup(self) -> float:
-        """Reference seconds over winner seconds (>= 1 by construction)."""
-        if self.per_call_s <= 0.0:
-            return float("inf")
-        return self.baseline_per_call_s / self.per_call_s
 
 
 class _FileLock:
@@ -138,56 +124,43 @@ class _FileLock:
             self._handle = None
 
 
+def _optional(payload: dict, key: str, kind):
+    value = payload.get(key)
+    return None if value is None else kind(value)
+
+
 def _parse_entries(text: str) -> dict[str, TunedChoice]:
-    """Decode a cache file's entries; corrupt or missing data reads empty."""
+    """Decode a cache file's entries; a corrupt, missing or other-version
+    file reads empty."""
     entries: dict[str, TunedChoice] = {}
     try:
         raw = json.loads(text)
+        if raw.get("version") != _CACHE_VERSION:
+            return {}
         for key, payload in raw.get("entries", {}).items():
             entries[key] = TunedChoice(
-                backend=str(payload["backend"]),
-                tile=(
-                    None
-                    if payload.get("tile") is None
-                    else int(payload["tile"])
-                ),
                 per_call_s=float(payload["per_call_s"]),
-                baseline_per_call_s=float(payload["baseline_per_call_s"]),
-                # Fusion fields arrived later; pre-existing cache files
-                # read as the historical separate strategy.
-                fusion=str(payload.get("fusion", "separate")),
-                fused_tile_blocks=(
-                    None
-                    if payload.get("fused_tile_blocks") is None
-                    else int(payload["fused_tile_blocks"])
-                ),
-                fused_per_call_s=(
-                    None
-                    if payload.get("fused_per_call_s") is None
-                    else float(payload["fused_per_call_s"])
-                ),
-                separate_check_s=(
-                    None
-                    if payload.get("separate_check_s") is None
-                    else float(payload["separate_check_s"])
-                ),
+                fusion=str(payload["fusion"]),
+                fused_tile_blocks=_optional(payload, "fused_tile_blocks", int),
+                fused_per_call_s=_optional(payload, "fused_per_call_s", float),
+                separate_check_s=_optional(payload, "separate_check_s", float),
             )
-    except (ValueError, KeyError, TypeError):
+    except (ValueError, KeyError, TypeError, AttributeError):
         entries = {}
     return entries
 
 
 class AutotuneCache:
-    """Thread- and process-safe, crash-tolerant JSON store of winners.
+    """Thread- and process-safe, crash-tolerant JSON store of decisions.
 
     Writes are atomic (temp file + rename) and **merge-on-write** under
     an advisory file lock: a writer re-reads the file inside the lock,
-    folds its new winner into whatever other processes persisted since
+    folds its new decision into whatever other processes persisted since
     this process last looked, and only then rewrites — so concurrent
     workers (e.g. cluster shards sharing one cache) cannot clobber each
-    other's winners.  A corrupt or missing file reads as empty instead of
-    failing, so a broken cache can only cost re-tuning, never
-    correctness.
+    other's decisions.  A corrupt, missing or other-version file reads as
+    empty instead of failing, so a broken or stale cache can only cost
+    re-tuning, never correctness.
     """
 
     def __init__(self, path: str | Path | None = None) -> None:
@@ -208,23 +181,23 @@ class AutotuneCache:
         return self._entries
 
     def get(self, key: str) -> TunedChoice | None:
-        """The cached winner for a key, or ``None``."""
+        """The cached decision for a key, or ``None``."""
         with self._lock:
             return self._load_locked().get(key)
 
     def put(self, key: str, choice: TunedChoice) -> None:
-        """Store a winner; persist atomically via read-merge-write."""
+        """Store a decision; persist atomically via read-merge-write."""
         with self._lock:
             self._load_locked()
             with _FileLock(self.path.with_name(self.path.name + ".lock")):
-                # Fold in winners other processes persisted since our
+                # Fold in decisions other processes persisted since our
                 # last read — their keys survive, ours lands on top.
                 merged = self._read_disk()
                 merged.update(self._entries)
                 merged[key] = choice
                 self._entries = merged
                 payload = {
-                    "version": 1,
+                    "version": _CACHE_VERSION,
                     "entries": {
                         k: asdict(v) for k, v in sorted(merged.items())
                     },
@@ -267,31 +240,27 @@ def _encoded_dims(m: int, q: int, block_size: int) -> tuple[int, int]:
 
 
 class Autotuner:
-    """Times candidate ``(backend, tile)`` configs and caches the winner.
+    """Decides fused vs separate per call signature and caches it.
 
     Parameters
     ----------
     cache:
         The :class:`AutotuneCache`; defaults to the on-disk cache at
         :func:`default_cache_path`.
-    registry:
-        Backend registry supplying candidates; defaults to the process
-        registry.
     repeats:
         Timed calls per candidate (best-of is kept).
     hysteresis:
-        Fractional margin a non-``numpy`` winner must beat the reference
-        by (guards against noise-driven flapping and guarantees the
-        winner is never slower than the default).
+        Fractional margin a fused candidate must beat the separate path
+        by (guards against noise-driven flapping).
     metrics_registry:
-        Target for the ``abft_backend_autotune_total`` counter.
+        Target for the ``abft_backend_autotune_total`` and
+        ``abft_fused_autotune_total`` counters.
     """
 
     def __init__(
         self,
         cache: AutotuneCache | None = None,
         *,
-        registry: BackendRegistry | None = None,
         repeats: int = 3,
         hysteresis: float = 0.05,
         metrics_registry: MetricsRegistry | None = None,
@@ -301,7 +270,6 @@ class Autotuner:
         if not 0.0 <= hysteresis < 1.0:
             raise ValueError(f"hysteresis must be in [0, 1), got {hysteresis}")
         self.cache = cache if cache is not None else AutotuneCache()
-        self.registry = registry if registry is not None else default_registry()
         self.repeats = repeats
         self.hysteresis = hysteresis
         reg = metrics_registry if metrics_registry is not None else MetricsRegistry()
@@ -312,8 +280,7 @@ class Autotuner:
         )
         self._m_fusion = reg.counter(
             "abft_fused_autotune_total",
-            "Fusion-strategy autotune decisions (fused / separate / "
-            "unsupported)",
+            "Fusion-strategy autotune decisions (fused / separate)",
             ("decision",),
         )
 
@@ -326,24 +293,12 @@ class Autotuner:
         )
 
     def lookup(self, m: int, n: int, q: int, dtype, config) -> TunedChoice | None:
-        """The cached winner for a call signature (no timing, ever)."""
+        """The cached decision for a call signature (no timing, ever)."""
         choice = self.cache.get(self.key(m, n, q, dtype, config))
         self._m_events.labels(
             event="cache_hit" if choice is not None else "cache_miss"
         ).inc()
         return choice
-
-    def candidate_tiles(self, m: int, q: int, block_size: int) -> list[int]:
-        """Tile-edge candidates: the encoding block and small multiples,
-        capped to tiles that actually subdivide the encoded result."""
-        rows_enc, cols_enc = _encoded_dims(m, q, block_size)
-        largest = max(rows_enc, cols_enc)
-        tiles = [
-            t
-            for t in (block_size, 2 * block_size, 4 * block_size)
-            if t < largest
-        ]
-        return tiles or [block_size]
 
     def tune(
         self,
@@ -353,16 +308,14 @@ class Autotuner:
         *,
         dtype=np.float64,
         config=None,
-        backends: tuple[str, ...] | None = None,
         force: bool = False,
         seed: int = 20140101,
     ) -> TunedChoice:
-        """Time candidates for one call signature and persist the winner.
+        """Time fused against separate for one call signature and persist
+        the decision.
 
-        Returns the cached winner without timing when one exists (pass
-        ``force=True`` to re-tune).  Candidate backends default to every
-        registered backend that is available and deterministic (automatic
-        selection must never change result bytes).
+        Returns the cached decision without timing when one exists (pass
+        ``force=True`` to re-tune).
         """
         from ..engine.config import AbftConfig
 
@@ -380,48 +333,10 @@ class Autotuner:
         a = rng.standard_normal((rows_enc, n)).astype(dt, copy=False)
         b = rng.standard_normal((n, cols_enc)).astype(dt, copy=False)
 
-        baseline = self._time("numpy", None, a, b)
-        best = TunedChoice(
-            backend="numpy",
-            tile=cfg.gemm_tile,
-            per_call_s=baseline,
-            baseline_per_call_s=baseline,
-        )
-        if backends is None:
-            names = [
-                name
-                for name in self.registry.names()
-                if name != "numpy"
-                and self.registry.get(name).availability()[0]
-                and self.registry.get(name).capabilities().deterministic
-            ]
-        else:
-            names = [n_ for n_ in backends if n_ != "numpy"]
-        for name in names:
-            for tile in self.candidate_tiles(m, q, cfg.block_size):
-                seconds = self._time(name, tile, a, b)
-                if seconds < best.per_call_s:
-                    best = TunedChoice(
-                        backend=name,
-                        tile=tile,
-                        per_call_s=seconds,
-                        baseline_per_call_s=baseline,
-                    )
-        if (
-            best.backend != "numpy"
-            and best.per_call_s > baseline * (1.0 - self.hysteresis)
-        ):
-            # Not convincingly faster than the reference: keep numpy.
-            best = TunedChoice(
-                backend="numpy",
-                tile=cfg.gemm_tile,
-                per_call_s=baseline,
-                baseline_per_call_s=baseline,
-            )
-        best = self._tune_fusion(best, cfg, a, b, m, q)
-        self.cache.put(cache_key, best)
+        choice = self._tune_fusion(self._time(a, b), cfg, a, b, m, q)
+        self.cache.put(cache_key, choice)
         self._m_events.labels(event="tuned").inc()
-        return best
+        return choice
 
     def candidate_tile_blocks(self, m: int, q: int, block_size: int) -> list[int]:
         """Fused tile-edge candidates in whole encoded blocks per axis,
@@ -432,35 +347,31 @@ class Autotuner:
         return [tb for tb in (2, 4, 8) if tb * stride < largest]
 
     def _tune_fusion(
-        self, best: TunedChoice, cfg, a: np.ndarray, b: np.ndarray,
+        self, gemm_s: float, cfg, a: np.ndarray, b: np.ndarray,
         m: int, q: int,
     ) -> TunedChoice:
         """Time fused online tiles against the separate GEMM + grid check.
 
         Multi-tile candidates win only when their whole multiply+check
-        wall time beats the winner's GEMM *plus* the separate grid check
-        by the same never-slower hysteresis margin — on the backend that
-        actually won, with the tolerance grids forced to ``inf`` so the
-        random timing operands never trigger a recompute.  The degenerate
-        single-tile candidate (``fused_tile_blocks=None``) runs the exact
-        same GEMM as the separate path, so only its in-loop check time is
-        compared (hysteresis applies to the component that can differ,
-        not to the GEMM term that is equal by construction).
+        wall time beats the GEMM (``gemm_s``) *plus* the separate grid
+        check by the hysteresis margin, with the tolerance grids forced
+        to ``inf`` so the random timing operands never trigger a
+        recompute.  The degenerate single-tile candidate
+        (``fused_tile_blocks=None``) runs the exact same GEMM as the
+        separate path, so only its in-loop check time is compared
+        (hysteresis applies to the component that can differ, not to the
+        GEMM term that is equal by construction).
         """
         from ..abft.checking import column_discrepancies, row_discrepancies
         from ..kernels.online_fused import online_fused_matmul
 
-        backend = self.registry.get(best.backend)
-        if not backend.capabilities().fused_online:
-            self._m_fusion.labels(decision="unsupported").inc()
-            return best
         tile_blocks = self.candidate_tile_blocks(m, q, cfg.block_size)
 
         m_pad = m + (-m) % cfg.block_size
         q_pad = q + (-q) % cfg.block_size
         row_layout = PartitionedLayout(data_rows=m_pad, block_size=cfg.block_size)
         col_layout = PartitionedLayout(data_rows=q_pad, block_size=cfg.block_size)
-        c = backend.matmul(a, b, tile=best.tile)
+        c = np.matmul(a, b)
         check_s = float("inf")
         for _ in range(self.repeats):
             t0 = time.perf_counter()
@@ -474,7 +385,6 @@ class Autotuner:
         row_eps = np.full(
             (row_layout.encoded_rows, col_layout.num_blocks), np.inf
         )
-        executor = backend.tile_executor()
 
         # Degenerate single-tile fusion: the GEMM is the separate path's
         # own (identical bytes and schedule), so only the self-timed
@@ -488,8 +398,6 @@ class Autotuner:
                 col_eps=col_eps,
                 row_eps=row_eps,
                 tile_blocks=None,
-                gemm_tile=best.tile,
-                executor=executor,
                 abort_on_failure=False,
             )
             if i > 0:  # first call is the warm-up
@@ -510,7 +418,6 @@ class Autotuner:
                     col_eps=col_eps,
                     row_eps=row_eps,
                     tile_blocks=tb,
-                    executor=executor,
                     abort_on_failure=False,
                 )
                 if i > 0:  # first call is the warm-up
@@ -518,14 +425,14 @@ class Autotuner:
             if seconds < fused_s:
                 fused_s, fused_tb = seconds, tb
 
-        separate_s = best.per_call_s + check_s
-        degenerate_s = best.per_call_s + degenerate_check_s
+        separate_s = gemm_s + check_s
+        degenerate_s = gemm_s + degenerate_check_s
         degenerate_wins = degenerate_check_s < check_s * (1.0 - self.hysteresis)
         multi_tile_wins = fused_s < separate_s * (1.0 - self.hysteresis)
         if multi_tile_wins and (not degenerate_wins or fused_s < degenerate_s):
             self._m_fusion.labels(decision="fused").inc()
-            return replace(
-                best,
+            return TunedChoice(
+                per_call_s=gemm_s,
                 fusion="fused",
                 fused_tile_blocks=fused_tb,
                 fused_per_call_s=fused_s,
@@ -533,28 +440,28 @@ class Autotuner:
             )
         if degenerate_wins:
             self._m_fusion.labels(decision="fused").inc()
-            return replace(
-                best,
+            return TunedChoice(
+                per_call_s=gemm_s,
                 fusion="fused",
                 fused_tile_blocks=None,
                 fused_per_call_s=degenerate_s,
                 separate_check_s=check_s,
             )
         self._m_fusion.labels(decision="separate").inc()
-        return replace(
-            best,
+        return TunedChoice(
+            per_call_s=gemm_s,
             fusion="separate",
             fused_tile_blocks=None,
             fused_per_call_s=min(fused_s, degenerate_s),
             separate_check_s=check_s,
         )
 
-    def _time(self, name: str, tile: int | None, a, b) -> float:
-        backend = self.registry.get(name)
-        backend.matmul(a, b, tile=tile)  # warm-up (pools, thread spin-up)
+    def _time(self, a, b) -> float:
+        """Best-of-repeats seconds of the ``numpy`` backend's GEMM."""
+        np.matmul(a, b)  # warm-up (BLAS thread spin-up)
         best = float("inf")
         for _ in range(self.repeats):
             t0 = time.perf_counter()
-            backend.matmul(a, b, tile=tile)
+            np.matmul(a, b)
             best = min(best, time.perf_counter() - t0)
         return best

@@ -1,18 +1,15 @@
 """Backend abstraction: capabilities and the execution contract.
 
 A compute backend executes the heavy GEMM stage of a protected
-multiplication over the *canonical tile list* of
-:func:`repro.kernels.matmul_tiled.plan_tiles`.  The tile geometry belongs
-to the execution plan, not to the backend: every backend runs the same
-per-tile BLAS calls and only chooses an execution *strategy* (serial,
-thread pool, device), so deterministic backends are bitwise
-interchangeable by construction.
+multiplication: one full-result product of the encoded operands.  The
+host backend (``numpy``) makes one BLAS call and lets BLAS own the
+cores; a device backend runs the product on its own hardware.
 
 Each backend publishes a :class:`BackendCapabilities` descriptor the
 negotiation layer (:func:`repro.backends.registry.negotiate`) consults
 before dispatching: supported dtypes, a result-size ceiling, whether the
 pooled fused-encode path may feed it, and whether its results are
-bitwise-deterministic against the canonical tile loop.
+bitwise identical to the ``numpy`` backend's.
 """
 
 from __future__ import annotations
@@ -49,10 +46,9 @@ class BackendCapabilities:
         be handed to this backend directly (host-memory backends) — a
         device backend would need its own transfer staging.
     deterministic:
-        Whether results are bitwise identical to the canonical serial
-        tile loop.  Automatic selection ("auto") only ever picks
-        deterministic backends; non-deterministic ones must be pinned
-        explicitly.
+        Whether results are bitwise identical to the ``numpy`` backend's.
+        ``aabft ci-gate`` holds its default coverage gate on every
+        available deterministic backend.
     fused_online:
         Whether the backend can execute the fused online-ABFT tile loop
         (:func:`repro.kernels.online_fused.online_fused_matmul`): per-tile
@@ -118,33 +114,16 @@ class Backend(abc.ABC):
 
     @abc.abstractmethod
     def matmul(
-        self,
-        a: np.ndarray,
-        b: np.ndarray,
-        *,
-        out: np.ndarray | None = None,
-        tile: int | None = None,
-        pool=None,
+        self, a: np.ndarray, b: np.ndarray, *, out: np.ndarray | None = None
     ) -> np.ndarray:
-        """Execute ``a @ b`` over the canonical tile list.
+        """Execute ``a @ b``, into ``out`` when given.
 
-        ``tile`` and ``pool`` come from the execution plan; a backend
-        that cannot run raises :class:`BackendUnavailable` (the engine
-        falls back to ``numpy`` and records it).
+        A backend that cannot run raises :class:`BackendUnavailable` (the
+        engine falls back to ``numpy`` and records it).
         """
-
-    def tile_executor(self):
-        """Executor for fused online tile lookahead, or ``None``.
-
-        Backends advertising ``fused_online`` may return their worker
-        pool here so :func:`~repro.kernels.online_fused.online_fused_matmul`
-        can speculatively run the next tile's GEMM while the current tile
-        is being checked.  ``None`` means strictly serial tiles.
-        """
-        return None
 
     def close(self) -> None:
-        """Release backend resources (thread pools, device handles)."""
+        """Release backend resources (device handles)."""
 
     def describe(self) -> str:
         """One-line summary for listings."""

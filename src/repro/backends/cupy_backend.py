@@ -7,9 +7,9 @@ unavailable with a reason and negotiation skips it cleanly — no import
 error ever escapes to callers.
 
 Device GEMM accumulation order differs from the host BLAS, so the
-capability descriptor declares ``deterministic=False``: automatic
-selection never picks this backend; it must be pinned explicitly
-(``AbftConfig(backend="cupy")``), accepting results that are numerically
+capability descriptor declares ``deterministic=False``.  Negotiation
+only runs it when pinned (``AbftConfig(backend="cupy")`` or
+``AABFT_BACKEND=cupy``), accepting results that are numerically
 equivalent but not bitwise-identical to the host reference.
 """
 
@@ -25,7 +25,7 @@ __all__ = ["CupyBackend"]
 
 
 class CupyBackend(Backend):
-    """CUDA device GEMM via cupy (capability-gated, explicitly pinned)."""
+    """CUDA device GEMM via cupy (capability-gated, pinned only)."""
 
     name = "cupy"
 
@@ -72,20 +72,12 @@ class CupyBackend(Backend):
             return self._cupy is not None, self._reason
 
     def matmul(
-        self,
-        a: np.ndarray,
-        b: np.ndarray,
-        *,
-        out: np.ndarray | None = None,
-        tile: int | None = None,
-        pool=None,
+        self, a: np.ndarray, b: np.ndarray, *, out: np.ndarray | None = None
     ) -> np.ndarray:
         available, reason = self.availability()
         if not available:
             raise BackendUnavailable(reason)
         cp = self._cupy
-        # One device GEMM; the plan's tile geometry is a host-side
-        # concept — the device grid is the GPU's own tiling.
         result = cp.asnumpy(cp.matmul(cp.asarray(a), cp.asarray(b)))
         if out is not None:
             out[...] = result

@@ -1,24 +1,22 @@
-"""The ``numpy`` backend: the serial bitwise reference.
+"""The ``numpy`` backend: the host BLAS reference.
 
-Runs the canonical tile list in order on the host BLAS.  With the default
-``tile=None`` this is exactly one ``a @ b`` call — the engine's historical
-behaviour, and the byte-for-byte reference every deterministic backend is
-held against.  It is also the terminal fallback of the never-silent
-fallback chain, so it must always be available.
+Runs the whole product as one ``np.matmul`` call and lets BLAS own the
+cores.  It is the byte-for-byte reference every deterministic backend is
+held against, and the terminal fallback of the never-silent fallback
+chain, so it must always be available.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..kernels.matmul_tiled import tiled_matmul
 from .base import Backend, BackendCapabilities
 
 __all__ = ["NumpyBackend"]
 
 
 class NumpyBackend(Backend):
-    """Serial host-BLAS execution of the canonical tile list."""
+    """One host-BLAS call per product."""
 
     name = "numpy"
 
@@ -30,16 +28,10 @@ class NumpyBackend(Backend):
             fused_encode=True,
             deterministic=True,
             fused_online=True,
-            description="serial host BLAS (bitwise reference, terminal fallback)",
+            description="host BLAS (bitwise reference, terminal fallback)",
         )
 
     def matmul(
-        self,
-        a: np.ndarray,
-        b: np.ndarray,
-        *,
-        out: np.ndarray | None = None,
-        tile: int | None = None,
-        pool=None,
+        self, a: np.ndarray, b: np.ndarray, *, out: np.ndarray | None = None
     ) -> np.ndarray:
-        return tiled_matmul(a, b, tile=tile, out=out, pool=pool)
+        return np.matmul(a, b, out=out)

@@ -6,15 +6,12 @@ selection policy the engine runs before every plan lookup:
 
 1. a config pin (``AbftConfig(backend="...")``) wins outright;
 2. else an ``AABFT_BACKEND`` environment pin;
-3. else, for ``backend="auto"``, a persisted autotuner winner for the
-   ``(shape, dtype, scheme)`` key;
-4. else the ``numpy`` reference.
+3. else the ``numpy`` reference.
 
-A candidate that is excluded, unknown, unavailable, capability-mismatched
-or (for automatic selection) non-deterministic falls back to ``numpy`` —
-**never silently**: the returned :class:`BackendSelection` carries the
-fallback reason, the engine copies it onto the result and counts it in
-``abft_backend_fallbacks_total``.
+A pinned backend that is unknown, unavailable or capability-mismatched
+falls back to ``numpy`` — **never silently**: the returned
+:class:`BackendSelection` carries the fallback reason, the engine copies
+it onto the result and counts it in ``abft_backend_fallbacks_total``.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ __all__ = [
     "negotiate",
 ]
 
-#: Environment variable pinning the default backend for ``"auto"`` configs.
+#: Environment variable pinning the backend for ``"auto"`` configs.
 ENV_BACKEND = "AABFT_BACKEND"
 
 #: Environment variable pinning the fusion strategy (``fused``/``separate``)
@@ -140,12 +137,9 @@ class BackendSelection:
     ----------
     backend:
         The concrete backend the call will dispatch through.
-    tile:
-        The plan's result-tile edge (``None`` = one full-result tile).
     source:
         Where the requested backend came from: ``"pinned"`` (config),
-        ``"env"`` (``AABFT_BACKEND``), ``"autotuned"`` (cache winner) or
-        ``"default"``.
+        ``"env"`` (``AABFT_BACKEND``) or ``"default"``.
     fallback_from / fallback_reason:
         Set when the requested backend was rejected and the selection
         fell back to ``numpy`` — the never-silent record.
@@ -166,7 +160,6 @@ class BackendSelection:
     """
 
     backend: str
-    tile: int | None
     source: str
     fallback_from: str | None = None
     fallback_reason: str | None = None
@@ -177,28 +170,15 @@ class BackendSelection:
 
 
 def _viability(
-    registry: BackendRegistry,
-    name: str,
-    excluded: frozenset,
-    dtype,
-    m: int,
-    n: int,
-    q: int,
-    *,
-    require_deterministic: bool,
+    registry: BackendRegistry, name: str, dtype, m: int, n: int, q: int
 ) -> str | None:
     """``None`` when the backend can serve the call, else the reason not."""
-    if name in excluded:
-        return "excluded by config"
     if name not in registry:
         return f"unknown backend {name!r}"
     backend = registry.get(name)
     available, reason = backend.availability()
     if not available:
         return reason or "unavailable"
-    caps = backend.capabilities()
-    if require_deterministic and not caps.deterministic:
-        return "non-deterministic (must be pinned explicitly)"
     ok, reason = backend.supports(dtype, m, n, q)
     if not ok:
         return reason
@@ -216,66 +196,38 @@ def negotiate(
     autotuner=None,
     environ=None,
 ) -> BackendSelection:
-    """Select the backend and tile geometry for one multiplication.
+    """Select the backend and fusion strategy for one multiplication.
 
     ``config`` is an :class:`~repro.engine.config.AbftConfig`; see the
-    module docstring for the policy.  An explicit ``gemm_tile`` on the
-    config always wins over an autotuned tile.
+    module docstring for the backend policy and :func:`_resolve_fusion`
+    for the fusion policy, the only one ``autotuner`` informs.
     """
     reg = registry if registry is not None else default_registry()
     env = os.environ if environ is None else environ
-    excluded = frozenset(config.exclude_backends)
-    tile = config.gemm_tile
 
-    tuned = None
-    looked_up = False
-    requested: str | None = None
-    source = "default"
-    require_deterministic = True
+    requested, source = None, "default"
     if config.backend != "auto":
         requested, source = config.backend, "pinned"
-        require_deterministic = False
     else:
         env_pin = env.get(ENV_BACKEND, "").strip()
         if env_pin and env_pin != "auto":
             requested, source = env_pin, "env"
-            require_deterministic = False
-        elif autotuner is not None:
-            tuned = autotuner.lookup(m, n, q, dtype, config)
-            looked_up = True
-            if tuned is not None and tuned.backend != DEFAULT_BACKEND:
-                requested, source = tuned.backend, "autotuned"
-                if tile is None:
-                    tile = tuned.tile
 
     if requested is None or requested == DEFAULT_BACKEND:
-        selection = BackendSelection(
-            backend=DEFAULT_BACKEND,
-            tile=tile,
-            source=source if requested is not None else "default",
-        )
+        selection = BackendSelection(backend=DEFAULT_BACKEND, source=source)
     else:
-        reason = _viability(
-            reg, requested, excluded, dtype, m, n, q,
-            require_deterministic=require_deterministic,
-        )
+        reason = _viability(reg, requested, dtype, m, n, q)
         if reason is None:
-            selection = BackendSelection(
-                backend=requested, tile=tile, source=source
-            )
+            selection = BackendSelection(backend=requested, source=source)
         else:
             selection = BackendSelection(
                 backend=DEFAULT_BACKEND,
-                tile=config.gemm_tile,  # an autotuned tile dies with its backend
                 source=source,
                 fallback_from=requested,
                 fallback_reason=reason,
             )
-    # One cache lookup per call: after a miss here, ``tuned`` is None and
-    # fusion resolution must not look the same signature up again.
     return _resolve_fusion(
-        selection, config, reg, env, tuned,
-        None if looked_up else autotuner, m, n, q, dtype,
+        selection, config, reg, env, autotuner, m, n, q, dtype
     )
 
 
@@ -284,7 +236,6 @@ def _resolve_fusion(
     config,
     reg: BackendRegistry,
     env,
-    tuned,
     autotuner,
     m: int,
     n: int,
@@ -294,12 +245,12 @@ def _resolve_fusion(
     """Resolve the fusion strategy for an already-selected backend.
 
     Pin ladder mirrors the backend's: config pin > ``AABFT_FUSION`` env
-    pin > autotuned strategy (only honoured when the tuned backend is the
-    one actually selected) > ``"separate"``.  A requested ``"fused"``
-    strategy against a backend without the ``fused_online`` capability
-    falls back to ``"separate"`` with a recorded reason — never silently.
-    ``autotuner`` is ``None`` when backend selection already looked the
-    call up; ``tuned`` then holds its answer.
+    pin > autotuned decision > ``"separate"``.  The tuner times only the
+    ``numpy`` GEMM, so its decision applies only to calls that run on
+    ``numpy``; other backends never look the cache up.  A requested
+    ``"fused"`` strategy against a backend without the ``fused_online``
+    capability falls back to ``"separate"`` with a recorded reason —
+    never silently.
     """
     fusion: str | None = None
     fusion_source = "default"
@@ -312,14 +263,9 @@ def _resolve_fusion(
         env_pin = env.get(ENV_FUSION, "").strip()
         if env_pin and env_pin != "auto":
             fusion, fusion_source = env_pin, "env"
-        else:
-            if autotuner is not None:
-                tuned = autotuner.lookup(m, n, q, dtype, config)
-            if (
-                tuned is not None
-                and getattr(tuned, "fusion", "separate") == "fused"
-                and tuned.backend == selection.backend
-            ):
+        elif autotuner is not None and selection.backend == DEFAULT_BACKEND:
+            tuned = autotuner.lookup(m, n, q, dtype, config)
+            if tuned is not None and tuned.fusion == "fused":
                 fusion, fusion_source = "fused", "autotuned"
                 if tile_blocks is None:
                     tile_blocks = tuned.fused_tile_blocks
@@ -362,17 +308,15 @@ _default_registry_lock = threading.Lock()
 
 
 def default_registry() -> BackendRegistry:
-    """The process-wide registry with the three shipped backends."""
+    """The process-wide registry with the two shipped backends."""
     global _default_registry
     with _default_registry_lock:
         if _default_registry is None:
-            from .blocked import BlockedBackend
             from .cupy_backend import CupyBackend
             from .numpy_backend import NumpyBackend
 
             registry = BackendRegistry()
             registry.register("numpy", NumpyBackend)
-            registry.register("blocked", BlockedBackend)
             registry.register("cupy", CupyBackend)
             _default_registry = registry
         return _default_registry

@@ -18,7 +18,10 @@ Injection mechanics per kind:
   hook for the targeted backend and simultaneously submits probe
   requests pinned to that backend, so the window exercises the engine's
   never-silent numpy fallback even when negotiation would otherwise
-  never pick the target.
+  never pick the target.  The harness's engine registers a stand-in
+  backend named ``"chaos"`` beside ``numpy``: it delegates to ``numpy``
+  and passes negotiation on any host, so the pinned probes reach
+  dispatch.
 * ``queue_burst`` fires a synchronous volley of extra submissions at
   window start; their futures are tracked and tallied with the rest.
 * ``bitflip`` XORs a high mantissa bit of one element of the in-flight
@@ -51,6 +54,8 @@ from collections import Counter as _TallyCounter
 
 import numpy as np
 
+from ..backends import BackendCapabilities, BackendRegistry, NumpyBackend
+from ..engine.engine import MatmulEngine
 from ..errors import ConfigurationError
 from ..fp.bits import flip_bit
 from ..serve.config import ServeConfig
@@ -74,6 +79,27 @@ __all__ = ["InjectedFault", "run_chaos"]
 
 class InjectedFault(RuntimeError):
     """Raised by the dispatch injector to emulate a backend failure."""
+
+
+class _StandInBackend(NumpyBackend):
+    """A second backend for dispatch faults to land on: ``numpy``'s GEMM
+    under another name."""
+
+    name = "chaos"
+
+    def capabilities(self) -> BackendCapabilities:
+        return BackendCapabilities(
+            name=self.name,
+            fused_online=True,
+            description="numpy stand-in for injected dispatch failures",
+        )
+
+
+def _harness_backends() -> BackendRegistry:
+    registry = BackendRegistry()
+    registry.register("numpy", NumpyBackend)
+    registry.register(_StandInBackend.name, _StandInBackend)
+    return registry
 
 
 class _SkewClock:
@@ -552,6 +578,7 @@ def run_chaos(
     if not recipes:
         raise ConfigurationError("run_chaos needs at least one recipe")
     slo = slo if slo is not None else SLOSpec()
+    serve_config = serve_config if serve_config is not None else ServeConfig()
     registry = registry if registry is not None else MetricsRegistry()
     metrics = _chaos_metrics(registry)
 
@@ -578,7 +605,12 @@ def run_chaos(
 
     if server_recipes:
         clock = _SkewClock()
-        server = MatmulServer(serve_config, registry=registry, clock=clock)
+        engine = MatmulEngine(
+            serve_config.abft, registry=registry, backends=_harness_backends()
+        )
+        server = MatmulServer(
+            serve_config, engine=engine, registry=registry, clock=clock
+        )
         server.start()
         phase_outcomes, result, phase_wall = _run_phase(
             server_recipes,
@@ -600,7 +632,7 @@ def run_chaos(
         from ..cluster import ClusterConfig, ClusterFrontend
 
         cluster_config = ClusterConfig(
-            serve=serve_config if serve_config is not None else ServeConfig(),
+            serve=serve_config,
             num_workers=cluster_workers,
             # Tight supervision: requeued requests stall for one death
             # detection, which must stay well inside the latency SLO.

@@ -15,10 +15,11 @@ slowdown and loss, not just silent data corruption:
     completion.
 ``backend_failure``
     Force GEMM dispatch on a non-numpy backend to raise, exercising the
-    engine's never-silent numpy fallback.  ``site`` is the backend name
-    (``"numpy"`` is refused — it is the terminal fallback and a failure
-    there would strand requests); ``intensity`` is the failure
-    probability per dispatch in ``[0, 1]``.
+    engine's never-silent numpy fallback.  ``site`` is the backend name,
+    normally the harness's stand-in ``"chaos"`` (``"numpy"`` is refused
+    — it is the terminal fallback and a failure there would strand
+    requests); ``intensity`` is the failure probability per dispatch in
+    ``[0, 1]``.
 ``queue_burst``
     Saturate the admission queue with a burst of extra requests at the
     window start.  ``site`` is ``"admission"``; ``intensity`` is the
@@ -233,7 +234,7 @@ def default_quick_suite() -> list[ChaosRecipe]:
             start_s=0.0, duration_s=0.8, seed=1,
         ),
         ChaosRecipe(
-            kind="backend_failure", site="blocked", intensity=1.0,
+            kind="backend_failure", site="chaos", intensity=1.0,
             start_s=0.8, duration_s=0.8, seed=2,
         ),
         ChaosRecipe(

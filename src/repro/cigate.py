@@ -8,8 +8,8 @@ It runs two gates and exits nonzero when either fails:
   least ``coverage_floor`` of the *critical* errors with the A-ABFT
   tolerances, and the fault-free workload must pass every scheme's check
   (no baseline false positives).  The gate runs once per compute backend
-  (numpy plus every available non-numpy backend by default) so the
-  detection floor holds inside backend-dispatched tile compute too;
+  (numpy plus every available deterministic backend by default) so the
+  detection floor holds on every backend's product too;
 * **pipeline-coverage** — faults injected into results produced by the
   stage-pipelined ``execute_batch`` executor must be detected by the
   results' own providers at the same ``coverage_floor``: the pipelined
@@ -126,9 +126,8 @@ def coverage_gate(
     ``n``/``num_injections`` override the quick/full campaign scale (the
     tests use tiny campaigns; CI uses the defaults).  ``backend`` routes
     the campaign's reference multiplication through a named compute
-    backend so injection sites land inside backend tile compute; the gate
-    is named ``coverage`` for numpy and ``coverage[<backend>]``
-    otherwise.
+    backend; the gate is named ``coverage`` for numpy and
+    ``coverage[<backend>]`` otherwise.
     """
     from .faults.campaign import CampaignConfig, FaultCampaign
     from .workloads import SUITE_UNIT
@@ -187,8 +186,8 @@ def coverage_gate(
         1.0 if baseline_clean else 0.0
     )
 
-    # The per-backend gate exists to exercise that backend's tile compute;
-    # a fallback means it silently re-measured numpy, so fail loudly.
+    # The per-backend gate exists to exercise that backend's product; a
+    # fallback means it silently re-measured numpy, so fail loudly.
     fell_back = backend_used != backend
     passed = baseline_clean and critical > 0 and rate >= floor and not fell_back
     detail = (
@@ -795,8 +794,8 @@ def run_ci_gate(
 
     The coverage gate runs once per entry of ``backends`` (default:
     :func:`default_gate_backends` — numpy plus every available
-    deterministic backend), so the detection floor is held inside each
-    backend's dispatched tile compute, not just the serial path.  The
+    deterministic backend), so the detection floor is held on each
+    backend's product, not just numpy's.  The
     chaos-SLO gate runs last (``chaos=False`` skips it; pass
     ``chaos_recipes_path`` / ``chaos_slo`` to override the built-in quick
     suite and default :class:`~repro.chaos.SLOSpec`).

@@ -19,7 +19,7 @@ Commands
 ``aabft model run``       — execute a model through the protected engine
 ``aabft model bench``     — mixed-vs-full-vs-unchecked model benchmark
 ``aabft backends``        — registered compute backends + availability
-``aabft autotune``        — time backend/tile candidates, cache the winners
+``aabft autotune``        — time fused vs separate checks, cache the decisions
 
 The ``--full`` flag switches to the paper's complete 512..8192 sweeps
 (slow: exact arithmetic and functional simulation on a CPU).
@@ -501,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     autotune = sub.add_parser(
         "autotune",
-        help="time backend/tile candidates per shape and cache the winners",
+        help="time fused vs separate checks per shape and cache the decisions",
     )
     autotune.add_argument(
         "--shapes",
@@ -532,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     autotune.add_argument(
         "--force",
         action="store_true",
-        help="re-time even when the cache already holds a winner",
+        help="re-time even when the cache already holds a decision",
     )
     autotune.add_argument(
         "--expect-cached",
@@ -1227,6 +1227,10 @@ def _parse_shapes(text: str) -> list[tuple[int, int, int]]:
     return shapes
 
 
+def _ms(seconds: float | None) -> str:
+    return "n/a" if seconds is None else f"{seconds * 1e3:.3f} ms"
+
+
 def _cmd_autotune(args: argparse.Namespace) -> int:
     from .backends import Autotuner, AutotuneCache
     from .engine import AbftConfig
@@ -1264,13 +1268,16 @@ def _cmd_autotune(args: argparse.Namespace) -> int:
                     m, n, q, config=config, force=args.force, seed=args.seed
                 )
             )
-        tile = "full" if choice.tile is None else str(choice.tile)
+        fused = choice.fusion
+        if fused == "fused":
+            tb = choice.fused_tile_blocks
+            fused += f" (tile_blocks={'full' if tb is None else tb})"
         source = "cached" if served_from_cache else "tuned"
         print(
-            f"{m}x{n}x{q}: backend={choice.backend} tile={tile} "
-            f"{choice.per_call_s * 1e3:.3f} ms/call "
-            f"(numpy baseline {choice.baseline_per_call_s * 1e3:.3f} ms, "
-            f"speedup {choice.speedup:.2f}x, {source})"
+            f"{m}x{n}x{q}: fusion={fused} "
+            f"numpy gemm {choice.per_call_s * 1e3:.3f} ms + separate check "
+            f"{_ms(choice.separate_check_s)} vs fused "
+            f"{_ms(choice.fused_per_call_s)} ({source})"
         )
     print(f"cache: {cache.path} ({len(cache)} entries)")
     return code

@@ -84,7 +84,6 @@ class _Pending:
     config: object
     deadline_s: float | None
     backend: str | None
-    exclude_backends: tuple
     key: tuple
     shard: int | None = None
     incarnation: int = 0
@@ -247,7 +246,6 @@ class ClusterFrontend:
         deadline_s: float | None = None,
         request_id: str | None = None,
         backend: str | None = None,
-        exclude_backends: tuple[str, ...] = (),
     ) -> Future:
         """Submit one multiplication; returns a future of the response.
 
@@ -285,7 +283,6 @@ class ClusterFrontend:
             config=config,
             deadline_s=deadline_s,
             backend=backend,
-            exclude_backends=tuple(exclude_backends),
             key=key,
         )
         with self._lock:
@@ -605,7 +602,6 @@ class ClusterFrontend:
                 pending.config,
                 pending.deadline_s,
                 pending.backend,
-                pending.exclude_backends,
             )
         )
 

@@ -8,8 +8,7 @@ micro-batching, degradation ladder) — and speaks a tiny envelope
 protocol with the frontend over a pair of ``multiprocessing`` queues:
 
 * inbound ``("req", seq, request_id, payload_a, payload_b, config,
-  deadline_s, backend, exclude_backends)`` envelopes, or ``None`` to
-  drain and exit;
+  deadline_s, backend)`` envelopes, or ``None`` to drain and exit;
 * outbound ``("res", seq, MatmulResponse)`` results, ``("err", seq,
   message)`` for requests that died inside the worker, periodic
   ``("hb", shard, incarnation, info)`` heartbeats, and a final
@@ -115,7 +114,6 @@ def worker_main(
                 abft_config,
                 deadline_s,
                 backend,
-                exclude_backends,
             ) = envelope
             try:
                 a = receiver.fetch(payload_a)
@@ -130,7 +128,6 @@ def worker_main(
                 deadline_s=deadline_s,
                 request_id=request_id,
                 backend=backend,
-                exclude_backends=tuple(exclude_backends),
             )
             fut.add_done_callback(
                 lambda f, seq=seq: _deliver(response_q, seq, f)

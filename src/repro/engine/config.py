@@ -69,26 +69,14 @@ class AbftConfig:
     backend:
         Compute backend for the GEMM stage: a registered backend name to
         pin it, or ``"auto"`` (default) to let capability negotiation
-        choose (``AABFT_BACKEND`` env pin > autotuned winner > ``numpy``).
-        Automatic selection only picks bitwise-deterministic backends.
-    gemm_tile:
-        Result-tile edge of the canonical tile decomposition every
-        backend executes (see
-        :func:`repro.kernels.matmul_tiled.plan_tiles`).  ``None``
-        (default) is one full-result tile — the historical single-BLAS
-        behaviour.  The tile is a *plan* property: changing it changes
-        result bytes identically across deterministic backends.
-    exclude_backends:
-        Backend names capability negotiation must never select for this
-        config.  ``"numpy"`` cannot be excluded — it is the terminal
-        fallback that keeps failures never-silent.
+        choose (``AABFT_BACKEND`` env pin > ``numpy``).
     fusion:
         Online-ABFT fusion strategy for the multiply+check stages:
         ``"fused"`` pins the per-tile fused kernel
         (:func:`repro.kernels.online_fused.online_fused_matmul`),
         ``"separate"`` pins the classic separate passes, and ``"auto"``
         (default) lets negotiation choose (``AABFT_FUSION`` env pin >
-        autotuned winner > separate).  A fused pin against a backend
+        autotuned decision > separate).  A fused pin against a backend
         without the ``fused_online`` capability falls back to separate
         with a counted reason — never silently.
     fused_tile_blocks:
@@ -97,8 +85,7 @@ class AbftConfig:
         rows/cols).  ``None`` (default) is the single full-result fused
         tile, whose result bytes and discrepancy grids are bitwise equal
         to the separate default path.  Multi-tile fusion changes result
-        bytes exactly like ``gemm_tile`` does — deterministically, and
-        identically across deterministic backends.
+        bytes deterministically: each tile is its own BLAS call.
 
     The dataclass is frozen and hashable, so it can key plan caches and be
     shared freely between threads.  Use :meth:`replace` to derive variants.
@@ -113,8 +100,6 @@ class AbftConfig:
     fixed_epsilon: float | None = None
     dtype: str | None = None
     backend: str = "auto"
-    gemm_tile: int | None = None
-    exclude_backends: tuple[str, ...] = ()
     fusion: str = "auto"
     fused_tile_blocks: int | None = None
 
@@ -161,23 +146,6 @@ class AbftConfig:
             raise ConfigurationError(
                 f"backend must be a non-empty str, got {self.backend!r}"
             )
-        if self.gemm_tile is not None and self.gemm_tile < 1:
-            raise ValueError(f"gemm_tile must be >= 1, got {self.gemm_tile}")
-        if not isinstance(self.exclude_backends, tuple):
-            # Accept any iterable of names; the stored form must be
-            # hashable for plan-cache keys.
-            object.__setattr__(
-                self, "exclude_backends", tuple(self.exclude_backends)
-            )
-        if "numpy" in self.exclude_backends:
-            raise ConfigurationError(
-                "the 'numpy' backend cannot be excluded: it is the terminal "
-                "fallback of the never-silent fallback chain"
-            )
-        if self.backend != "auto" and self.backend in self.exclude_backends:
-            raise ConfigurationError(
-                f"backend {self.backend!r} is pinned and excluded at once"
-            )
         if self.fusion not in ("auto", "fused", "separate"):
             raise ConfigurationError(
                 f"fusion must be 'auto', 'fused' or 'separate', got "
@@ -207,10 +175,6 @@ class AbftConfig:
             parts.append(f"dtype={self.dtype}")
         if self.backend != "auto":
             parts.append(f"backend={self.backend}")
-        if self.gemm_tile is not None:
-            parts.append(f"gemm_tile={self.gemm_tile}")
-        if self.exclude_backends:
-            parts.append(f"exclude={','.join(self.exclude_backends)}")
         if self.fusion != "auto":
             parts.append(f"fusion={self.fusion}")
         if self.fused_tile_blocks is not None:

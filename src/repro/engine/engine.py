@@ -217,13 +217,14 @@ class MatmulEngine:
     backends:
         The :class:`~repro.backends.registry.BackendRegistry` the GEMM
         stage dispatches through; defaults to the process-wide registry
-        with the ``numpy``/``blocked``/``cupy`` backends.
+        with the ``numpy`` and ``cupy`` backends.
     autotuner:
         The :class:`~repro.backends.autotune.Autotuner` consulted when a
-        config's backend is ``"auto"`` and neither a config nor an
-        ``AABFT_BACKEND`` pin applies.  Defaults to one reading the
-        on-disk winner cache (lookups only — timing trials never run
-        inline; use :meth:`autotune` or ``aabft autotune``).
+        config's fusion is ``"auto"``, neither a config nor an
+        ``AABFT_FUSION`` pin applies and the call runs on ``numpy``.
+        Defaults to one reading the on-disk decision cache (lookups only
+        — timing trials never run inline; use :meth:`autotune` or
+        ``aabft autotune``).
 
     The engine is thread-safe: the plan cache, workspace pools and metrics
     are lock-protected, and result objects are independent.
@@ -308,11 +309,7 @@ class MatmulEngine:
         self._autotuner = (
             autotuner
             if autotuner is not None
-            else Autotuner(
-                AutotuneCache(),
-                registry=self._backends,
-                metrics_registry=reg,
-            )
+            else Autotuner(AutotuneCache(), metrics_registry=reg)
         )
         self._m_backend_dispatch = reg.counter(
             "abft_backend_dispatch_total",
@@ -393,7 +390,7 @@ class MatmulEngine:
 
     @property
     def autotuner(self) -> Autotuner:
-        """The autotuner consulted for ``backend="auto"`` configs."""
+        """The autotuner consulted for ``fusion="auto"`` configs."""
         return self._autotuner
 
     def matmul(self, a, b, *, config: AbftConfig | None = None) -> AbftResult:
@@ -462,8 +459,7 @@ class MatmulEngine:
             when the batch meets its preconditions, serial otherwise).
         config:
             Overrides the engine's default :class:`AbftConfig` for the
-            whole batch — including its backend pin, backend exclusions
-            and fusion strategy.
+            whole batch — including its backend pin and fusion strategy.
 
         Results come back in request order and are **bitwise identical**
         to sequential :meth:`matmul` calls regardless of the mode chosen —
@@ -519,14 +515,14 @@ class MatmulEngine:
         config: AbftConfig | None = None,
         force: bool = False,
     ):
-        """Run backend/tile timing trials for one call signature.
+        """Run fusion timing trials for one call signature.
 
-        Times every available deterministic backend over the candidate
-        tile set on operands of the *encoded* GEMM shapes, persists the
-        winner to the autotune cache, and returns the
+        Times the fused online-ABFT loop against the separate GEMM +
+        check on operands of the *encoded* GEMM shapes, persists the
+        decision to the autotune cache, and returns the
         :class:`~repro.backends.autotune.TunedChoice`.  Subsequent
-        ``backend="auto"`` calls with this signature pick the winner up
-        through capability negotiation.
+        ``fusion="auto"`` calls with this signature on ``numpy`` pick the
+        decision up through negotiation.
         """
         cfg = self._resolve_config(config)
         return self._autotuner.tune(
@@ -944,8 +940,8 @@ class MatmulEngine:
     ) -> tuple[AbftConfig, str | None, str | None]:
         """Resolve ``backend="auto"`` / ``fusion="auto"`` for one call.
 
-        Returns the *effective* config — carrying a concrete backend,
-        tile and fusion strategy (``"fused"`` or ``"separate"``, never
+        Returns the *effective* config — carrying a concrete backend
+        and fusion strategy (``"fused"`` or ``"separate"``, never
         ``"auto"``), so it keys the plan cache — plus two never-silent
         fallback texts: the backend-selection fallback (``None`` when the
         requested backend was selected) and the fusion-negotiation
@@ -981,13 +977,11 @@ class MatmulEngine:
         )
         if (
             cfg.backend != selection.backend
-            or cfg.gemm_tile != selection.tile
             or cfg.fusion != selection.fusion
             or cfg.fused_tile_blocks != fused_tb
         ):
             cfg = cfg.replace(
                 backend=selection.backend,
-                gemm_tile=selection.tile,
                 fusion=selection.fusion,
                 fused_tile_blocks=fused_tb,
             )
@@ -999,12 +993,11 @@ class MatmulEngine:
         ``compute(backend_name)`` executes the stage on the named backend
         and returns its full-checksum result.  Returns ``(result,
         backend_used, fallback_text)``.  A dispatch-time backend failure
-        (import error, OOM, failed self-check) retries on ``numpy`` with
-        the *same* tile geometry — result bytes stay the plan's canonical
-        bytes — and is counted in ``abft_backend_fallbacks_total``, never
-        swallowed.  Backends resolve through the engine's registry
-        (``plan.backend()`` uses the process-wide one), so custom
-        registries dispatch too.
+        (import error, OOM, lost device) retries on ``numpy`` — result
+        bytes are then the reference bytes — and is counted in
+        ``abft_backend_fallbacks_total``, never swallowed.  Backends
+        resolve through the engine's registry (``plan.backend()`` uses
+        the process-wide one), so custom registries dispatch too.
         """
         name = plan.backend_name
         self._m_backend_dispatch.labels(backend=name).inc()
@@ -1038,9 +1031,7 @@ class MatmulEngine:
         """The plain (separate-path) GEMM stage through :meth:`_dispatch`."""
         return self._dispatch(
             plan,
-            lambda name: self._backends.get(name).matmul(
-                a_arr, b_arr, tile=plan.tile, pool=plan.pool
-            ),
+            lambda name: self._backends.get(name).matmul(a_arr, b_arr),
         )
 
     def _make_provider(
@@ -1158,11 +1149,11 @@ class MatmulEngine:
 
         # _dispatch sees only the result array (the ``result`` hook's
         # argument); the run it kept is the last outcome recorded here.
+        # The tile loop runs on the host whichever backend negotiation
+        # chose: only host backends have the fused_online capability.
         outcomes: list[OnlineFusedOutcome] = []
 
-        def compute(backend_name: str) -> np.ndarray:
-            backend = self._backends.get(backend_name)
-            executor = getattr(backend, "tile_executor", lambda: None)()
+        def compute(_backend_name: str) -> np.ndarray:
             outcomes.append(
                 online_fused_matmul(
                     a_arr,
@@ -1172,9 +1163,7 @@ class MatmulEngine:
                     col_eps=col_eps,
                     row_eps=row_eps,
                     tile_blocks=cfg.fused_tile_blocks,
-                    gemm_tile=plan.tile,
                     pool=plan.pool,
-                    executor=executor,
                     inject_hook=inject_hook,
                 )
             )

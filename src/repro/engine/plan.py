@@ -120,12 +120,11 @@ class ExecutionPlan:
     pool:
         The plan's :class:`WorkspacePool` — every scratch buffer of a call
         executed under this plan is taken from and given back to it.
-    backend_name / tile:
-        The compute backend the GEMM stage dispatches through and the
-        result-tile edge of the canonical tile list it executes
-        (``None`` = one full-result tile).  The engine resolves
-        ``backend="auto"`` through capability negotiation *before* the
-        plan lookup, so plans always carry a concrete backend.
+    backend_name:
+        The compute backend the GEMM stage dispatches through.  The
+        engine resolves ``backend="auto"`` through capability negotiation
+        *before* the plan lookup, so plans always carry a concrete
+        backend.
     probe_verdicts / probe_lock:
         The pipelined executor's bitwise-probe verdicts by chunk width
         (``True``: the concatenated chunk path is byte-identical), read
@@ -146,7 +145,6 @@ class ExecutionPlan:
     fmt: FloatFormat
     pool: WorkspacePool = field(repr=False, default=None)
     backend_name: str = "numpy"
-    tile: int | None = None
     probe_verdicts: dict[int, bool] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -234,7 +232,6 @@ def build_plan(
         backend_name=(
             "numpy" if config.backend == "auto" else config.backend
         ),
-        tile=config.gemm_tile,
     )
     plan.pool = WorkspacePool()
     return plan

@@ -44,7 +44,7 @@ class ExecutionPolicy:
         the fallback is counted in ``abft_pipeline_fallbacks_total``,
         never silent.
 
-    Backend pins, backend exclusions and the fusion strategy are
+    Backend pins and the fusion strategy are
     :class:`~repro.engine.config.AbftConfig` fields; pass
     ``execute_batch(config=...)`` to set them for one batch.
     """

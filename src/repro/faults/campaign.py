@@ -65,11 +65,8 @@ class CampaignConfig:
     """Declarative description of one injection campaign.
 
     ``backend`` routes the fault-free reference multiplication through a
-    named compute backend (see :mod:`repro.backends`), so injection sites
-    land inside backend-dispatched tile compute and detection coverage can
-    be reported per backend.  ``gemm_tile`` overrides the tile edge; by
-    default a non-numpy backend tiles at ``block_size``, mapping the
-    paper's grid of result blocks onto backend tiles.
+    named compute backend (see :mod:`repro.backends`), so detection
+    coverage can be reported per backend.
     """
 
     n: int
@@ -86,7 +83,6 @@ class CampaignConfig:
     seed: int = 0
     device: DeviceSpec = K20C
     backend: str = "numpy"
-    gemm_tile: int | None = None
 
     def __post_init__(self) -> None:
         if self.n % self.block_size:
@@ -102,10 +98,6 @@ class CampaignConfig:
         if not isinstance(self.backend, str) or not self.backend:
             raise ConfigurationError(
                 f"backend must be a non-empty string, got {self.backend!r}"
-            )
-        if self.gemm_tile is not None and self.gemm_tile < 1:
-            raise ConfigurationError(
-                f"gemm_tile must be >= 1, got {self.gemm_tile}"
             )
 
 
@@ -371,37 +363,29 @@ class FaultCampaign:
         """Fault-free reference product, dispatched through the configured
         compute backend.
 
-        A non-numpy backend tiles the result at ``gemm_tile`` (default:
-        ``block_size``), so injection sites sit inside backend tile
-        compute.  An unavailable backend falls back to numpy with the
-        reason recorded on :attr:`backend_fallback` — never silently.
+        An unavailable backend falls back to numpy with the reason
+        recorded on :attr:`backend_fallback` — never silently.
         """
         cfg = self.config
         self.backend_used = cfg.backend
         self.backend_fallback: str | None = None
-        if cfg.backend == "numpy" and cfg.gemm_tile is None:
+        if cfg.backend == "numpy":
             return a_cc @ b_rc
         from ..backends import BackendUnavailable, default_registry
 
-        tile = cfg.gemm_tile
-        if tile is None and cfg.backend != "numpy":
-            tile = cfg.block_size
-        registry = default_registry()
         try:
-            backend = registry.get(cfg.backend)
+            backend = default_registry().get(cfg.backend)
             available, reason = backend.availability()
             if not available:
                 raise BackendUnavailable(reason or "unavailable")
-            return backend.matmul(a_cc, b_rc, tile=tile)
+            return backend.matmul(a_cc, b_rc)
         except Exception as exc:
-            if cfg.backend == "numpy":
-                raise
             self.backend_used = "numpy"
             self.backend_fallback = (
                 f"campaign fell back from {cfg.backend!r} to 'numpy': "
                 f"{exc}"
             )
-            return registry.get("numpy").matmul(a_cc, b_rc, tile=tile)
+            return a_cc @ b_rc
 
     # ------------------------------------------------------------------
     def inject_one(self, spec: FaultSpec) -> InjectionRecord:

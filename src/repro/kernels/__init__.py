@@ -10,7 +10,7 @@ from .correct import CorrectionKernel
 from .encode import EncodeColumnChecksumsKernel, EncodeRowChecksumsKernel
 from .encode_fused import FusedEncodeResult, fused_encode
 from .matmul import BlockMatmulKernel, sequential_inner_product
-from .matmul_tiled import RegisterTiledMatmulKernel, plan_tiles, tiled_matmul
+from .matmul_tiled import RegisterTiledMatmulKernel
 from .norms import ColumnNormKernel, RowNormKernel
 from .online_fused import OnlineFusedOutcome, online_fused_matmul, plan_fused_tiles
 from .reduce import TopPReduceKernel
@@ -33,8 +33,6 @@ __all__ = [
     "TopPReduceKernel",
     "online_fused_matmul",
     "plan_fused_tiles",
-    "plan_tiles",
     "run_tmr_matmul",
     "sequential_inner_product",
-    "tiled_matmul",
 ]

@@ -17,10 +17,9 @@ themselves stride multiples, so every tile (clipped edge tiles included)
 covers whole checksum blocks.  A tile is then checked by the full-matrix
 discrepancy functions themselves under tile-local layouts — the same
 per-element accumulation on that slice — so the concatenated per-tile
-grids are bitwise equal to the one-shot grids, and
-the tile GEMMs reuse :func:`~repro.kernels.matmul_tiled.tiled_matmul`'s
-per-tile BLAS calls so result bytes reconcile against ``tiled_matmul``
-over the same tile list.  Both properties are hypothesis-tested.
+grids are bitwise equal to the one-shot grids.  The single-tile mode
+makes the separate path's own ``np.matmul`` call, so its result bytes
+equal the separate path's.  Both properties are hypothesis-tested.
 
 Abort semantics
 ---------------
@@ -48,7 +47,6 @@ from ..abft.checking import (
 )
 from ..abft.encoding import PartitionedLayout
 from ..errors import ShapeError
-from .matmul_tiled import tiled_matmul
 
 __all__ = ["OnlineFusedOutcome", "online_fused_matmul", "plan_fused_tiles"]
 
@@ -163,10 +161,8 @@ def online_fused_matmul(
     col_eps: np.ndarray,
     row_eps: np.ndarray,
     tile_blocks: int | None = None,
-    gemm_tile: int | None = None,
     out: np.ndarray | None = None,
     pool=None,
-    executor=None,
     abort_on_failure: bool = True,
     max_recomputes: int = 2,
     inject_hook: InjectHook | None = None,
@@ -182,25 +178,13 @@ def online_fused_matmul(
     tile_blocks:
         Fused tile edge in whole encoded blocks per axis
         (:func:`plan_fused_tiles`); ``None`` is the degenerate
-        single-tile mode.
-    gemm_tile:
-        The plan's canonical GEMM tile edge, honoured **only** in the
-        degenerate single-fused-tile mode: the one fused tile's GEMM then
-        runs :func:`~repro.kernels.matmul_tiled.tiled_matmul` over the
-        canonical tile list, so its result bytes are identical to the
-        separate path for *every* plan tile geometry.  Multi-tile fused
-        plans own their geometry and ignore it (the documented byte
-        change, exactly like changing ``gemm_tile`` itself).
+        single-tile mode, one ``np.matmul(a, b, out=out)`` call like the
+        separate path's.
     pool:
-        Optional :class:`~repro.engine.plan.WorkspacePool` for tile
-        staging buffers — the same staging :func:`tiled_matmul` performs,
-        so result bytes stay reconcilable.
-    executor:
-        Optional ``concurrent.futures``-style executor.  When given, the
-        next tile's GEMM is speculatively submitted while the current
-        tile is being checked (one-tile lookahead); tile writes are
-        disjoint so the bytes are unchanged, and check order — hence
-        abort order — stays serial.
+        Optional :class:`~repro.engine.plan.WorkspacePool` for the
+        multi-tile mode's staging buffers: each tile is computed into a
+        contiguous buffer and copied into place (identical bytes — numpy
+        buffers non-contiguous matmul outputs the same way internally).
     abort_on_failure:
         ``False`` checks every tile but never recomputes or aborts (the
         autotuner's timing mode).
@@ -260,11 +244,9 @@ def online_fused_matmul(
         i0, i1, j0, j1 = bounds
         dst = out[i0:i1, j0:j1]
         if len(tiles) == 1:
-            # Degenerate mode: the separate path's exact GEMM (canonical
-            # tile list, same staging) — bitwise identical bytes.
-            tiled_matmul(
-                a, b, tile=gemm_tile, out=out, pool=pool, executor=executor
-            )
+            # Degenerate mode: the separate path's exact GEMM call —
+            # bitwise identical bytes.
+            np.matmul(a, b, out=out)
             return out, None
         if pool is not None:
             buf = pool.take((i1 - i0, j1 - j0), out.dtype)
@@ -275,22 +257,12 @@ def online_fused_matmul(
         return dst, None
 
     aborted = False
-    lookahead = None  # (index, future) of the speculatively running tile
     for idx, bounds in enumerate(tiles):
-        if lookahead is not None and lookahead[0] == idx:
-            hot, buf = lookahead[1].result()
-            lookahead = None
-        else:
-            hot, buf = run_gemm_tile(bounds)
+        hot, buf = run_gemm_tile(bounds)
         if aborted:
             if buf is not None:
                 pool.give(buf)
             continue  # finish the product unchecked after an early abort
-
-        if executor is not None and idx + 1 < len(tiles):
-            lookahead = (
-                idx + 1, executor.submit(run_gemm_tile, tiles[idx + 1])
-            )
 
         i0, i1, j0, j1 = bounds
         attempt = 0
@@ -322,8 +294,4 @@ def online_fused_matmul(
         if buf is not None:
             pool.give(buf)
         outcome.tiles_checked += 1
-    if lookahead is not None:
-        hot, buf = lookahead[1].result()
-        if buf is not None:
-            pool.give(buf)
     return outcome

@@ -75,14 +75,10 @@ class MatmulRequest:
     backend:
         Pin the GEMM stage to a named compute backend (see
         :mod:`repro.backends`); ``None`` keeps the config's choice
-        (``"auto"`` by default).  An unknown pin or an invalid
-        pin/exclude combination is a request **rejection**
-        (``"invalid_backend"``); a known-but-unavailable pin walks the
-        engine's never-silent fallback, recorded on
+        (``"auto"`` by default).  An unknown pin is a request
+        **rejection** (``"invalid_backend"``); a known-but-unavailable pin
+        walks the engine's never-silent fallback, recorded on
         :attr:`MatmulResponse.backend_fallback`.
-    exclude_backends:
-        Backends negotiation must not consider for this request
-        (``"numpy"`` cannot be excluded — it is the terminal fallback).
     """
 
     a: object
@@ -91,15 +87,12 @@ class MatmulRequest:
     deadline_s: float | None = None
     request_id: str | None = None
     backend: str | None = None
-    exclude_backends: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise ValueError(
                 f"deadline_s must be positive, got {self.deadline_s}"
             )
-        if self.exclude_backends:
-            self.exclude_backends = tuple(self.exclude_backends)
 
 
 @dataclass

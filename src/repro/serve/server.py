@@ -216,7 +216,6 @@ class MatmulServer:
         deadline_s: float | None = None,
         request_id: str | None = None,
         backend: str | None = None,
-        exclude_backends: tuple[str, ...] = (),
     ) -> Future:
         """Submit one multiplication; returns a future of the response.
 
@@ -233,7 +232,6 @@ class MatmulServer:
                 deadline_s=deadline_s,
                 request_id=request_id,
                 backend=backend,
-                exclude_backends=exclude_backends,
             )
         )
 
@@ -397,33 +395,22 @@ class MatmulServer:
     def _merge_backend_choice(
         self, request: MatmulRequest, abft_cfg: AbftConfig
     ) -> AbftConfig:
-        """Apply a request's backend pin/exclusions to its effective config.
+        """Apply a request's backend pin to its effective config.
 
         Raises :class:`~repro.errors.ConfigurationError` for an unknown
-        pinned backend name or an invalid pin/exclude combination — the
-        caller turns that into an ``"invalid_backend"`` rejection.  A
-        known-but-unavailable pin is *not* rejected here: the engine's
-        negotiation falls back to numpy and records why on the result.
+        pinned backend name — the caller turns that into an
+        ``"invalid_backend"`` rejection.  A known-but-unavailable pin is
+        *not* rejected here: the engine's negotiation falls back to numpy
+        and records why on the result.
         """
-        if request.backend is None and not request.exclude_backends:
+        if request.backend is None:
             return abft_cfg
-        if (
-            request.backend is not None
-            and request.backend not in self.engine.backends
-        ):
+        if request.backend not in self.engine.backends:
             raise ConfigurationError(
                 f"unknown backend {request.backend!r}; registered: "
                 f"{', '.join(self.engine.backends.names())}"
             )
-        replacements: dict = {}
-        if request.backend is not None:
-            replacements["backend"] = request.backend
-        if request.exclude_backends:
-            merged = dict.fromkeys(
-                tuple(abft_cfg.exclude_backends) + request.exclude_backends
-            )
-            replacements["exclude_backends"] = tuple(merged)
-        return abft_cfg.replace(**replacements)
+        return abft_cfg.replace(backend=request.backend)
 
     def _group_key(self, request: MatmulRequest, abft_cfg: AbftConfig) -> tuple:
         return (

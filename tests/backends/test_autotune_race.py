@@ -26,12 +26,7 @@ def _writer(path, worker: int, barrier) -> None:
     for i in range(KEYS_PER_PROCESS):
         cache.put(
             f"w{worker}-k{i}",
-            TunedChoice(
-                backend="numpy",
-                tile=None,
-                per_call_s=0.001 * (i + 1),
-                baseline_per_call_s=0.001 * (i + 1),
-            ),
+            TunedChoice(per_call_s=0.001 * (i + 1)),
         )
 
 
@@ -60,9 +55,7 @@ class TestCrossProcessWrites:
         ours = AutotuneCache(path)
         ours.get("absent")  # stale in-memory snapshot: empty
         theirs = AutotuneCache(path)
-        choice = TunedChoice(
-            backend="numpy", tile=None, per_call_s=1.0, baseline_per_call_s=1.0
-        )
+        choice = TunedChoice(per_call_s=1.0)
         theirs.put("theirs", choice)
         ours.put("ours", choice)
         # Pre-fix, "ours" rewrote the file from its stale snapshot and

@@ -2,16 +2,15 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.backends import (
     Backend,
     BackendCapabilities,
     BackendRegistry,
-    BlockedBackend,
     NumpyBackend,
 )
 from repro.engine import AbftConfig, MatmulEngine
@@ -21,12 +20,13 @@ from repro.telemetry import MetricsRegistry
 @pytest.fixture(autouse=True)
 def clear_env_pin(monkeypatch):
     # These tests assert the negotiation outcome itself, so an ambient
-    # AABFT_BACKEND pin (e.g. the blocked-backend CI job) must not leak in.
+    # AABFT_BACKEND or AABFT_FUSION pin must not leak in.
     monkeypatch.delenv("AABFT_BACKEND", raising=False)
+    monkeypatch.delenv("AABFT_FUSION", raising=False)
 
 
-def fresh_engine(backends=None) -> MatmulEngine:
-    return MatmulEngine(registry=MetricsRegistry(), backends=backends)
+def fresh_engine() -> MatmulEngine:
+    return MatmulEngine(registry=MetricsRegistry())
 
 
 def operands(m, n, q, dtype, seed=0):
@@ -34,62 +34,6 @@ def operands(m, n, q, dtype, seed=0):
     a = rng.uniform(-1, 1, (m, n)).astype(dtype)
     b = rng.uniform(-1, 1, (n, q)).astype(dtype)
     return a, b
-
-
-class TestBitwiseIdentity:
-    """The acceptance criterion: protected results are bitwise identical
-    across the numpy and blocked backends, for any tile geometry —
-    including padded edge blocks at non-multiple shapes."""
-
-    @settings(max_examples=12, deadline=None)
-    @given(
-        m=st.integers(1, 150),
-        n=st.integers(2, 96),  # inner dim >= p (the default top-p is 2)
-        q=st.integers(1, 150),
-        tile=st.sampled_from([None, 16, 33, 64, 200]),
-        dtype=st.sampled_from([np.float64, np.float32]),
-    )
-    def test_numpy_vs_blocked_property(self, m, n, q, tile, dtype):
-        a, b = operands(m, n, q, dtype)
-        engine = fresh_engine()
-        r_np = engine.matmul(
-            a, b, config=AbftConfig(backend="numpy", gemm_tile=tile)
-        )
-        r_bl = engine.matmul(
-            a, b, config=AbftConfig(backend="blocked", gemm_tile=tile)
-        )
-        assert r_bl.backend == "blocked" and r_bl.backend_fallback is None
-        assert r_np.c_fc.tobytes() == r_bl.c_fc.tobytes()
-        assert r_np.c.tobytes() == r_bl.c.tobytes()
-        assert r_np.report.num_failed == r_bl.report.num_failed
-
-    def test_default_tile_matches_historical_bytes(self):
-        # gemm_tile=None is one full-result tile: exactly the bytes the
-        # engine produced before backends existed (a single BLAS call).
-        a, b = operands(130, 70, 95, np.float64)
-        engine = fresh_engine()
-        r_default = engine.matmul(a, b)
-        r_blocked = engine.matmul(a, b, config=AbftConfig(backend="blocked"))
-        assert r_default.backend == "numpy"
-        assert r_default.c_fc.tobytes() == r_blocked.c_fc.tobytes()
-
-    def test_batch_modes_match_backend_dispatch(self):
-        from repro.engine import ExecutionPolicy
-
-        a, b = operands(96, 64, 80, np.float64)
-        cfg = AbftConfig(backend="blocked", gemm_tile=32)
-        engine = fresh_engine()
-        single = engine.matmul(a, b, config=cfg)
-        for mode in ("serial", "pipelined"):
-            results = engine.execute_batch(
-                [(a, b), (a, b)],
-                policy=ExecutionPolicy(mode=mode),
-                config=cfg,
-            )
-            assert [r.backend for r in results] == ["blocked", "blocked"]
-            assert all(
-                r.c_fc.tobytes() == single.c_fc.tobytes() for r in results
-            )
 
 
 class FailsAtDispatch(Backend):
@@ -102,16 +46,47 @@ class FailsAtDispatch(Backend):
     def capabilities(self):
         return BackendCapabilities(name="flaky")
 
-    def matmul(self, a, b, *, out=None, tile=None, pool=None):
+    def matmul(self, a, b, *, out=None):
         raise RuntimeError("device lost")
 
 
 def registry_with_flaky() -> BackendRegistry:
     registry = BackendRegistry()
     registry.register("numpy", NumpyBackend)
-    registry.register("blocked", BlockedBackend)
     registry.register("flaky", FailsAtDispatch)
     return registry
+
+
+class TestBitwiseIdentity:
+    def test_default_tile_matches_historical_bytes(self):
+        # The default path is one full-result tile — one BLAS call on the
+        # encoded operands: exactly np.matmul's bytes.
+        a, b = operands(130, 70, 95, np.float64)
+        engine = fresh_engine()
+        result = engine.matmul(a, b)
+        assert result.backend == "numpy"
+        enc_a = engine.encode(a, side="a")
+        enc_b = engine.encode(b, side="b")
+        expected = np.matmul(enc_a.array, enc_b.array)
+        assert result.c_fc.tobytes() == expected.tobytes()
+
+    def test_batch_modes_match_backend_dispatch(self, delegate_backend):
+        from repro.engine import ExecutionPolicy
+
+        a, b = operands(96, 64, 80, np.float64)
+        cfg = AbftConfig(backend=delegate_backend)
+        engine = fresh_engine()
+        single = engine.matmul(a, b, config=cfg)
+        for mode in ("serial", "pipelined"):
+            results = engine.execute_batch(
+                [(a, b), (a, b)],
+                policy=ExecutionPolicy(mode=mode),
+                config=cfg,
+            )
+            assert [r.backend for r in results] == [delegate_backend] * 2
+            assert all(
+                r.c_fc.tobytes() == single.c_fc.tobytes() for r in results
+            )
 
 
 class TestNeverSilentFallback:
@@ -130,13 +105,32 @@ class TestNeverSilentFallback:
         assert (
             fallbacks.labels(backend="cupy", reason="selection").get() == 1.0
         )
+        # The fallback serves the reference bytes.
+        reference = engine.matmul(a, b, config=AbftConfig(backend="numpy"))
+        assert result.c_fc.tobytes() == reference.c_fc.tobytes()
+
+    def test_env_pin_on_a_removed_backend_falls_back(self, monkeypatch):
+        # ``blocked`` was a shipped backend; an operator pin left over
+        # from it now names an unknown backend.
+        monkeypatch.setenv("AABFT_BACKEND", "blocked")
+        a, b = operands(64, 48, 50, np.float64)
+        reg = MetricsRegistry()
+        result = MatmulEngine(registry=reg).matmul(a, b)
+        assert result.backend == "numpy"
+        assert "unknown backend 'blocked'" in result.backend_fallback
+        fallbacks = reg.counter(
+            "abft_backend_fallbacks_total", labelnames=("backend", "reason")
+        )
+        assert (
+            fallbacks.labels(backend="blocked", reason="selection").get()
+            == 1.0
+        )
 
     def test_dispatch_failure_retries_on_numpy_same_bytes(self):
         a, b = operands(72, 40, 66, np.float64)
         reg = MetricsRegistry()
         engine = MatmulEngine(registry=reg, backends=registry_with_flaky())
-        cfg = AbftConfig(backend="flaky", gemm_tile=32)
-        result = engine.matmul(a, b, config=cfg)
+        result = engine.matmul(a, b, config=AbftConfig(backend="flaky"))
         assert result.backend == "numpy"
         assert "device lost" in result.backend_fallback
         fallbacks = reg.counter(
@@ -145,56 +139,58 @@ class TestNeverSilentFallback:
         assert (
             fallbacks.labels(backend="flaky", reason="dispatch").get() == 1.0
         )
-        # The numpy retry keeps the SAME tile: bytes stay canonical.
-        reference = engine.matmul(
-            a, b, config=AbftConfig(backend="numpy", gemm_tile=32)
-        )
+        reference = engine.matmul(a, b, config=AbftConfig(backend="numpy"))
         assert result.c_fc.tobytes() == reference.c_fc.tobytes()
 
-    def test_dispatch_counter_tracks_backends(self):
+    def test_dispatch_counter_tracks_backends(self, delegate_backend):
         a, b = operands(64, 48, 50, np.float64)
         reg = MetricsRegistry()
         engine = MatmulEngine(registry=reg)
         engine.matmul(a, b)
-        engine.matmul(a, b, config=AbftConfig(backend="blocked"))
+        engine.matmul(a, b, config=AbftConfig(backend=delegate_backend))
         dispatch = reg.counter(
             "abft_backend_dispatch_total", labelnames=("backend",)
         )
         assert dispatch.labels(backend="numpy").get() == 1.0
-        assert dispatch.labels(backend="blocked").get() == 1.0
+        assert dispatch.labels(backend=delegate_backend).get() == 1.0
 
-    def test_env_pin_routes_auto_configs(self, monkeypatch):
-        monkeypatch.setenv("AABFT_BACKEND", "blocked")
+    def test_env_pin_routes_auto_configs(self, monkeypatch, delegate_backend):
+        monkeypatch.setenv("AABFT_BACKEND", delegate_backend)
         a, b = operands(64, 48, 50, np.float64)
         result = fresh_engine().matmul(a, b)
-        assert result.backend == "blocked"
+        assert result.backend == delegate_backend
+        assert result.backend_fallback is None
 
-    def test_autotuned_choice_feeds_the_plan(self, tmp_path):
-        from repro.backends import Autotuner, AutotuneCache, TunedChoice
+    def test_stale_cache_winner_cannot_steer_a_call(self, tmp_path):
+        from repro.backends import Autotuner, AutotuneCache
 
-        cache = AutotuneCache(tmp_path / "cache.json")
         reg = MetricsRegistry()
-        tuner = Autotuner(cache, repeats=1, metrics_registry=reg)
+        path = tmp_path / "cache.json"
+        tuner = Autotuner(AutotuneCache(path), repeats=1, metrics_registry=reg)
         engine = MatmulEngine(registry=reg, autotuner=tuner)
         a, b = operands(96, 64, 96, np.float64)
-        # Plant a blocked winner for exactly this signature.
+        # A version-1 file: a (backend, tile) winner whose fusion decision
+        # was timed on a backend that no longer exists.
         key = tuner.key(96, 64, 96, np.float64, engine.config)
-        cache.put(
-            key,
-            TunedChoice(
-                backend="blocked", tile=64, per_call_s=0.5,
-                baseline_per_call_s=1.0,
-            ),
-        )
+        path.write_text(json.dumps({
+            "version": 1,
+            "entries": {key: {
+                "backend": "blocked", "tile": 64, "per_call_s": 0.5,
+                "baseline_per_call_s": 1.0, "fusion": "fused",
+                "fused_tile_blocks": None, "fused_per_call_s": 0.4,
+                "separate_check_s": 0.3,
+            }},
+        }))
         result = engine.matmul(a, b)
-        assert result.backend == "blocked"
+        assert (result.backend, result.fused) == ("numpy", False)
         assert result.backend_fallback is None
-        # Bitwise: the tuned tile is part of the plan, and numpy at the
-        # same tile reproduces the bytes.
-        reference = fresh_engine().matmul(
-            a, b, config=AbftConfig(backend="numpy", gemm_tile=64)
+        events = reg.counter(
+            "abft_backend_autotune_total", labelnames=("event",)
         )
-        assert result.c_fc.tobytes() == reference.c_fc.tobytes()
+        assert events.labels(event="cache_miss").get() == 1.0
+        assert events.labels(event="cache_hit").get() == 0.0
+        fallbacks = reg.snapshot()["abft_backend_fallbacks_total"]["values"]
+        assert all(v["value"] == 0 for v in fallbacks)
 
     def test_engine_autotune_entry_point(self, tmp_path):
         from repro.backends import Autotuner, AutotuneCache
@@ -202,7 +198,7 @@ class TestNeverSilentFallback:
         tuner = Autotuner(AutotuneCache(tmp_path / "c.json"), repeats=1)
         engine = MatmulEngine(registry=MetricsRegistry(), autotuner=tuner)
         choice = engine.autotune(64, 64, 64)
-        assert choice.baseline_per_call_s > 0
+        assert choice.per_call_s > 0
         assert (
             tuner.lookup(64, 64, 64, np.float64, engine.config) == choice
         )

@@ -35,8 +35,8 @@ class CountingBackend(Backend):
     def capabilities(self):
         return BackendCapabilities(name="counting")
 
-    def matmul(self, a, b, *, out=None, tile=None, pool=None):
-        return self._inner.matmul(a, b, out=out, tile=tile, pool=pool)
+    def matmul(self, a, b, *, out=None):
+        return self._inner.matmul(a, b, out=out)
 
 
 class UnavailableBackend(Backend):
@@ -50,7 +50,7 @@ class UnavailableBackend(Backend):
     def availability(self):
         return False, "hardware missing"
 
-    def matmul(self, a, b, *, out=None, tile=None, pool=None):
+    def matmul(self, a, b, *, out=None):
         raise AssertionError("must never dispatch")
 
 
@@ -62,7 +62,7 @@ class NonDeterministicBackend(Backend):
     def capabilities(self):
         return BackendCapabilities(name="fuzzy", deterministic=False)
 
-    def matmul(self, a, b, *, out=None, tile=None, pool=None):
+    def matmul(self, a, b, *, out=None):
         return a @ b
 
 
@@ -76,7 +76,7 @@ class TinyBackend(Backend):
     def capabilities(self):
         return BackendCapabilities(name="tiny", max_elements=100)
 
-    def matmul(self, a, b, *, out=None, tile=None, pool=None):
+    def matmul(self, a, b, *, out=None):
         return a @ b
 
 
@@ -116,9 +116,9 @@ class TestRegistry:
         assert "numpy" in registry and "nope" not in registry
         assert registry.names()[0] == "numpy"
 
-    def test_default_registry_ships_three_backends(self):
+    def test_default_registry_ships_numpy_and_cupy(self):
         names = default_registry().names()
-        assert names == ["numpy", "blocked", "cupy"]
+        assert names == ["numpy", "cupy"]
         assert get_backend("numpy").availability() == (True, None)
 
     def test_describe_reports_availability(self):
@@ -176,16 +176,6 @@ class TestNegotiation:
         assert sel.backend == "numpy"
         assert "unknown backend" in sel.fallback_reason
 
-    def test_excluded_pin_falls_back(self):
-        # Config validation forbids pinning an excluded backend, so the
-        # exclusion arrives via the environment pin instead.
-        sel = self.negotiate(
-            AbftConfig(exclude_backends=("counting",)),
-            environ={ENV_BACKEND: "counting"},
-        )
-        assert sel.backend == "numpy"
-        assert sel.fallback_reason == "excluded by config"
-
     def test_capability_mismatch_falls_back(self):
         sel = self.negotiate(AbftConfig(backend="tiny"), m=64, n=64, q=64)
         assert sel.backend == "numpy"
@@ -195,91 +185,27 @@ class TestNegotiation:
         sel = self.negotiate(AbftConfig(backend="fuzzy"))
         assert sel.backend == "fuzzy"
 
-    def test_autotuned_winner_serves_auto_configs(self):
-        class Tuner:
-            def lookup(self, m, n, q, dtype, config):
-                from repro.backends import TunedChoice
+    def test_autotuner_informs_fusion_only_on_numpy(self):
+        from repro.backends import TunedChoice
 
-                return TunedChoice(
-                    backend="counting",
-                    tile=32,
-                    per_call_s=1.0,
-                    baseline_per_call_s=2.0,
-                )
+        class Tuner:
+            lookups = 0
+
+            def lookup(self, m, n, q, dtype, config):
+                Tuner.lookups += 1
+                return TunedChoice(per_call_s=1.0, fusion="fused")
 
         sel = self.negotiate(AbftConfig(), tuner=Tuner())
-        assert (sel.backend, sel.tile, sel.source) == (
-            "counting",
-            32,
-            "autotuned",
-        )
-
-    def test_explicit_tile_beats_autotuned_tile(self):
-        class Tuner:
-            def lookup(self, m, n, q, dtype, config):
-                from repro.backends import TunedChoice
-
-                return TunedChoice(
-                    backend="counting",
-                    tile=32,
-                    per_call_s=1.0,
-                    baseline_per_call_s=2.0,
-                )
-
-        sel = self.negotiate(AbftConfig(gemm_tile=48), tuner=Tuner())
-        assert (sel.backend, sel.tile) == ("counting", 48)
-
-    def test_autotuned_non_deterministic_winner_is_rejected(self):
-        class Tuner:
-            def lookup(self, m, n, q, dtype, config):
-                from repro.backends import TunedChoice
-
-                return TunedChoice(
-                    backend="fuzzy",
-                    tile=None,
-                    per_call_s=1.0,
-                    baseline_per_call_s=2.0,
-                )
-
-        sel = self.negotiate(AbftConfig(), tuner=Tuner())
-        assert sel.backend == "numpy"
-        assert "non-deterministic" in sel.fallback_reason
-
-    def test_autotuned_tile_dies_with_its_backend(self):
-        # When the cached winner's backend is rejected, its tile must not
-        # leak into the numpy fallback: the bytes would silently change.
-        class Tuner:
-            def lookup(self, m, n, q, dtype, config):
-                from repro.backends import TunedChoice
-
-                return TunedChoice(
-                    backend="broken",
-                    tile=32,
-                    per_call_s=1.0,
-                    baseline_per_call_s=2.0,
-                )
-
-        sel = self.negotiate(AbftConfig(), tuner=Tuner())
-        assert (sel.backend, sel.tile) == ("numpy", None)
+        assert (sel.backend, sel.source) == ("numpy", "default")
+        assert (sel.fusion, sel.fusion_source) == ("fused", "autotuned")
+        # A decision timed on numpy never steers another backend.
+        sel = self.negotiate(AbftConfig(backend="counting"), tuner=Tuner())
+        assert (sel.backend, sel.fusion) == ("counting", "separate")
+        assert Tuner.lookups == 1
 
 
 class TestConfigValidation:
-    def test_numpy_cannot_be_excluded(self):
-        with pytest.raises(ConfigurationError, match="terminal fallback"):
-            AbftConfig(exclude_backends=("numpy",))
-
-    def test_pinned_and_excluded_conflict(self):
-        with pytest.raises(ConfigurationError):
-            AbftConfig(backend="blocked", exclude_backends=("blocked",))
-
-    def test_gemm_tile_must_be_positive(self):
-        with pytest.raises(ValueError):
-            AbftConfig(gemm_tile=0)
-
     def test_describe_mentions_backend_choices(self):
-        text = AbftConfig(
-            backend="blocked", gemm_tile=64, exclude_backends=("cupy",)
-        ).describe()
-        assert "backend=blocked" in text
-        assert "gemm_tile=64" in text
-        assert "cupy" in text
+        text = AbftConfig(backend="cupy").describe()
+        assert "backend=cupy" in text
+        assert "backend" not in AbftConfig().describe()

@@ -100,8 +100,8 @@ class TestBackendFailure:
     def test_dispatch_faults_ride_the_never_silent_fallback(self):
         recipes = [
             ChaosRecipe(
-                kind="backend_failure", site="blocked", intensity=1.0,
-                duration_s=0.4, name="kill-blocked",
+                kind="backend_failure", site="chaos", intensity=1.0,
+                duration_s=0.4, name="kill-stand-in",
             )
         ]
         report = run_chaos(recipes, SLOSpec(), seed=8, **FAST)

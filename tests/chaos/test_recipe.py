@@ -29,7 +29,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("kind", ["backend_failure", "bitflip"])
     def test_probability_kinds_bounded(self, kind):
-        site = "blocked" if kind == "backend_failure" else "gemm"
+        site = "chaos" if kind == "backend_failure" else "gemm"
         with pytest.raises(ConfigurationError, match="probability"):
             ChaosRecipe(kind=kind, site=site, intensity=1.5)
 

@@ -34,3 +34,30 @@ def simulator():
     from repro.gpusim import GpuSimulator
 
     return GpuSimulator()
+
+
+@pytest.fixture
+def delegate_backend(monkeypatch):
+    """Register ``"delegate"``, numpy's GEMM under another name, beside the
+    shipped backends of the process-wide registry for one test.
+
+    It is the second backend that tests of pins, backend attribution and
+    dispatch faults need; its results are numpy's bytes.
+    """
+    from dataclasses import replace
+
+    from repro.backends import BackendRegistry, CupyBackend, NumpyBackend
+    from repro.backends import registry as registry_module
+
+    class DelegateBackend(NumpyBackend):
+        name = "delegate"
+
+        def capabilities(self):
+            return replace(super().capabilities(), name=self.name)
+
+    registry = BackendRegistry()
+    registry.register("numpy", NumpyBackend)
+    registry.register("cupy", CupyBackend)
+    registry.register("delegate", DelegateBackend)
+    monkeypatch.setattr(registry_module, "_default_registry", registry)
+    return "delegate"

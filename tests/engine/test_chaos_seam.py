@@ -58,19 +58,21 @@ class TestStageEvents:
 
 
 class TestDispatchEvents:
-    def test_dispatch_raise_walks_the_never_silent_fallback(self, operands):
+    def test_dispatch_raise_walks_the_never_silent_fallback(
+        self, operands, delegate_backend
+    ):
         a, bs = operands
 
         class Boom(RuntimeError):
             pass
 
         def hook(event, **kw):
-            if event == "dispatch" and kw.get("backend") == "blocked":
+            if event == "dispatch" and kw.get("backend") == delegate_backend:
                 raise Boom("injected")
 
         from repro.engine import AbftConfig
 
-        engine = MatmulEngine(AbftConfig(backend="blocked"))
+        engine = MatmulEngine(AbftConfig(backend=delegate_backend))
         engine.set_chaos_hook(hook)
         result = engine.matmul(a, bs[0])
         assert result.backend == "numpy"

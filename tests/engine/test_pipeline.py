@@ -68,9 +68,11 @@ class TestBitwiseIdentity:
         )
         assert_bitwise_equal(results, reference)
 
-    def test_pipelined_matches_serial_on_blocked_backend(self):
+    def test_pipelined_matches_serial_on_a_pinned_backend(
+        self, delegate_backend
+    ):
         rng = np.random.default_rng(21)
-        cfg = AbftConfig(backend="blocked", gemm_tile=32)
+        cfg = AbftConfig(backend=delegate_backend)
         a = rng.uniform(-1, 1, (100, 70))
         bs = [rng.uniform(-1, 1, (70, 40)) for _ in range(4)]
         reference = [MatmulEngine().matmul(a, b, config=cfg) for b in bs]
@@ -79,6 +81,7 @@ class TestBitwiseIdentity:
             [(a, b) for b in bs], policy=PIPELINED, config=cfg
         )
         assert_bitwise_equal(results, reference)
+        assert {r.backend for r in results} == {delegate_backend}
 
     def test_small_chunks_defeating_coalescing_stay_bitwise(self):
         # Distinct left operands interleaved with a shared one: the

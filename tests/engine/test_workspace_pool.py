@@ -107,9 +107,9 @@ class TestHandleSafety:
 
 
 class TestConcurrency:
-    """The pool is shared by concurrent tile workers of the blocked
-    backend: takes/gives race, but a buffer must never be handed to two
-    owners at once."""
+    """The pool is shared by concurrent engine calls on one plan:
+    takes/gives race, but a buffer must never be handed to two owners at
+    once."""
 
     def test_racing_take_give_never_aliases(self):
         import threading
@@ -149,11 +149,11 @@ class TestConcurrency:
         assert errors == []
         assert pool.takes == 8 * 200
 
-    def test_blocked_backend_under_threaded_engine_calls(self):
+    def test_threaded_engine_calls_keep_their_bytes(self):
         import threading
 
         engine = MatmulEngine()
-        cfg = AbftConfig(backend="blocked", gemm_tile=32)
+        cfg = AbftConfig(block_size=32)
         rng = np.random.default_rng(11)
         a = rng.uniform(-1, 1, (96, 64))
         b = rng.uniform(-1, 1, (64, 80))

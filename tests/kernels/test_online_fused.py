@@ -12,8 +12,6 @@ it is recomputed, and a persistent flip aborts the scan early.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -127,36 +125,6 @@ class TestBitwiseReconciliation:
         if tb is None:
             # Degenerate mode: the separate path's exact result bytes.
             assert np.array_equal(outcome.out, a_cc @ b_rc)
-
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_lookahead_executor_is_bitwise_neutral(self, dtype):
-        a_cc, b_rc, rl, cl = encoded_problem(20, 9, 15, 5, dtype=dtype)
-        col_eps, row_eps = inf_grids(rl, cl)
-        kwargs = dict(
-            row_layout=rl, col_layout=cl,
-            col_eps=col_eps, row_eps=row_eps, tile_blocks=2,
-        )
-        serial = online_fused_matmul(a_cc, b_rc, **kwargs)
-        with ThreadPoolExecutor(max_workers=2) as executor:
-            parallel = online_fused_matmul(
-                a_cc, b_rc, executor=executor, **kwargs
-            )
-        assert serial.out.tobytes() == parallel.out.tobytes()
-        assert np.array_equal(serial.col_disc, parallel.col_disc)
-        assert np.array_equal(serial.row_disc, parallel.row_disc)
-
-    def test_degenerate_mode_honours_the_plan_gemm_tile(self):
-        from repro.kernels.matmul_tiled import tiled_matmul
-
-        a_cc, b_rc, rl, cl = encoded_problem(20, 9, 15, 5)
-        col_eps, row_eps = inf_grids(rl, cl)
-        outcome = online_fused_matmul(
-            a_cc, b_rc,
-            row_layout=rl, col_layout=cl,
-            col_eps=col_eps, row_eps=row_eps,
-            tile_blocks=None, gemm_tile=7,
-        )
-        assert np.array_equal(outcome.out, tiled_matmul(a_cc, b_rc, tile=7))
 
     def test_shape_validation(self):
         a_cc, b_rc, rl, cl = encoded_problem(12, 6, 8, 4)

@@ -487,7 +487,7 @@ class TestRecompute:
         assert faulty.verified is True
         assert faulty.output.tobytes() == clean.output.tobytes()
 
-    def test_recompute_reports_its_own_backend(self):
+    def test_recompute_reports_its_own_backend(self, delegate_backend):
         # The first product runs on the pinned backend and is corrupted;
         # the recompute's dispatch fails over to numpy.
         events = {"result": 0, "dispatch": 0}
@@ -502,12 +502,12 @@ class TestRecompute:
                 raise RuntimeError("backend lost")
 
         _clean, faulty = self.run_with_hook(
-            hook, cfg=self.CFG32.replace(backend="blocked")
+            hook, cfg=self.CFG32.replace(backend=delegate_backend)
         )
         fc1, head = faulty.layers
         assert fc1.detected and fc1.recomputed
         assert fc1.backend == "numpy"
-        assert head.backend == "blocked"
+        assert head.backend == delegate_backend
 
 
 class TestInjection:

@@ -448,7 +448,7 @@ class TestLifecycle:
 
 
 class TestBackendRouting:
-    """Per-request backend pin/exclude merges into the batch AbftConfig."""
+    """A per-request backend pin merges into the batch AbftConfig."""
 
     @pytest.fixture(autouse=True)
     def clear_env_pin(self, monkeypatch):
@@ -469,12 +469,16 @@ class TestBackendRouting:
         assert response.backend == "numpy"
         assert response.backend_fallback is None
 
-    def test_pinned_backend_is_used_and_bitwise_identical(self, operands):
+    def test_pinned_backend_is_used_and_bitwise_identical(
+        self, operands, delegate_backend
+    ):
         a, bs = operands
         reference = self.run_one(make_server(), a, bs[0])
-        response = self.run_one(make_server(), a, bs[0], backend="blocked")
+        response = self.run_one(
+            make_server(), a, bs[0], backend=delegate_backend
+        )
         assert response.status is VerificationStatus.FULL
-        assert response.backend == "blocked"
+        assert response.backend == delegate_backend
         assert response.backend_fallback is None
         assert response.c.tobytes() == reference.c.tobytes()
 
@@ -493,25 +497,15 @@ class TestBackendRouting:
         assert response.backend == "numpy"
         assert "cupy" in response.backend_fallback
 
-    def test_exclude_backends_merges_into_config(self, operands):
-        a, bs = operands
-        server = make_server()
-        fut = server.submit(a, bs[0], exclude_backends=("blocked",))
-        server.start()
-        server.stop(drain=True)
-        response = fut.result()
-        assert response.status is VerificationStatus.FULL
-        assert response.backend == "numpy"
-
-    def test_backend_pins_split_batches(self, operands):
+    def test_backend_pins_split_batches(self, operands, delegate_backend):
         a, bs = operands
         server = make_server()
         f1 = server.submit(a, bs[0])
-        f2 = server.submit(a, bs[1], backend="blocked")
+        f2 = server.submit(a, bs[1], backend=delegate_backend)
         server.start()
         server.stop(drain=True)
         r1, r2 = f1.result(), f2.result()
-        assert (r1.backend, r2.backend) == ("numpy", "blocked")
+        assert (r1.backend, r2.backend) == ("numpy", delegate_backend)
         # Different pins may not coalesce into one micro-batch.
         assert r1.batch_size == 1 and r2.batch_size == 1
 

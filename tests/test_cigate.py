@@ -76,21 +76,21 @@ class TestCoverageGate:
             == result.measured
         )
 
-    def test_blocked_backend_gate(self):
+    def test_second_backend_gate(self, delegate_backend):
         reg = MetricsRegistry()
         result = coverage_gate(
-            n=128, num_injections=80, backend="blocked", registry=reg
+            n=128, num_injections=80, backend=delegate_backend, registry=reg
         )
-        assert result.gate == "coverage[blocked]"
+        assert result.gate == f"coverage[{delegate_backend}]"
         assert result.passed
-        assert "backend 'blocked'" in result.detail
+        assert f"backend {delegate_backend!r}" in result.detail
         by_backend = reg.gauge(
             "abft_ci_gate_coverage_by_backend",
             labelnames=("backend", "quantity"),
         )
         assert (
             by_backend.labels(
-                backend="blocked", quantity="detection_rate"
+                backend=delegate_backend, quantity="detection_rate"
             ).get()
             == result.measured
         )
@@ -276,19 +276,19 @@ class TestRunCiGate:
         assert pass_gauge.labels(gate="coverage").get() == 1.0
         assert pass_gauge.labels(gate="throughput").get() == 1.0
 
-    def test_explicit_backend_list(self, tmp_path):
+    def test_explicit_backend_list(self, tmp_path, delegate_backend):
         reg = MetricsRegistry()
         code, results = run_ci_gate(
             quick=True,
             chaos=False,
-            backends=("numpy", "blocked"),
+            backends=("numpy", delegate_backend),
             baseline_path=tiny_baseline(tmp_path, engine_seconds=1000.0),
             registry=reg,
         )
         assert code == 0
         assert [r.gate for r in results] == [
             "coverage",
-            "coverage[blocked]",
+            f"coverage[{delegate_backend}]",
             "pipeline-coverage",
             "fused-coverage",
             "model-coverage",

@@ -179,9 +179,9 @@ class TestParser:
 
     def test_ci_gate_backends_option(self):
         args = build_parser().parse_args(
-            ["ci-gate", "--backends", "numpy,blocked"]
+            ["ci-gate", "--backends", "numpy,cupy"]
         )
-        assert args.backends == "numpy,blocked"
+        assert args.backends == "numpy,cupy"
         assert build_parser().parse_args(["ci-gate"]).backends is None
 
     def test_autotune_options(self):
@@ -416,7 +416,6 @@ class TestExecution:
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
         assert "numpy" in out
-        assert "blocked" in out
         assert "cupy" in out
 
     def test_autotune_caches_and_reuses(self, capsys, tmp_path):
@@ -428,6 +427,7 @@ class TestExecution:
         assert main(argv) == 0
         first = capsys.readouterr().out
         assert "tuned" in first and cache.exists()
+        assert "fusion=" in first and "separate check" in first
         # Second run must serve the winner from the cache without timing.
         assert main(argv + ["--expect-cached"]) == 0
         second = capsys.readouterr().out
