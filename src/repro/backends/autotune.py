@@ -15,7 +15,8 @@ Fused wins only by the hysteresis margin, so noise keeps the separate
 default.  Trials only run through the explicit entry points
 (:meth:`Autotuner.tune`, ``aabft autotune``,
 ``MatmulEngine.autotune()``); ordinary engine calls consult the cache via
-:meth:`Autotuner.lookup` and never pay timing overhead inline.  A cached
+:meth:`Autotuner.lookup` (:meth:`Autotuner.lookup_key` once the key is
+known) and never pay timing overhead inline.  A cached
 decision only applies to calls that run on ``numpy``, the backend it was
 timed on.
 """
@@ -32,7 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from ..abft.encoding import PartitionedLayout
-from ..telemetry import MetricsRegistry
+from ..fp.constants import dtype_name
+from ..telemetry import BoundChildren, MetricsRegistry
 
 __all__ = [
     "Autotuner",
@@ -278,6 +280,7 @@ class Autotuner:
             "Autotuner events (cache_hit / cache_miss / tuned)",
             ("event",),
         )
+        self._events = BoundChildren(self._m_events, "event")
         self._m_fusion = reg.counter(
             "abft_fused_autotune_total",
             "Fusion-strategy autotune decisions (fused / separate)",
@@ -288,16 +291,19 @@ class Autotuner:
     def key(self, m: int, n: int, q: int, dtype, config) -> str:
         """The cache key: shape, dtype, scheme, block size and p."""
         return (
-            f"{m}x{n}x{q}/{np.dtype(dtype).name}/{config.scheme}"
+            f"{m}x{n}x{q}/{dtype_name(dtype)}/{config.scheme}"
             f"/bs{config.block_size}/p{config.p}"
         )
 
     def lookup(self, m: int, n: int, q: int, dtype, config) -> TunedChoice | None:
         """The cached decision for a call signature (no timing, ever)."""
-        choice = self.cache.get(self.key(m, n, q, dtype, config))
-        self._m_events.labels(
-            event="cache_hit" if choice is not None else "cache_miss"
-        ).inc()
+        return self.lookup_key(self.key(m, n, q, dtype, config))
+
+    def lookup_key(self, key: str) -> TunedChoice | None:
+        """The cached decision under a :meth:`key` (counted like
+        :meth:`lookup`)."""
+        choice = self.cache.get(key)
+        self._events["cache_hit" if choice is not None else "cache_miss"].inc()
         return choice
 
     def tune(
@@ -324,7 +330,7 @@ class Autotuner:
         if not force:
             cached = self.cache.get(cache_key)
             if cached is not None:
-                self._m_events.labels(event="cache_hit").inc()
+                self._events["cache_hit"].inc()
                 return cached
 
         rows_enc, cols_enc = _encoded_dims(m, q, cfg.block_size)
@@ -335,7 +341,7 @@ class Autotuner:
 
         choice = self._tune_fusion(self._time(a, b), cfg, a, b, m, q)
         self.cache.put(cache_key, choice)
-        self._m_events.labels(event="tuned").inc()
+        self._events["tuned"].inc()
         return choice
 
     def candidate_tile_blocks(self, m: int, q: int, block_size: int) -> list[int]:

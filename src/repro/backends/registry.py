@@ -2,7 +2,8 @@
 
 The registry maps backend names to lazily constructed
 :class:`~repro.backends.base.Backend` instances; :func:`negotiate` is the
-selection policy the engine runs before every plan lookup:
+selection policy the engine runs once per request (see
+:class:`~repro.engine.plan.CallResolution`):
 
 1. a config pin (``AbftConfig(backend="...")``) wins outright;
 2. else an ``AABFT_BACKEND`` environment pin;
@@ -51,12 +52,16 @@ class BackendRegistry:
     Factories are registered up front (cheap); instances are built on
     first :meth:`get` and shared from then on, so expensive probes
     (imports, thread pools, self-checks) run at most once per registry.
+    :attr:`generation` counts registrations: engines resolve each request
+    once per generation, so a backend registered (or replaced) here is
+    negotiated from the next call on.
     """
 
     def __init__(self) -> None:
         self._factories: dict[str, object] = {}
         self._instances: dict[str, Backend] = {}
         self._lock = threading.RLock()
+        self.generation = 0
 
     def register(self, name: str, factory, *, replace: bool = False) -> None:
         """Register a backend factory (a zero-arg callable)."""
@@ -69,6 +74,7 @@ class BackendRegistry:
                 )
             self._factories[name] = factory
             self._instances.pop(name, None)
+            self.generation += 1
 
     def names(self) -> list[str]:
         """Registered backend names in registration order."""

@@ -7,6 +7,9 @@ scratch:
 * **execution plans** — per-``(shape, dtype, config)`` layouts, padding
   workspaces and bound-scheme objects, LRU-cached (see
   :mod:`repro.engine.plan`);
+* **call resolution** — each request (config, shape, operand dtypes,
+  environment pins, backend-registry generation) has its dtypes, backend
+  and fusion negotiated once; later calls with it make one index lookup;
 * **operand encodings** — :meth:`MatmulEngine.encode` returns a reusable
   :class:`EncodedOperand` handle, so one encoding of ``A`` serves many
   ``A @ B_i`` products (the iterative-solver pattern);
@@ -32,6 +35,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -55,17 +59,18 @@ from ..abft.providers import (
 from ..abft.result import AbftResult
 from ..backends.autotune import Autotuner, AutotuneCache
 from ..backends.registry import (
+    ENV_BACKEND,
+    ENV_FUSION,
     BackendRegistry,
-    BackendSelection,
     default_registry,
     negotiate,
 )
 from ..bounds.upper_bound import TopP
 from ..errors import ConfigurationError, ShapeError
-from ..fp.constants import LOW_PRECISION_NAMES, format_for_name
-from ..telemetry import MetricsRegistry
+from ..fp.constants import LOW_PRECISION_NAMES, dtype_name, format_for_name
+from ..telemetry import BoundChildren, MetricsRegistry
 from .config import AbftConfig
-from .plan import ExecutionPlan, PlanCache
+from .plan import CallResolution, ExecutionPlan, PlanCache
 from .policy import ExecutionPolicy
 from .stats import EngineStats
 
@@ -153,7 +158,7 @@ def _resolve_dtype(*dtypes: np.dtype) -> np.dtype:
 
 def _is_low_precision(dtype: np.dtype) -> bool:
     """Whether ``dtype`` is a sub-float32 storage format (fp16/bf16)."""
-    return np.dtype(dtype).name in LOW_PRECISION_NAMES
+    return dtype_name(dtype) in LOW_PRECISION_NAMES
 
 
 def _resolve_storage_compute(
@@ -167,15 +172,25 @@ def _resolve_storage_compute(
     promotion rule applies — float32 only when every operand is float32,
     float64 otherwise — **except** that low-precision operands are
     refused with a :class:`~repro.errors.ConfigurationError` naming the
-    fix, rather than silently upcast.
+    fix, rather than silently upcast.  The answer depends only on
+    ``cfg.dtype`` and the operand dtypes, so it is memoized on them (a
+    refusal is not: it raises on every call).
     """
-    if cfg.dtype is not None:
-        storage = format_for_name(cfg.dtype).dtype
+    return _storage_compute(cfg.dtype, dtypes)
+
+
+@lru_cache(maxsize=256)
+def _storage_compute(
+    storage_name: str | None, dtypes: tuple
+) -> tuple[np.dtype, np.dtype]:
+    """:func:`_resolve_storage_compute` on its memo key."""
+    if storage_name is not None:
+        storage = format_for_name(storage_name).dtype
         for d in dtypes:
             if _is_low_precision(d) and np.dtype(d) != storage:
                 raise ConfigurationError(
-                    f"operand dtype {np.dtype(d).name} conflicts with the "
-                    f"config's storage dtype {cfg.dtype!r}; cast the "
+                    f"operand dtype {dtype_name(d)} conflicts with the "
+                    f"config's storage dtype {storage_name!r}; cast the "
                     "operand explicitly or change AbftConfig.dtype"
                 )
         if _is_low_precision(storage):
@@ -183,7 +198,7 @@ def _resolve_storage_compute(
         return storage, storage
     for d in dtypes:
         if _is_low_precision(d):
-            name = np.dtype(d).name
+            name = dtype_name(d)
             raise ConfigurationError(
                 f"operands of dtype {name} require an explicit "
                 f"AbftConfig(dtype={name!r}, scheme='adaptive') so the "
@@ -192,6 +207,31 @@ def _resolve_storage_compute(
             )
     compute = _resolve_dtype(*dtypes)
     return compute, compute
+
+
+#: No autotune decision read yet (``None`` is a decision: "none cached").
+_UNREAD = object()
+
+
+class _TunerRead:
+    """The autotuner as one negotiation sees it.
+
+    Records the cache key negotiation looks up (``None`` when it did not
+    consult the tuner) and the decision it read.  Given a decision the
+    caller already read, it answers with that one, so a call that
+    re-resolves on a changed decision still makes one lookup.
+    """
+
+    def __init__(self, tuner: Autotuner, decided=_UNREAD) -> None:
+        self._tuner = tuner
+        self.key: str | None = None
+        self.decided = decided
+
+    def lookup(self, m: int, n: int, q: int, dtype, config):
+        self.key = self._tuner.key(m, n, q, dtype, config)
+        if self.decided is _UNREAD:
+            self.decided = self._tuner.lookup_key(self.key)
+        return self.decided
 
 
 class MatmulEngine:
@@ -226,8 +266,18 @@ class MatmulEngine:
         — timing trials never run inline; use :meth:`autotune` or
         ``aabft autotune``).
 
-    The engine is thread-safe: the plan cache, workspace pools and metrics
-    are lock-protected, and result objects are independent.
+    Each request — the requested config, ``m``, ``n``, ``q``, both operand
+    dtypes, the ``AABFT_BACKEND`` and ``AABFT_FUSION`` values and the
+    backend registry's generation — is resolved once into a
+    :class:`~repro.engine.plan.CallResolution` (storage and compute
+    dtypes, negotiated backend and fusion, plan, fallback texts) that
+    later calls reuse.  Env pins, in-process :meth:`autotune` decisions
+    and newly registered backends therefore apply from the next call, and
+    fallbacks stay counted per call.
+
+    The engine is thread-safe: the plan cache, its request index,
+    workspace pools and metrics are lock-protected, and result objects
+    are independent.
     """
 
     #: The three instrumented pipeline stages.
@@ -270,6 +320,7 @@ class MatmulEngine:
             "execute_batch submissions per resolved execution mode",
             ("mode",),
         )
+        self._exec_modes = BoundChildren(self._m_exec_mode, "mode")
         self._m_reuses = reg.counter(
             "abft_engine_encode_reuses_total",
             "Operands served from a pre-encoded handle",
@@ -316,6 +367,7 @@ class MatmulEngine:
             "GEMM-stage dispatches per compute backend",
             ("backend",),
         )
+        self._dispatches = BoundChildren(self._m_backend_dispatch, "backend")
         self._m_backend_fallbacks = reg.counter(
             "abft_backend_fallbacks_total",
             "Never-silent fallbacks to the numpy backend",
@@ -489,7 +541,7 @@ class MatmulEngine:
             pairs.append(pair)
         self._m_batched.inc()
         if not pairs:
-            self._m_exec_mode.labels(mode="serial").inc()
+            self._exec_modes["serial"].inc()
             return []
         a_items = [a for a, _b in pairs]
         b_items = [b for _a, b in pairs]
@@ -500,7 +552,7 @@ class MatmulEngine:
                 mode = "pipelined"
             elif policy.mode == "pipelined":
                 self._m_pipe_fallbacks.labels(reason="unsupported").inc()
-        self._m_exec_mode.labels(mode=mode).inc()
+        self._exec_modes[mode].inc()
         if mode == "pipelined":
             return run_pipelined(self, a_items, b_items, cfg)
         return self._run_serial_batch(pairs, cfg)
@@ -821,34 +873,27 @@ class MatmulEngine:
         return self._encode(arr, side, cfg, plan), True
 
     def _run(self, a, b, cfg: AbftConfig) -> AbftResult:
-        # --- resolve operands and the computation dtype -----------------
+        # --- resolve operands, then the request --------------------------
         a_raw = a if isinstance(a, EncodedOperand) else _as_matrix(a)
         b_raw = b if isinstance(b, EncodedOperand) else _as_matrix(b)
-        storage_dtype, dtype = _resolve_storage_compute(
-            cfg, _operand_dtype(a_raw), _operand_dtype(b_raw)
-        )
-        quantize = storage_dtype != dtype
-        if a_raw.shape[1] != b_raw.shape[0]:
+        m, n = a_raw.shape
+        q = b_raw.shape[1]
+        a_dtype, b_dtype = _operand_dtype(a_raw), _operand_dtype(b_raw)
+        request = self._request(cfg, m, n, q, a_dtype, b_dtype)
+        call = self._plans.resolved(request)
+        if call is None:
+            # Refuses low-precision operands before the shape check.
+            _resolve_storage_compute(cfg, a_dtype, b_dtype)
+        if n != b_raw.shape[0]:
             raise ShapeError(
                 f"inner dimensions disagree: A is {a_raw.shape}, "
                 f"B is {b_raw.shape}"
             )
-        m, n = a_raw.shape
-        q = b_raw.shape[1]
-        cfg, selection_fallback, fused_fallback = self._negotiate(
-            cfg, m, n, q, dtype
-        )
-        if quantize and cfg.fusion == "fused":
-            # The low-precision path quantises the stored result between
-            # multiply and check, which the in-loop tile checks would miss.
-            self._m_fused_fallbacks.labels(reason="low_precision").inc()
-            fused_fallback = (
-                "fused online fell back to separate: low-precision storage "
-                "quantises the result after the multiply, so checks must "
-                "run on the stored bytes"
-            )
-            cfg = cfg.replace(fusion="separate", fused_tile_blocks=None)
-        plan, _hit = self._plans.get(m, n, q, dtype, cfg)
+        call = self._resolve(request, call)
+        plan = call.plan
+        cfg = plan.config
+        dtype = plan.dtype
+        fused_fallback = call.fused_fallback
 
         # --- encode (or reuse) ------------------------------------------
         t0 = time.perf_counter()
@@ -888,13 +933,13 @@ class MatmulEngine:
             c_fc, used_backend, dispatch_fallback = self._dispatch_gemm(
                 plan, enc_a.array, enc_b.array
             )
-            if quantize:
+            if call.quantize:
                 # Simulate low-precision result storage: the data region
                 # round-trips through the storage dtype (checksum rows and
                 # columns stay in the compute dtype — they accumulate in
                 # float32, per the mixed-precision discipline), so the
                 # check below sees genuine storage quantisation noise.
-                _quantize_data_region(c_fc, plan, storage_dtype)
+                _quantize_data_region(c_fc, plan, call.storage)
             mul_s = time.perf_counter() - t0
         self._add_seconds("multiply", mul_s)
         # Internally encoded buffers are fully consumed by the multiply
@@ -915,10 +960,10 @@ class MatmulEngine:
         c = strip_encoding(
             c_fc, plan.row_layout, plan.col_layout, enc_a.padding, enc_b.padding
         )
-        if quantize:
+        if call.quantize:
             # Lossless: the data region already round-tripped through the
             # storage dtype, so this cast only changes the container.
-            c = c.astype(storage_dtype)
+            c = c.astype(call.storage)
         self._m_calls.inc()
         if report.error_detected:
             self._m_detections.inc()
@@ -930,62 +975,134 @@ class MatmulEngine:
             col_layout=plan.col_layout,
             provider=provider,
             backend=used_backend,
-            backend_fallback=selection_fallback or dispatch_fallback,
+            backend_fallback=call.backend_fallback or dispatch_fallback,
             fused=grids is not None,
             fused_fallback=fused_fallback,
         )
 
-    def _negotiate(
-        self, cfg: AbftConfig, m: int, n: int, q: int, dtype: np.dtype
-    ) -> tuple[AbftConfig, str | None, str | None]:
-        """Resolve ``backend="auto"`` / ``fusion="auto"`` for one call.
-
-        Returns the *effective* config — carrying a concrete backend
-        and fusion strategy (``"fused"`` or ``"separate"``, never
-        ``"auto"``), so it keys the plan cache — plus two never-silent
-        fallback texts: the backend-selection fallback (``None`` when the
-        requested backend was selected) and the fusion-negotiation
-        fallback (``None`` when the requested fusion strategy ran).  A
-        rejected backend candidate falls back to ``numpy`` and is counted
-        in ``abft_backend_fallbacks_total``; a rejected fused request
-        falls back to separate and is counted in
-        ``abft_fused_fallbacks_total``.
-        """
-        selection: BackendSelection = negotiate(
-            cfg, m, n, q, dtype,
-            registry=self._backends,
-            autotuner=self._autotuner,
+    def _request(
+        self,
+        cfg: AbftConfig,
+        m: int,
+        n: int,
+        q: int,
+        a_dtype: np.dtype,
+        b_dtype: np.dtype,
+    ) -> tuple:
+        """One call's request key: the requested config, shape and operand
+        dtypes, and what else negotiation reads — the two environment pins
+        and the backend registry's generation — as they are now."""
+        env = os.environ
+        return (
+            cfg, m, n, q, a_dtype, b_dtype,
+            env.get(ENV_BACKEND, ""), env.get(ENV_FUSION, ""),
+            self._backends.generation,
         )
+
+    def _resolve(
+        self, request: tuple, call: CallResolution | None
+    ) -> CallResolution:
+        """Settle a request on its indexed resolution, or negotiate it.
+
+        ``call`` is what the request index held (``None`` on a miss).  A
+        resolution that read the autotuner reads its decision again — one
+        lookup per call, as negotiation makes — and is negotiated afresh
+        when the decision changed.  Every call increments the
+        resolution's fallback counters: fallbacks stay counted per call.
+        """
+        decided = _UNREAD
+        if call is not None and call.tune_key is not None:
+            tuned = self._autotuner.lookup_key(call.tune_key)
+            if tuned is not call.tuned and tuned != call.tuned:
+                call, decided = None, tuned
+        if call is None:
+            call = self._negotiate(request, decided)
+        else:
+            self._plans.hit(request, call)
+        for counter in call.counters:
+            counter.inc()
+        return call
+
+    def _negotiate(self, request: tuple, decided=_UNREAD) -> CallResolution:
+        """Negotiate a request and index its :class:`CallResolution`.
+
+        Resolves the storage and compute dtypes, then ``backend="auto"``
+        / ``fusion="auto"``, into the *effective* config — a concrete
+        backend and fusion strategy (``"fused"`` or ``"separate"``, never
+        ``"auto"``) that keys the plan cache — plus two never-silent
+        fallback texts: the backend-selection fallback (``None`` when the
+        requested backend was selected) and the fusion fallback (``None``
+        when the requested fusion strategy ran).  A rejected backend
+        candidate falls back to ``numpy`` and is counted in
+        ``abft_backend_fallbacks_total``; a rejected fused request falls
+        back to separate and is counted in ``abft_fused_fallbacks_total``;
+        :meth:`_resolve` counts both on every call.  ``decided`` is an
+        autotune decision the caller already read for this request.
+        """
+        cfg, m, n, q, a_dtype, b_dtype, env_backend, env_fusion, _gen = request
+        storage, compute = _resolve_storage_compute(cfg, a_dtype, b_dtype)
+        tuner = _TunerRead(self._autotuner, decided)
+        selection = negotiate(
+            cfg, m, n, q, compute,
+            registry=self._backends,
+            autotuner=tuner,
+            environ={ENV_BACKEND: env_backend, ENV_FUSION: env_fusion},
+        )
+        counters = []
         fallback_text = None
         if selection.fallback_from is not None:
-            self._m_backend_fallbacks.labels(
-                backend=selection.fallback_from, reason="selection"
-            ).inc()
+            counters.append(
+                self._m_backend_fallbacks.labels(
+                    backend=selection.fallback_from, reason="selection"
+                )
+            )
             fallback_text = (
                 f"selection fell back from {selection.fallback_from!r} "
                 f"to 'numpy': {selection.fallback_reason}"
             )
         fused_fallback_text = None
         if selection.fusion_fallback_reason is not None:
-            self._m_fused_fallbacks.labels(reason="negotiation").inc()
+            counters.append(self._m_fused_fallbacks.labels(reason="negotiation"))
             fused_fallback_text = (
                 "fused online fell back to separate: "
                 f"{selection.fusion_fallback_reason}"
             )
-        fused_tb = (
-            selection.fused_tile_blocks if selection.fusion == "fused" else None
-        )
+        fusion = selection.fusion
+        fused_tb = selection.fused_tile_blocks if fusion == "fused" else None
+        quantize = storage != compute
+        if quantize and fusion == "fused":
+            # The low-precision path quantises the stored result between
+            # multiply and check, which the in-loop tile checks would miss.
+            counters.append(self._m_fused_fallbacks.labels(reason="low_precision"))
+            fused_fallback_text = (
+                "fused online fell back to separate: low-precision storage "
+                "quantises the result after the multiply, so checks must "
+                "run on the stored bytes"
+            )
+            fusion, fused_tb = "separate", None
         if (
             cfg.backend != selection.backend
-            or cfg.fusion != selection.fusion
+            or cfg.fusion != fusion
             or cfg.fused_tile_blocks != fused_tb
         ):
             cfg = cfg.replace(
                 backend=selection.backend,
-                fusion=selection.fusion,
+                fusion=fusion,
                 fused_tile_blocks=fused_tb,
             )
-        return cfg, fallback_text, fused_fallback_text
+        plan, _hit = self._plans.get(m, n, q, compute, cfg)
+        call = CallResolution(
+            plan=plan,
+            storage=storage,
+            quantize=quantize,
+            backend_fallback=fallback_text,
+            fused_fallback=fused_fallback_text,
+            counters=tuple(counters),
+            tune_key=tuner.key,
+            tuned=tuner.decided if tuner.key is not None else None,
+        )
+        self._plans.index(request, call)
+        return call
 
     def _dispatch(self, plan: ExecutionPlan, compute):
         """Run one GEMM-stage call on the plan's backend, never silently.
@@ -996,11 +1113,11 @@ class MatmulEngine:
         (import error, OOM, lost device) retries on ``numpy`` — result
         bytes are then the reference bytes — and is counted in
         ``abft_backend_fallbacks_total``, never swallowed.  Backends
-        resolve through the engine's registry (``plan.backend()`` uses
-        the process-wide one), so custom registries dispatch too.
+        resolve through the engine's registry, so custom registries
+        dispatch too.
         """
         name = plan.backend_name
-        self._m_backend_dispatch.labels(backend=name).inc()
+        self._dispatches[name].inc()
         hook = self._chaos_hook
         fallback_text = None
         try:
@@ -1149,11 +1266,11 @@ class MatmulEngine:
 
         # _dispatch sees only the result array (the ``result`` hook's
         # argument); the run it kept is the last outcome recorded here.
-        # The tile loop runs on the host whichever backend negotiation
-        # chose: only host backends have the fused_online capability.
+        # Every tile GEMM runs on the backend _dispatch names, so a
+        # backend that raises mid-loop reruns the whole loop on numpy.
         outcomes: list[OnlineFusedOutcome] = []
 
-        def compute(_backend_name: str) -> np.ndarray:
+        def compute(backend_name: str) -> np.ndarray:
             outcomes.append(
                 online_fused_matmul(
                     a_arr,
@@ -1165,6 +1282,7 @@ class MatmulEngine:
                     tile_blocks=cfg.fused_tile_blocks,
                     pool=plan.pool,
                     inject_hook=inject_hook,
+                    matmul=self._backends.get(backend_name).matmul,
                 )
             )
             return outcomes[-1].out

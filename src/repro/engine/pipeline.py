@@ -160,11 +160,14 @@ def run_pipelined(engine, a_items, b_items, cfg) -> list:
         else np.asarray(first_a).shape
     )
     q = np.asarray(first_b).shape[1]
-    cfg, selection_fallback, fused_fallback = engine._negotiate(
-        cfg, m, n, q, dtype
-    )
+    # One resolution per batch, shared with matmul calls of this dtype.
+    request = engine._request(cfg, m, n, q, dtype, dtype)
+    call = engine._resolve(request, engine._plans.resolved(request))
+    plan = call.plan
+    cfg = plan.config
+    selection_fallback = call.backend_fallback
+    fused_fallback = call.fused_fallback
     fused_online = cfg.fusion == "fused"
-    plan, _hit = engine._plans.get(m, n, q, dtype, cfg)
     busy = {"encode": 0.0, "multiply": 0.0, "check": 0.0}
 
     # --- encode every distinct left operand once (inline, before the

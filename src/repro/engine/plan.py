@@ -5,6 +5,12 @@ identical across repeated same-shape calls: partitioned layouts for both
 encoded axes, padding geometry and workspaces, and the bound-scheme object.
 :class:`ExecutionPlan` bundles that setup; :class:`PlanCache` keeps plans in
 an LRU so iterative solvers and batch campaigns pay for it once.
+
+In front of the plans sits a request index: a call's *request* (its
+requested config, shape, operand dtypes, backend/fusion environment pins
+and backend-registry generation) maps to a :class:`CallResolution`, the
+negotiated outcome every later call with that request reuses.  Index
+entries die with their plan.
 """
 
 from __future__ import annotations
@@ -21,10 +27,17 @@ from ..bounds.base import BoundScheme
 from ..bounds.fixed import FixedBound
 from ..bounds.probabilistic import ProbabilisticBound
 from ..bounds.sea import SEABound
-from ..fp.constants import FloatFormat, format_for_dtype, format_for_name
+from ..fp.constants import FloatFormat, dtype_name, format_for_dtype, format_for_name
 from .config import AbftConfig
 
-__all__ = ["PlanKey", "ExecutionPlan", "PlanCache", "WorkspacePool", "build_plan"]
+__all__ = [
+    "CallResolution",
+    "PlanKey",
+    "ExecutionPlan",
+    "PlanCache",
+    "WorkspacePool",
+    "build_plan",
+]
 
 #: ``(m, n, q, dtype-name, config)`` — everything a plan depends on.
 PlanKey = tuple
@@ -152,12 +165,6 @@ class ExecutionPlan:
         default_factory=threading.Lock, repr=False, compare=False
     )
 
-    def backend(self):
-        """The shared :class:`~repro.backends.base.Backend` instance."""
-        from ..backends import get_backend
-
-        return get_backend(self.backend_name)
-
     @property
     def padded_m(self) -> int:
         return self.m + self.rows_added
@@ -215,7 +222,7 @@ def build_plan(
     else:  # fixed — validated by AbftConfig.__post_init__
         scheme = FixedBound(float(config.fixed_epsilon))
     plan = ExecutionPlan(
-        key=(m, n, q, np.dtype(dtype).name, config),
+        key=(m, n, q, dtype_name(dtype), config),
         config=config,
         dtype=np.dtype(dtype),
         m=m,
@@ -237,14 +244,56 @@ def build_plan(
     return plan
 
 
+@dataclass(frozen=True, eq=False)
+class CallResolution:
+    """The negotiated execution of one request, reused by every call with it.
+
+    Attributes
+    ----------
+    plan:
+        The :class:`ExecutionPlan`; its ``config`` is the effective config
+        (concrete backend and fusion) and its ``dtype`` the compute dtype.
+    storage:
+        The storage dtype (the compute dtype unless the config names a
+        low-precision storage format).
+    quantize:
+        Whether results round-trip through ``storage`` before the check.
+    backend_fallback / fused_fallback:
+        The never-silent fallback texts copied onto every result.
+    counters:
+        Counter children incremented on every call: the fallback records
+        (``abft_backend_fallbacks_total{reason="selection"}``,
+        ``abft_fused_fallbacks_total{reason="negotiation"|"low_precision"}``).
+    tune_key / tuned:
+        When negotiation read the autotuner, its cache key and the
+        decision read; calls re-read the key and resolve afresh when the
+        decision changed.  ``tune_key`` is ``None`` otherwise.
+    """
+
+    plan: ExecutionPlan
+    storage: np.dtype
+    quantize: bool = False
+    backend_fallback: str | None = None
+    fused_fallback: str | None = None
+    counters: tuple = ()
+    tune_key: str | None = None
+    tuned: object = None
+
+
 class PlanCache:
-    """A thread-safe LRU cache of :class:`ExecutionPlan` objects."""
+    """A thread-safe LRU cache of :class:`ExecutionPlan` objects.
+
+    It also holds the request index (:class:`CallResolution` by request
+    key) under the same lock.  The index holds at most ``maxsize``
+    entries, and an entry goes when its plan is evicted or cleared.
+    """
 
     def __init__(self, maxsize: int = 128):
         if maxsize < 1:
             raise ValueError(f"plan cache size must be >= 1, got {maxsize}")
         self.maxsize = maxsize
         self._plans: OrderedDict[PlanKey, ExecutionPlan] = OrderedDict()
+        self._index: OrderedDict[tuple, CallResolution] = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -258,7 +307,7 @@ class PlanCache:
         Returns ``(plan, hit)`` where ``hit`` reports whether the plan was
         served from cache.
         """
-        key = (m, n, q, np.dtype(dtype).name, config)
+        key = (m, n, q, dtype_name(dtype), config)
         with self._lock:
             plan = self._plans.get(key)
             if plan is not None:
@@ -266,22 +315,62 @@ class PlanCache:
                 self.hits += 1
                 return plan, True
         # Build outside the lock: plans are deterministic, so a racing
-        # duplicate build is wasteful but harmless.
-        plan = build_plan(m, n, q, dtype, config)
+        # duplicate build is wasteful but harmless; the first one cached
+        # is the one every caller gets.
+        built = build_plan(m, n, q, dtype, config)
         with self._lock:
             self.misses += 1
-            self._plans[key] = plan
+            plan = self._plans.setdefault(key, built)
             self._plans.move_to_end(key)
             while len(self._plans) > self.maxsize:
-                self._plans.popitem(last=False)
+                _key, evicted = self._plans.popitem(last=False)
                 self.evictions += 1
+                for request in [
+                    r for r, call in self._index.items() if call.plan is evicted
+                ]:
+                    del self._index[request]
         return plan, False
+
+    def resolved(self, request: tuple) -> CallResolution | None:
+        """The resolution indexed under ``request``, or ``None``.
+
+        Counts nothing: a caller that uses the entry reports it through
+        :meth:`hit`.
+        """
+        with self._lock:
+            return self._index.get(request)
+
+    def hit(self, request: tuple, call: CallResolution) -> None:
+        """Count a call served from the index as a plan hit."""
+        with self._lock:
+            self.hits += 1
+            # Either may have gone since resolved(): the plan stays
+            # usable, it is only no longer cached.
+            if request in self._index:
+                self._index.move_to_end(request)
+            if call.plan.key in self._plans:
+                self._plans.move_to_end(call.plan.key)
+
+    def index(self, request: tuple, call: CallResolution) -> None:
+        """Index a resolution whose plan :meth:`get` just returned.
+
+        A plan evicted in the meantime is not indexed, so no entry
+        outlives its plan.
+        """
+        with self._lock:
+            if self._plans.get(call.plan.key) is not call.plan:
+                return
+            self._index[request] = call
+            self._index.move_to_end(request)
+            while len(self._index) > self.maxsize:
+                self._index.popitem(last=False)
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._plans)
 
     def clear(self) -> None:
-        """Drop every cached plan (counters are retained)."""
+        """Drop every cached plan and indexed request (counters are retained)."""
         with self._lock:
             self._plans.clear()
+            self._index.clear()

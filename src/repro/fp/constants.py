@@ -16,6 +16,7 @@ is the unit roundoff ``u`` of round-to-nearest double arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,6 +28,7 @@ __all__ = [
     "BINARY64",
     "LOW_PRECISION_NAMES",
     "bfloat16_dtype",
+    "dtype_name",
     "format_for_dtype",
     "format_for_name",
     "supported_storage_dtypes",
@@ -194,6 +196,16 @@ def supported_storage_dtypes() -> tuple[str, ...]:
     if BFLOAT16 is not None:
         names.insert(1, "bfloat16")
     return tuple(names)
+
+
+@lru_cache(maxsize=256)
+def dtype_name(dtype) -> str:
+    """``np.dtype(dtype).name``, read once per dtype.
+
+    numpy builds ``dtype.name`` in Python on every read (several
+    microseconds), so per-call paths read it through this cache.
+    """
+    return np.dtype(dtype).name
 
 
 def format_for_dtype(dtype: np.dtype | type) -> FloatFormat:

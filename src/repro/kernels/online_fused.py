@@ -166,6 +166,7 @@ def online_fused_matmul(
     abort_on_failure: bool = True,
     max_recomputes: int = 2,
     inject_hook: InjectHook | None = None,
+    matmul: Callable[..., np.ndarray] = np.matmul,
 ) -> OnlineFusedOutcome:
     """``a @ b`` with the partitioned checksum check fused into the tiles.
 
@@ -178,7 +179,7 @@ def online_fused_matmul(
     tile_blocks:
         Fused tile edge in whole encoded blocks per axis
         (:func:`plan_fused_tiles`); ``None`` is the degenerate
-        single-tile mode, one ``np.matmul(a, b, out=out)`` call like the
+        single-tile mode, one ``matmul(a, b, out=out)`` call like the
         separate path's.
     pool:
         Optional :class:`~repro.engine.plan.WorkspacePool` for the
@@ -195,6 +196,10 @@ def online_fused_matmul(
         ``(tile_index, attempt, tile_view) -> None`` called after each
         tile GEMM (and after each recompute, with the attempt number
         incremented) — the fault-campaign / chaos injection seam.
+    matmul:
+        ``matmul(a, b, out=...)`` running every tile GEMM: the engine
+        passes its negotiated backend's, so a fused result is computed by
+        the backend it names.  The ``numpy`` backend's is ``np.matmul``.
     """
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError("online_fused_matmul operands must be 2-D matrices")
@@ -246,14 +251,14 @@ def online_fused_matmul(
         if len(tiles) == 1:
             # Degenerate mode: the separate path's exact GEMM call —
             # bitwise identical bytes.
-            np.matmul(a, b, out=out)
+            matmul(a, b, out=out)
             return out, None
         if pool is not None:
             buf = pool.take((i1 - i0, j1 - j0), out.dtype)
-            np.matmul(a[i0:i1, :], b[:, j0:j1], out=buf)
+            matmul(a[i0:i1, :], b[:, j0:j1], out=buf)
             dst[...] = buf
             return buf, buf
-        np.matmul(a[i0:i1, :], b[:, j0:j1], out=dst)
+        matmul(a[i0:i1, :], b[:, j0:j1], out=dst)
         return dst, None
 
     aborted = False

@@ -2,9 +2,10 @@
 
 The :class:`ModelRunner` walks a :class:`~repro.models.planner.ModelPlan`
 layer by layer through a :class:`~repro.engine.engine.MatmulEngine`:
-protected layers run as ABFT-protected multiplications under their
-planned per-layer config (submitted via ``execute_batch`` so backend
-negotiation applies), unchecked layers run the raw GEMM with an explicit
+protected layers run as one ABFT-protected
+:meth:`~repro.engine.engine.MatmulEngine.matmul` each under their planned
+per-layer config (so backend and fusion negotiation applies, resolved
+once per request), unchecked layers run the raw GEMM with an explicit
 ``unchecked`` record — never silently.
 
 Three properties the serving and campaign layers build on:
@@ -54,7 +55,7 @@ from ..engine.engine import (
 from ..errors import ConfigurationError
 from ..fp.constants import format_for_dtype, format_for_name
 from ..fp.bits import flip_bit
-from ..telemetry import MetricsRegistry
+from ..telemetry import BoundChildren, MetricsRegistry
 from .planner import LayerAssignment, ModelPlan, ProtectionPlanner, _scheme_for
 from .spec import ModelSpec, apply_activation
 
@@ -248,6 +249,7 @@ class ModelRunner:
             "Model layers executed, by protection rung and bound scheme",
             ("rung", "scheme"),
         )
+        self._layers = BoundChildren(self._m_layers, "rung", "scheme")
         self._m_detections = reg.counter(
             "abft_model_detections_total",
             "Model layers whose check flagged a fault, by layer name",
@@ -289,6 +291,7 @@ class ModelRunner:
             "Per-layer wall seconds, by protection rung",
             ("rung",),
         )
+        self._layer_seconds = BoundChildren(self._h_layer, "rung")
         self._g_adaptive = reg.gauge(
             "abft_model_adaptive_threshold",
             "Mean variance-adaptive column tolerance of the last run's "
@@ -331,9 +334,9 @@ class ModelRunner:
             served rung below the planned one is recorded as degraded —
             never silently.
 
-        Protected layers run through the engine's ``execute_batch`` under
-        each layer's planned :class:`~repro.engine.config.AbftConfig`,
-        which carries any backend pin or fusion strategy.
+        Protected layers run through the engine's ``matmul`` under each
+        layer's planned :class:`~repro.engine.config.AbftConfig`, which
+        carries any backend pin or fusion strategy.
         """
         if plan is None:
             plan = ProtectionPlanner().plan(model)
@@ -390,8 +393,8 @@ class ModelRunner:
                     run,
                 )
             run.seconds = time.perf_counter() - t0
-            self._h_layer.labels(rung=rung).observe(run.seconds)
-            self._m_layers.labels(rung=rung, scheme=run.scheme or "none").inc()
+            self._layer_seconds[rung].observe(run.seconds)
+            self._layers[rung, run.scheme or "none"].inc()
             if run.degraded:
                 self._m_degraded.inc()
             if run.injected:
@@ -516,13 +519,10 @@ class ModelRunner:
             if injection is not None:
                 self.engine.set_chaos_hook(chaos_hook)
                 installed_hook = True
-            results = self.engine.execute_batch(
-                [(a_operand, b_operand)], config=cfg
-            )
+            result = self.engine.matmul(a_operand, b_operand, config=cfg)
         finally:
             if installed_hook:
                 self.engine.set_chaos_hook(None)
-        result = results[0]
         run.detected = bool(result.report.error_detected)
         if run.scheme == "adaptive":
             self._record_adaptive_threshold(layer.name, result)
@@ -532,8 +532,7 @@ class ModelRunner:
             if injection is None:
                 # A real (non-campaign) detection: recompute once, from the
                 # raw weight; it recovered only if its own check passed.
-                results = self.engine.execute_batch([(x, w)], config=cfg)
-                result = results[0]
+                result = self.engine.matmul(x, w, config=cfg)
                 run.recomputed = not result.report.error_detected
         run.backend = result.backend
 

@@ -20,6 +20,7 @@ registry; pass :data:`NULL_REGISTRY` (or any registry built with
 from .registry import (
     DEFAULT_BUCKETS,
     NULL_REGISTRY,
+    BoundChildren,
     Counter,
     Gauge,
     Histogram,
@@ -31,6 +32,7 @@ from .sinks import InMemorySink, JsonLinesSink, PrometheusTextSink
 from .spans import SPAN_HISTOGRAM, Span, current_span, span
 
 __all__ = [
+    "BoundChildren",
     "Counter",
     "DEFAULT_BUCKETS",
     "Gauge",

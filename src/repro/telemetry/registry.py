@@ -30,6 +30,7 @@ from bisect import bisect_left
 from ..errors import ConfigurationError
 
 __all__ = [
+    "BoundChildren",
     "Counter",
     "Gauge",
     "Histogram",
@@ -190,6 +191,32 @@ class _NullMetric:
 
 _NULL_METRIC = _NullMetric()
 
+
+class BoundChildren(dict):
+    """A labelled family's children by label values, bound on first use.
+
+    ``children[value]`` (one label) or ``children[(v1, v2, ...)]`` (several,
+    in ``labelnames`` order) is ``family.labels(...)`` for those values:
+    the first read calls :meth:`MetricFamily.labels`, later reads are one
+    dict lookup.  No child exists before its first read, so snapshots and
+    scrapes list exactly the children that ``labels()`` calls would have
+    created.  Racing first reads are harmless: ``labels()`` hands every
+    caller the same child.
+    """
+
+    def __init__(self, family, *labelnames: str) -> None:
+        super().__init__()
+        self._family = family
+        self._labelnames = labelnames
+
+    def __missing__(self, key):
+        values = (key,) if len(self._labelnames) == 1 else key
+        child = self[key] = self._family.labels(
+            **dict(zip(self._labelnames, values))
+        )
+        return child
+
+
 _CHILD_TYPES = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 
 
@@ -217,6 +244,7 @@ class MetricFamily:
         self.buckets = _validated_buckets(buckets) if buckets is not None else None
         self._lock = threading.Lock()
         self._children: dict[tuple[str, ...], object] = {}
+        self._default = None
 
     def labels(self, **label_values):
         """The child for one label-value combination (created on demand)."""
@@ -238,12 +266,16 @@ class MetricFamily:
 
     # -- unlabelled convenience forwards --------------------------------
     def _default_child(self):
-        if self.labelnames:
-            raise ConfigurationError(
-                f"metric {self.name!r} is labelled {self.labelnames}; "
-                "call .labels(...) first"
-            )
-        return self.labels()
+        child = self._default
+        if child is None:
+            if self.labelnames:
+                raise ConfigurationError(
+                    f"metric {self.name!r} is labelled {self.labelnames}; "
+                    "call .labels(...) first"
+                )
+            # Bound on first use, so an unused family still lists no child.
+            child = self._default = self.labels()
+        return child
 
     def inc(self, amount: float = 1.0) -> None:
         self._default_child().inc(amount)

@@ -202,3 +202,90 @@ class TestNeverSilentFallback:
         assert (
             tuner.lookup(64, 64, 64, np.float64, engine.config) == choice
         )
+
+
+class SpyFused(NumpyBackend):
+    """numpy's GEMM under another name, fused-capable, counting its calls."""
+
+    name = "spy"
+
+    def __init__(self):
+        self.calls = 0
+
+    def capabilities(self):
+        return BackendCapabilities(name=self.name, fused_online=True)
+
+    def matmul(self, a, b, *, out=None):
+        self.calls += 1
+        return super().matmul(a, b, out=out)
+
+
+class RaisingFused(SpyFused):
+    """Passes negotiation with fused_online, then dies in the tile loop."""
+
+    def matmul(self, a, b, *, out=None):
+        self.calls += 1
+        raise RuntimeError("device lost mid-loop")
+
+
+def registry_with(backend_cls) -> BackendRegistry:
+    registry = BackendRegistry()
+    registry.register("numpy", NumpyBackend)
+    registry.register("spy", backend_cls)
+    return registry
+
+
+class TestFusedDispatch:
+    """The fused tile loop runs its GEMMs on the backend the result names."""
+
+    @pytest.mark.parametrize("tile_blocks, tiles", [(None, 1), (2, 9)])
+    def test_pinned_backend_computes_every_tile(self, tile_blocks, tiles):
+        a, b = operands(96, 64, 80, np.float64)
+        backends = registry_with(SpyFused)
+        engine = MatmulEngine(registry=MetricsRegistry(), backends=backends)
+        cfg = AbftConfig(
+            block_size=16, backend="spy", fusion="fused",
+            fused_tile_blocks=tile_blocks,
+        )
+        result = engine.matmul(a, b, config=cfg)
+        assert (result.backend, result.fused) == ("spy", True)
+        assert backends.get("spy").calls == tiles
+        reference = engine.matmul(a, b, config=cfg.replace(backend="numpy"))
+        assert result.c_fc.tobytes() == reference.c_fc.tobytes()
+
+    def test_pipelined_fused_chunks_run_on_the_pinned_backend(self):
+        from repro.engine import ExecutionPolicy
+
+        a, b = operands(96, 64, 80, np.float64)
+        _a, b2 = operands(96, 64, 80, np.float64, seed=1)
+        backends = registry_with(SpyFused)
+        engine = MatmulEngine(registry=MetricsRegistry(), backends=backends)
+        cfg = AbftConfig(block_size=16, backend="spy", fusion="fused")
+        results = engine.execute_batch(
+            [(a, b), (a, b2)],
+            policy=ExecutionPolicy(mode="pipelined"),
+            config=cfg,
+        )
+        assert [(r.backend, r.fused) for r in results] == [("spy", True)] * 2
+        assert backends.get("spy").calls == 2
+
+    @pytest.mark.parametrize("tile_blocks", [None, 2])
+    def test_raising_backend_falls_back_to_numpy(self, tile_blocks):
+        a, b = operands(96, 64, 80, np.float64)
+        reg = MetricsRegistry()
+        backends = registry_with(RaisingFused)
+        engine = MatmulEngine(registry=reg, backends=backends)
+        cfg = AbftConfig(
+            block_size=16, backend="spy", fusion="fused",
+            fused_tile_blocks=tile_blocks,
+        )
+        result = engine.matmul(a, b, config=cfg)
+        assert backends.get("spy").calls == 1
+        assert (result.backend, result.fused) == ("numpy", True)
+        assert "device lost mid-loop" in result.backend_fallback
+        fallbacks = reg.counter(
+            "abft_backend_fallbacks_total", labelnames=("backend", "reason")
+        )
+        assert fallbacks.labels(backend="spy", reason="dispatch").get() == 1.0
+        reference = engine.matmul(a, b, config=cfg.replace(backend="numpy"))
+        assert result.c_fc.tobytes() == reference.c_fc.tobytes()

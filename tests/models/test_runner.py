@@ -238,15 +238,16 @@ def fresh_run(engine, model, plan, inputs):
 
 
 def record_weight_handles(engine, monkeypatch):
-    """Spy on ``execute_batch``: the B handles it receives, in call order."""
+    """Spy on ``matmul``: the B handles it receives, in call order."""
     seen = []
-    real = engine.execute_batch
+    real = engine.matmul
 
-    def spy(requests, **kwargs):
-        seen.extend(b for _a, b in requests if isinstance(b, EncodedOperand))
-        return real(requests, **kwargs)
+    def spy(a, b, **kwargs):
+        if isinstance(b, EncodedOperand):
+            seen.append(b)
+        return real(a, b, **kwargs)
 
-    monkeypatch.setattr(engine, "execute_batch", spy)
+    monkeypatch.setattr(engine, "matmul", spy)
     return seen
 
 

@@ -9,6 +9,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.telemetry import (
     NULL_REGISTRY,
+    BoundChildren,
     MetricsRegistry,
     get_registry,
     set_registry,
@@ -116,6 +117,34 @@ class TestSnapshot:
             {"labels": {"x": "1"}, "value": 4.0}
         ]
         assert snap["g"]["values"][0]["value"] == 2.5
+
+
+class TestBoundChildren:
+    def test_children_bind_on_first_read(self, registry):
+        fam = registry.counter("bound_total", labelnames=("rung", "scheme"))
+        children = BoundChildren(fam, "rung", "scheme")
+        assert registry.snapshot()["bound_total"]["values"] == []
+        children["full", "aabft"].inc()
+        children["full", "aabft"].inc()
+        assert children["full", "aabft"] is fam.labels(rung="full", scheme="aabft")
+        assert registry.snapshot()["bound_total"]["values"] == [
+            {"labels": {"rung": "full", "scheme": "aabft"}, "value": 2.0}
+        ]
+
+    def test_one_label_takes_the_bare_value(self, registry):
+        fam = registry.histogram("bound_seconds", labelnames=("stage",))
+        BoundChildren(fam, "stage")["encode"].observe(0.5)
+        assert fam.labels(stage="encode").count == 1
+
+    def test_unlabelled_family_binds_its_child_on_first_use(self, registry):
+        c = registry.counter("lazy_total")
+        assert registry.snapshot()["lazy_total"]["values"] == []
+        c.inc()
+        registry.reset()
+        c.inc(2)
+        assert registry.snapshot()["lazy_total"]["values"] == [
+            {"labels": {}, "value": 2.0}
+        ]
 
 
 class TestDisabled:
