@@ -732,10 +732,10 @@ class MatmulEngine:
         """
         a_items = [a for a, _b in pairs]
         b_items = [b for _a, b in pairs]
-        # The id-dedup below predicts each pair's computation dtype with
-        # the historical promotion rule; configs carrying an explicit
-        # storage dtype resolve through _resolve_storage_compute instead,
-        # so their operands encode inside _run (still once per call).
+        # The id-dedup below predicts each pair's computation dtype, which
+        # refuses low-precision operands as matmul does; configs carrying
+        # an explicit storage dtype encode their operands inside _run
+        # instead (still once per call).
         sides = (
             ()
             if cfg.dtype is not None
@@ -750,9 +750,9 @@ class MatmulEngine:
                 if len(indices) < 2:
                     continue
                 pair_dtypes = {
-                    _resolve_dtype(
-                        _operand_dtype(items[i]), _operand_dtype(others[i])
-                    )
+                    _resolve_storage_compute(
+                        cfg, _operand_dtype(items[i]), _operand_dtype(others[i])
+                    )[1]
                     for i in indices
                 }
                 if len(pair_dtypes) != 1:

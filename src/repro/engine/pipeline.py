@@ -20,7 +20,14 @@ Even without thread overlap the chunked execution wins: every distinct
 left operand is encoded once for the whole batch, and each chunk's right
 operands are concatenated column-wise so the encode reduction, the GEMM,
 the discrepancy kernels and the tolerance-grid evaluation each run *once
-per chunk* instead of once per pair.
+per chunk* instead of once per pair.  The chunk's GEMM multiplies only
+the right-operand columns that carry data or checksums (``q +
+ceil(q/BS)`` per item instead of ``ceil(q/BS) · (BS+1)``) and writes the
+product into a full-width chunk result whose padding columns hold
+``+0.0``, so every item's ``c_fc`` is still a view in the interleaved
+layout.  A left operand holding a NaN or an Inf would give NaN, not
+``+0.0``, in those columns, so its chunks run per item, counted in
+``abft_pipeline_fallbacks_total{reason="non_finite"}``.
 
 **Bitwise identity is the hard invariant.**  Per-item slices of the
 concatenated encode/check reductions are block-local, and the tolerance
@@ -30,9 +37,12 @@ selection depends on operand shapes).  The executor therefore
 dual-computes the **first** chunk of every chunk width of a plan along
 both the concatenated and the per-item reference path and compares
 every artifact — encoded slices, top-p data, result bytes,
-discrepancies.  Only a byte-identical probe enables the concatenated
-path for that width; any mismatch pins the width to the per-item
-reference path (counted in ``abft_pipeline_fallbacks_total``), which
+discrepancies.  The probe tries two concatenated GEMMs in turn: the
+``compact`` one above, then (for padded items) the ``full`` one that
+multiplies every encoded column, padding included.  The first
+byte-identical candidate becomes the width's verdict; when neither is,
+the width is pinned to the ``per_item`` reference path (counted in
+``abft_pipeline_fallbacks_total{reason="bitwise_probe"}``), which
 encodes and multiplies each pair exactly as
 :meth:`~repro.engine.MatmulEngine.matmul` does.  The verdicts live on
 the :class:`~repro.engine.plan.ExecutionPlan`, so they go when the plan
@@ -57,7 +67,8 @@ from ..abft.checking import (
 from ..abft.encoding import strip_encoding
 from ..abft.providers import AABFTToleranceGrids
 from ..abft.result import AbftResult
-from ..kernels.stage_split import ChunkEncodedB, encode_b_chunk
+from ..errors import ConfigurationError
+from ..kernels.stage_split import ChunkEncodedB, ColumnMap, encode_b_chunk
 from ..telemetry import span
 
 __all__ = ["pipeline_supported", "run_pipelined"]
@@ -77,12 +88,13 @@ def pipeline_supported(a_items, b_items, cfg) -> bool:
     Needs the ``aabft`` scheme without an explicit storage dtype (the
     serial path owns quantising storage), at least two pairs, one shape
     per side, a top-p depth the inner dimension admits, and one
-    computation dtype for every pair.  Every *right* operand must be raw:
-    the chunked encode concatenates raw columns, so batches of
-    pre-encoded ``B`` handles run serial, which validates and dedupes
-    them.
+    computation dtype for every pair, resolved as ``matmul`` resolves it:
+    low-precision operands are declined, so the serial path refuses them
+    as ``matmul`` does.  Every *right* operand must be raw: the chunked
+    encode concatenates raw columns, so batches of pre-encoded ``B``
+    handles run serial, which validates and dedupes them.
     """
-    from .engine import EncodedOperand, _operand_dtype, _resolve_dtype
+    from .engine import EncodedOperand, _operand_dtype, _resolve_storage_compute
 
     if cfg.scheme != "aabft" or cfg.dtype is not None or len(a_items) < 2:
         return False
@@ -105,11 +117,14 @@ def pipeline_supported(a_items, b_items, cfg) -> bool:
         return False
     if not 1 <= cfg.p <= a_shape[1]:
         return False
-    resolved = _resolve_dtype(*[_operand_dtype(x) for x in a_items + b_items])
-    return all(
-        _resolve_dtype(_operand_dtype(a), _operand_dtype(b)) == resolved
-        for a, b in zip(a_items, b_items)
-    )
+    try:
+        computes = {
+            _resolve_storage_compute(cfg, _operand_dtype(a), _operand_dtype(b))[1]
+            for a, b in zip(a_items, b_items)
+        }
+    except ConfigurationError:
+        return False
+    return len(computes) == 1
 
 
 @dataclass
@@ -118,6 +133,7 @@ class _Group:
 
     enc_a: object  # EncodedOperand
     fresh: bool
+    finite: bool  # every element of enc_a is finite
     indices: list[int]
 
 
@@ -148,12 +164,15 @@ def run_pipelined(engine, a_items, b_items, cfg) -> list:
         EncodedOperand,
         _aabft_provider,
         _operand_dtype,
-        _resolve_dtype,
+        _resolve_storage_compute,
     )
 
     t_start = time.perf_counter()
-    dtype = _resolve_dtype(*[_operand_dtype(x) for x in a_items + b_items])
     first_a, first_b = a_items[0], b_items[0]
+    # Every pair resolves to this one dtype (a precondition).
+    _storage, dtype = _resolve_storage_compute(
+        cfg, _operand_dtype(first_a), _operand_dtype(first_b)
+    )
     m, n = (
         first_a.shape
         if isinstance(first_a, EncodedOperand)
@@ -179,7 +198,10 @@ def run_pipelined(engine, a_items, b_items, cfg) -> list:
         group = by_id.get(id(a))
         if group is None:
             enc_a, fresh = engine._encode_or_reuse(a, "a", cfg, dtype, plan)
-            group = _Group(enc_a=enc_a, fresh=fresh, indices=[])
+            # A NaN or an Inf in a block makes its column's checksum
+            # non-finite, so the checksum rows tell whether all is finite.
+            finite = np.isfinite(enc_a.array[enc_a.layout.checksum_slice()]).all()
+            group = _Group(enc_a=enc_a, fresh=fresh, finite=finite, indices=[])
             by_id[id(a)] = group
             groups.append(group)
         else:
@@ -326,7 +348,9 @@ def run_pipelined(engine, a_items, b_items, cfg) -> list:
 # ----------------------------------------------------------------------
 # chunk stage bodies
 # ----------------------------------------------------------------------
-def _probe_verdict(plan, width: int) -> bool | None:
+def _probe_verdict(plan, width: int) -> str | None:
+    """The width's verdict — ``"compact"``, ``"full"`` or ``"per_item"``
+    — or ``None`` before its probe."""
     with plan.probe_lock:
         return plan.probe_verdicts.get(width)
 
@@ -336,12 +360,16 @@ def _encode_chunk(engine, plan, cfg, state: _ChunkState, dtype) -> None:
 
     Fused-online chunks always take the per-item path: their multiply
     slot runs one fused tile loop per pair against per-pair tolerance
-    grids, so there is no concatenated GEMM to feed.
+    grids, so there is no concatenated GEMM to feed.  So do chunks whose
+    left operand is not all finite.  The full-width concatenation is
+    built only for a probe or a ``full`` verdict.
     """
-    if (
-        cfg.fusion == "fused"
-        or _probe_verdict(plan, len(state.items)) is False
-    ):
+    verdict = _probe_verdict(plan, len(state.items))
+    concatenate = cfg.fusion != "fused" and verdict != "per_item"
+    if concatenate and not state.group.finite:
+        engine._m_pipe_fallbacks.labels(reason="non_finite").inc()
+        concatenate = False
+    if not concatenate:
         state.encoded = _encode_items(engine, plan, cfg, state, dtype)
         state.enc_padding = plan.cols_added
         return
@@ -352,6 +380,7 @@ def _encode_chunk(engine, plan, cfg, state: _ChunkState, dtype) -> None:
         p=cfg.p,
         dtype=dtype,
         pool=plan.pool,
+        full=verdict != "compact",
     )
     state.enc_padding = state.encoded.padding
 
@@ -368,10 +397,20 @@ def _reencode_items(engine, plan, cfg, state: _ChunkState, other) -> list:
     """Per-item encodes inside a multiply slot, timed into ``other``."""
     t0 = time.perf_counter()
     encoded = _encode_items(
-        engine, plan, cfg, state, state.encoded.encoded.dtype
+        engine, plan, cfg, state, state.encoded.compact.dtype
     )
     other["encode"] = time.perf_counter() - t0
     return encoded
+
+
+def _chunk_gemm(engine, plan, a_arr, b_arr, columns: ColumnMap):
+    """One concatenated GEMM of ``a_arr`` by the right-operand columns
+    ``columns`` keeps, its product spread to the full-width chunk result
+    (padding columns ``+0.0``; the identity map multiplies them all)."""
+    return engine._dispatch(
+        plan,
+        lambda name: columns.spread(engine._backends.get(name).matmul(a_arr, b_arr)),
+    )
 
 
 def _multiply_chunk(engine, plan, cfg, state: _ChunkState) -> dict:
@@ -389,10 +428,10 @@ def _multiply_chunk(engine, plan, cfg, state: _ChunkState) -> dict:
         if verdict is None:
             _probe_chunk(engine, plan, cfg, state, other)
             return other
-        if verdict:
+        if verdict != "per_item":
             # Probed byte-identical: one GEMM covers the whole chunk.
-            c_cat, used, fallback = engine._dispatch_gemm(
-                plan, a_arr, enc.encoded
+            c_cat, used, fallback = _chunk_gemm(
+                engine, plan, a_arr, *enc.operand(full=verdict == "full")
             )
             w = enc.item_width
             state.c_cat = c_cat
@@ -400,12 +439,12 @@ def _multiply_chunk(engine, plan, cfg, state: _ChunkState) -> dict:
             state.backends = [used] * count
             state.fallbacks = [fallback] * count
             state.item_tops = [enc.item_tops(j) for j in range(count)]
-            plan.pool.give(enc.encoded)
+            enc.release(plan.pool)
             return other
         # A prefetched encode slot concatenated this chunk before its
         # width's probe failed: re-encode per item for the reference.
         state.encoded = _reencode_items(engine, plan, cfg, state, other)
-        plan.pool.give(enc.encoded)
+        enc.release(plan.pool)
     # Reference path (the probe failed for this width).
     state.c_fcs, state.backends, state.fallbacks = [], [], []
     state.item_tops = []
@@ -429,55 +468,41 @@ def _same_bytes(x: np.ndarray, y: np.ndarray) -> bool:
 def _probe_chunk(engine, plan, cfg, state: _ChunkState, other) -> None:
     """Dual-compute the chunk along both paths and compare every byte.
 
-    The reference artifacts are kept as the chunk's results (they are the
-    guaranteed ones either way); the verdict, kept on the plan, decides
-    how every *later* chunk of this width executes.  The re-encode and
-    the discrepancy comparison are timed into ``other``.
+    The encodings must match first; then each candidate GEMM (``compact``,
+    then ``full`` for padded items) is tried until one reproduces the
+    per-item results and discrepancies.  The reference artifacts are kept
+    as the chunk's results (they are the guaranteed ones either way); the
+    verdict, kept on the plan, decides how every *later* chunk of this
+    width executes.  The re-encode and the discrepancy comparisons are
+    timed into ``other``.
     """
     a_arr = state.group.enc_a.array
     enc: ChunkEncodedB = state.encoded
     count = len(state.items)
     ref_enc = _reencode_items(engine, plan, cfg, state, other)
-
-    w = enc.item_width
     ok = all(
         _same_bytes(ref.array, enc.item_encoded(j))
         and _same_bytes(ref.top_values, enc.item_tops(j)[0])
         and _same_bytes(ref.top_indices, enc.item_tops(j)[1])
         for j, ref in enumerate(ref_enc)
     )
-
-    c_cat, _used, _fb = engine._dispatch_gemm(plan, a_arr, enc.encoded)
     ref_runs = [
         engine._dispatch_gemm(plan, a_arr, ref.array) for ref in ref_enc
     ]
-    ok = ok and all(
-        _same_bytes(run[0], c_cat[:, j * w : (j + 1) * w])
-        for j, run in enumerate(ref_runs)
-    )
+    verdict = "per_item"
     if ok:
-        # Discrepancy parity closes the loop: identical result bytes must
-        # slice into identical checksum discrepancies.
-        t0 = time.perf_counter()
-        cat_col = column_discrepancies(c_cat, plan.row_layout)
-        cat_row = row_discrepancies(c_cat, enc.layout)
-        blocks = plan.col_layout.num_blocks
-        ok = all(
-            _same_bytes(
-                column_discrepancies(run[0], plan.row_layout),
-                cat_col[:, j * w : (j + 1) * w],
+        # Unpadded items have one concatenated GEMM: compact is full width.
+        for candidate in ("compact", "full") if enc.padding else ("full",):
+            c_cat, _used, _fb = _chunk_gemm(
+                engine, plan, a_arr, *enc.operand(full=candidate == "full")
             )
-            and _same_bytes(
-                row_discrepancies(run[0], plan.col_layout),
-                cat_row[:, j * blocks : (j + 1) * blocks],
-            )
-            for j, run in enumerate(ref_runs)
-        )
-        other["check"] = time.perf_counter() - t0
+            if _reproduces(plan, enc, c_cat, ref_runs, other):
+                verdict = candidate
+                break
 
     with plan.probe_lock:
-        plan.probe_verdicts[count] = ok
-    if not ok:
+        plan.probe_verdicts[count] = verdict
+    if verdict == "per_item":
         engine._m_pipe_fallbacks.labels(reason="bitwise_probe").inc()
 
     # The reference artifacts become the chunk's results.
@@ -486,7 +511,36 @@ def _probe_chunk(engine, plan, cfg, state: _ChunkState, other) -> None:
     state.fallbacks = [run[2] for run in ref_runs]
     state.item_tops = [(ref.top_values, ref.top_indices) for ref in ref_enc]
     state.encoded = ref_enc
-    plan.pool.give(enc.encoded)
+    enc.release(plan.pool)
+
+
+def _reproduces(plan, enc: ChunkEncodedB, c_cat, ref_runs, other) -> bool:
+    """Whether a concatenated chunk result slices into the per-item
+    results' bytes and, closing the loop, their discrepancy bytes (timed
+    into ``other`` as check work)."""
+    w = enc.item_width
+    if not all(
+        _same_bytes(run[0], c_cat[:, j * w : (j + 1) * w])
+        for j, run in enumerate(ref_runs)
+    ):
+        return False
+    t0 = time.perf_counter()
+    cat_col = column_discrepancies(c_cat, plan.row_layout)
+    cat_row = row_discrepancies(c_cat, enc.layout)
+    blocks = plan.col_layout.num_blocks
+    ok = all(
+        _same_bytes(
+            column_discrepancies(run[0], plan.row_layout),
+            cat_col[:, j * w : (j + 1) * w],
+        )
+        and _same_bytes(
+            row_discrepancies(run[0], plan.col_layout),
+            cat_row[:, j * blocks : (j + 1) * blocks],
+        )
+        for j, run in enumerate(ref_runs)
+    )
+    other["check"] = other.get("check", 0.0) + time.perf_counter() - t0
+    return ok
 
 
 def _fused_chunk(engine, plan, cfg, state: _ChunkState) -> dict:

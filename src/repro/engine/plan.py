@@ -139,9 +139,11 @@ class ExecutionPlan:
         *before* the plan lookup, so plans always carry a concrete
         backend.
     probe_verdicts / probe_lock:
-        The pipelined executor's bitwise-probe verdicts by chunk width
-        (``True``: the concatenated chunk path is byte-identical), read
-        and written under the lock.  They live and die with the plan.
+        The pipelined executor's bitwise-probe verdicts by chunk width,
+        each naming the chunk path that reproduced the per-item bytes:
+        ``"compact"`` or ``"full"`` (the concatenated GEMM over the kept
+        or over every right-operand column), else ``"per_item"``.  Read
+        and written under the lock; they live and die with the plan.
     """
 
     key: PlanKey
@@ -158,7 +160,7 @@ class ExecutionPlan:
     fmt: FloatFormat
     pool: WorkspacePool = field(repr=False, default=None)
     backend_name: str = "numpy"
-    probe_verdicts: dict[int, bool] = field(
+    probe_verdicts: dict[int, str] = field(
         default_factory=dict, repr=False, compare=False
     )
     probe_lock: threading.Lock = field(

@@ -8,34 +8,109 @@ the multiply stage consumes chunk ``i``.  This module provides the
 chunk-level entry points that make that overlap safe:
 
 * :func:`encode_b_chunk` concatenates a chunk of right operands along
-  their column axis and encodes the concatenation in **one** partitioned
-  pass.  Because the padded per-item width is a multiple of the block
-  size, every checksum block of the concatenation lies entirely inside
-  one item — slicing the concatenated encoding (or its top-p arrays)
-  reproduces the per-item encodings bit for bit.  The same block
-  locality makes per-item slices of the discrepancy grids of the
-  concatenated result bitwise equal to per-item evaluation.
+  their column axis, zero-pads each to a block multiple and encodes the
+  concatenation in **one** pass.  It writes only the encoded columns that
+  carry data or checksums (the *compact* operand, ``q + ceil(q/BS)``
+  columns per item): a padding column is all zeros, so its product
+  column, its top-p data and its place in the encoding are known without
+  computing them.  Checksums still sum each zero-padded ``BS``-column
+  block, as the per-item encode does.  Because the padded per-item width
+  is a multiple of the block size, every checksum block of the
+  concatenation lies entirely inside one item — slicing the encoding (or
+  its top-p arrays) reproduces the per-item encodings bit for bit.  The
+  same block locality makes per-item slices of the discrepancy grids of
+  the concatenated result bitwise equal to per-item evaluation.
+* :class:`ColumnMap` places compact columns at their full-width
+  (interleaved) positions, writing a fill into the padding: ``+0.0``
+  product columns, all-zero-column top-p data, zero operand columns.
 
 Buffer-aliasing discipline: every pooled buffer used here is obtained by
 a fresh :meth:`~repro.engine.plan.WorkspacePool.take` (never handed out
 twice while in flight) and is only given back by the pipeline once the
 consuming stage has finished with it, so the encode of chunk ``i+1``
-can never alias the encoded buffer the multiply of chunk ``i`` is still
+can never alias the operands the multiply of chunk ``i`` is still
 reading.  The concatenated raw workspace is recycled *inside*
-:func:`encode_b_chunk`; the encoded output is owned by the caller.
+:func:`encode_b_chunk`; the encoded operands are owned by the caller
+(:meth:`ChunkEncodedB.release`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from ..abft.encoding import PartitionedLayout, encode_partitioned_rows
+from ..abft.encoding import PartitionedLayout
 from ..bounds.upper_bound import top_p_arrays
 from ..errors import ShapeError
 
-__all__ = ["ChunkEncodedB", "encode_b_chunk"]
+__all__ = ["ChunkEncodedB", "ColumnMap", "column_map", "encode_b_chunk"]
+
+
+@dataclass(frozen=True)
+class ColumnMap:
+    """Which of each chunk item's encoded columns a concatenated GEMM
+    multiplies.
+
+    An item has ``width`` encoded columns: its ``BS``-column blocks, each
+    followed by its checksum column.  When ``q`` is not a block multiple
+    the last block ends in ``BS - q mod BS`` zero padding columns.  The
+    map keeps the item's first ``lead`` columns — every full block with
+    its checksum, then the last block's real columns — and, when the last
+    block is padded, the item's last column (that block's checksum).
+    The identity map keeps every column.
+    """
+
+    count: int
+    width: int
+    lead: int
+
+    @property
+    def kept(self) -> int:
+        """Columns kept per item."""
+        return self.lead + (self.lead < self.width)
+
+    @property
+    def identity(self) -> bool:
+        return self.lead == self.width
+
+    def spread(
+        self,
+        compact: np.ndarray,
+        *,
+        axis: int = 1,
+        fill=0.0,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """``compact``'s kept columns (``axis=0``: rows) at their
+        full-width places, with ``fill`` in every padding position.
+
+        ``out`` (C-contiguous, full width) receives the result; by
+        default a fresh array does.  The identity map returns
+        ``compact`` itself.
+        """
+        if self.identity:
+            return compact
+        pre, post = compact.shape[:axis], compact.shape[axis + 1 :]
+        if out is None:
+            out = np.empty(pre + (self.count * self.width,) + post, compact.dtype)
+        src = compact.reshape(pre + (self.count, self.kept) + post)
+        dst = out.reshape(pre + (self.count, self.width) + post)
+        items = (slice(None),) * (axis + 1)  # every leading index, every item
+        dst[items + (slice(0, self.lead),)] = src[items + (slice(0, self.lead),)]
+        dst[items + (slice(self.lead, -1),)] = fill
+        dst[items + (-1,)] = src[items + (-1,)]
+        return out
+
+
+@lru_cache(maxsize=256)
+def column_map(q: int, block_size: int, count: int) -> ColumnMap:
+    """The compact column map of a chunk of ``count`` items with ``q``
+    columns each (cached: one map per shape and chunk width)."""
+    padding = (-q) % block_size
+    width = PartitionedLayout(q + padding, block_size).encoded_rows
+    return ColumnMap(count=count, width=width, lead=width - padding - (padding > 0))
 
 
 @dataclass(frozen=True)
@@ -44,44 +119,64 @@ class ChunkEncodedB:
 
     Attributes
     ----------
+    compact:
+        The concatenated encoding's kept columns (:attr:`columns`), shape
+        ``(n, count * columns.kept)``.
     encoded:
-        The concatenated row-checksum encoding, shape
-        ``(n, count * item_width)``.  May be a pooled buffer — the
-        pipeline gives it back once the multiply has consumed it.
+        The full-width concatenated encoding, shape ``(n, count *
+        item_width)``, or ``None`` when it was not asked for; it *is*
+        :attr:`compact` when no item is padded.  Both may be pooled
+        buffers (:meth:`release`).
+    columns:
+        The compact :class:`ColumnMap` of the chunk (its ``count`` items
+        of ``width`` encoded columns each).
     layout:
         Partitioned layout of the concatenated encoded columns.
-    item_layout:
-        Partitioned layout of one item's encoded columns.
-    item_width:
-        Encoded columns per item (``item_layout.encoded_rows``).
-    count:
-        Number of right operands in the chunk.
     padding:
         Zero columns appended to each item to reach a block multiple.
     top_values / top_indices:
-        Top-p data of every concatenated encoded column, shape
+        Top-p data of every full-width encoded column, shape
         ``(count * item_width, p)``; rows ``[j*w:(j+1)*w]`` are item
         ``j``'s per-column top-p data.  Always freshly allocated (they
         escape into epsilon providers).
     """
 
-    encoded: np.ndarray
+    compact: np.ndarray
+    encoded: np.ndarray | None
+    columns: ColumnMap
     layout: PartitionedLayout
-    item_layout: PartitionedLayout
-    item_width: int
-    count: int
     padding: int
     top_values: np.ndarray
     top_indices: np.ndarray
 
+    @property
+    def item_width(self) -> int:
+        """Encoded columns per item."""
+        return self.columns.width
+
     def item_encoded(self, j: int) -> np.ndarray:
-        """Item ``j``'s encoded columns (a view of the concatenation)."""
+        """Item ``j``'s full-width encoded columns (a view)."""
         return self.encoded[:, j * self.item_width : (j + 1) * self.item_width]
 
     def item_tops(self, j: int) -> tuple[np.ndarray, np.ndarray]:
         """Item ``j``'s per-column top-p values/indices (views)."""
         lo, hi = j * self.item_width, (j + 1) * self.item_width
         return self.top_values[lo:hi], self.top_indices[lo:hi]
+
+    def operand(self, full: bool) -> tuple[np.ndarray, ColumnMap]:
+        """The right operand a concatenated GEMM multiplies and the map
+        placing its product: the compact columns, or every column (built
+        only on request)."""
+        if not full:
+            return self.compact, self.columns
+        cols = self.columns
+        return self.encoded, ColumnMap(cols.count, cols.width, cols.width)
+
+    def release(self, pool) -> None:
+        """Give the pooled operand buffers back."""
+        pool.give(self.compact)
+        if self.encoded is not self.compact:
+            pool.give(self.encoded)
 
 
 def encode_b_chunk(
@@ -92,6 +187,7 @@ def encode_b_chunk(
     p: int,
     dtype: np.dtype,
     pool=None,
+    full: bool = False,
 ) -> ChunkEncodedB:
     """Encode a chunk of same-shape right operands in one partitioned pass.
 
@@ -110,8 +206,10 @@ def encode_b_chunk(
     pool:
         Optional :class:`~repro.engine.plan.WorkspacePool`.  Supplies the
         concatenated raw workspace (recycled before returning) and the
-        encoded output buffer (owned by the caller); the top-p outputs
+        encoded operand buffers (owned by the caller); the top-p outputs
         are always fresh.
+    full:
+        Also build the full-width encoding (:attr:`ChunkEncodedB.encoded`).
     """
     if not items:
         raise ShapeError("encode_b_chunk needs at least one operand")
@@ -119,18 +217,19 @@ def encode_b_chunk(
     padding = (-q) % block_size
     padded_q = q + padding
     count = len(items)
-    item_layout = PartitionedLayout(data_rows=padded_q, block_size=block_size)
+    item_blocks = padded_q // block_size
     layout = PartitionedLayout(
         data_rows=count * padded_q, block_size=block_size
     )
+    columns = column_map(q, block_size, count)
 
-    # One contiguous concatenation of the (zero-padded) raw operands: the
-    # encode reduction and the top-p search then each run once per chunk
-    # instead of once per item.
-    if pool is not None:
-        raw_cat = pool.take((n, count * padded_q), dtype)
-    else:
-        raw_cat = np.empty((n, count * padded_q), dtype=dtype)
+    def take(shape):
+        return np.empty(shape, dtype) if pool is None else pool.take(shape, dtype)
+
+    # One contiguous concatenation of the zero-padded raw operands: the
+    # checksum reduction and the top-p search then each run once per
+    # chunk instead of once per item.
+    raw_cat = take((n, count * padded_q))
     for j, item in enumerate(items):
         if item.shape != (n, q):
             raise ShapeError(
@@ -141,20 +240,40 @@ def encode_b_chunk(
         if padding:
             raw_cat[:, lo + q : lo + padded_q] = 0.0
 
-    out = None
-    if pool is not None:
-        out = pool.take((n, layout.encoded_rows), dtype)
-    encoded, _ = encode_partitioned_rows(raw_cat, block_size, out=out)
-    top_values, top_indices = top_p_arrays(encoded, p, axis=0, pool=pool)
+    # The kept columns, block by block: whole blocks with their checksum
+    # columns, then the padded last block's real columns and checksum.
+    # Every checksum sums its whole zero-padded block, as the per-item
+    # encode does (a sum over the real columns alone groups differently).
+    compact = take((n, count * columns.kept))
+    stride = block_size + 1
+    blocks = raw_cat.reshape(n, count, item_blocks, block_size)
+    kept = compact.reshape(n, count, columns.kept)
+    whole = item_blocks - (padding > 0)
+    if whole:
+        out = kept[:, :, : whole * stride].reshape(n, count, whole, stride)
+        out[..., :block_size] = blocks[:, :, :whole]
+        np.sum(blocks[:, :, :whole], axis=3, out=out[..., block_size])
+    if padding:
+        last = blocks[:, :, -1]
+        kept[:, :, whole * stride : -1] = last[..., : block_size - padding]
+        np.sum(last, axis=2, out=kept[:, :, -1])
     if pool is not None:
         pool.give(raw_cat)
+
+    # A padding column's top-p is an all-zero column's: values 0.0 at
+    # indices 0..p-1 (ties resolve to the lowest index).
+    values, indices = top_p_arrays(compact, p, axis=0, pool=pool)
+    encoded = None
+    if full:
+        encoded = compact
+        if not columns.identity:
+            encoded = columns.spread(compact, out=take((n, layout.encoded_rows)))
     return ChunkEncodedB(
+        compact=compact,
         encoded=encoded,
+        columns=columns,
         layout=layout,
-        item_layout=item_layout,
-        item_width=item_layout.encoded_rows,
-        count=count,
         padding=padding,
-        top_values=top_values,
-        top_indices=top_indices,
+        top_values=columns.spread(values, axis=0),
+        top_indices=columns.spread(indices, axis=0, fill=np.arange(p)),
     )

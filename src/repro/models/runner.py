@@ -391,6 +391,7 @@ class ModelRunner:
                     prev_reusable,
                     injection,
                     run,
+                    consumed=index + 1 < len(plan.assignments),
                 )
             run.seconds = time.perf_counter() - t0
             self._layer_seconds[rung].observe(run.seconds)
@@ -466,7 +467,11 @@ class ModelRunner:
         prev_reusable: EncodedOperand | None,
         injection,
         run: LayerRun,
+        *,
+        consumed: bool,
     ):
+        """One checked layer; returns its output and, when a later layer
+        (``consumed``) may reuse them, its verified checksum rows."""
         layer = assignment.layer
         storage, compute = _layer_dtypes(layer)
         cfg = self._config_for(assignment, rung)
@@ -539,7 +544,8 @@ class ModelRunner:
         y = result.c
         reusable = None
         if (
-            layer.activation == "none"
+            consumed
+            and layer.activation == "none"
             and not layer.is_low_precision
             and not result.report.error_detected
             and not run.injected

@@ -49,8 +49,8 @@ def run_path(path, a, bs, cfg=SEPARATE, hook=None):
     """Results of ``a @ b`` for every ``b`` through one execution path.
 
     The pipelined paths first run the batch once so the bitwise probe
-    records a verdict, then pin it: ``True`` runs every chunk through one
-    concatenated GEMM, ``False`` through per-item GEMMs.
+    records a verdict, then pin it: ``"compact"`` runs every chunk through
+    one concatenated GEMM, ``"per_item"`` through per-item GEMMs.
     """
     engine = fresh_engine(cfg)
     if path == "serial":
@@ -60,7 +60,9 @@ def run_path(path, a, bs, cfg=SEPARATE, hook=None):
     for plan in list(engine._plans._plans.values()):
         with plan.probe_lock:
             for width in plan.probe_verdicts:
-                plan.probe_verdicts[width] = path == "concatenated"
+                plan.probe_verdicts[width] = (
+                    "compact" if path == "concatenated" else "per_item"
+                )
     engine.reset_stats()
     engine.set_chaos_hook(hook)
     results = engine.execute_batch([(a, b) for b in bs], policy=PIPELINED)

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.engine import AbftConfig, MatmulEngine
+from repro.engine import (
+    AbftConfig,
+    ExecutionPolicy,
+    MatmulEngine,
+    pipeline_supported,
+)
 from repro.engine.config import DTYPE_NAMES
 from repro.errors import ConfigurationError
 from repro.fp.constants import bfloat16_dtype
@@ -121,3 +126,64 @@ class TestEngineMixedPrecision:
         with MatmulEngine(cfg) as engine:
             with pytest.raises(ConfigurationError, match="conflicts"):
                 engine.matmul(a, b32)
+
+
+def batch_count(engine, name, label, value) -> float:
+    return engine.registry.counter(name, labelnames=(label,)).labels(
+        **{label: value}
+    ).get()
+
+
+class TestBatchedMixedPrecision:
+    """A batch refuses low-precision operands as ``matmul`` does, in every
+    execution mode: no mode may upcast them silently."""
+
+    @pytest.fixture
+    def fp16_pairs(self):
+        rng = np.random.default_rng(12)
+        a = (rng.uniform(-1, 1, (32, 32)) * 0.5).astype(np.float16)
+        return [
+            (a, (rng.uniform(-1, 1, (32, 8)) * 0.5).astype(np.float16))
+            for _ in range(3)
+        ]
+
+    @pytest.mark.parametrize("mode", ["auto", "pipelined"])
+    def test_batch_refuses_fp16_without_config_dtype(self, fp16_pairs, mode):
+        a_items = [a for a, _b in fp16_pairs]
+        b_items = [b for _a, b in fp16_pairs]
+        assert not pipeline_supported(a_items, b_items, AbftConfig())
+        engine = MatmulEngine()
+        with pytest.raises(ConfigurationError, match="silently upcast"):
+            engine.execute_batch(fp16_pairs, policy=ExecutionPolicy(mode=mode))
+        with pytest.raises(ConfigurationError, match="silently upcast"):
+            engine.execute_batch(fp16_pairs[:1], policy=ExecutionPolicy(mode=mode))
+        with pytest.raises(ConfigurationError, match="silently upcast"):
+            engine.matmul(*fp16_pairs[0])
+        name = "abft_pipeline_fallbacks_total"
+        assert batch_count(engine, name, "reason", "unsupported") == (
+            2 if mode == "pipelined" else 0
+        )
+        assert batch_count(
+            engine, "abft_engine_execute_batch_total", "mode", "pipelined"
+        ) == 0
+
+    @pytest.mark.parametrize("mode", ["auto", "serial"])
+    def test_batch_of_shared_fp16_operands_is_refused(self, fp16_pairs, mode):
+        # Both operands shared by every pair: the serial path pre-encodes
+        # each once, and must refuse rather than encode them as float64.
+        a, b = fp16_pairs[0]
+        with pytest.raises(ConfigurationError, match="silently upcast"):
+            MatmulEngine().execute_batch(
+                [(a, b), (a, b)], policy=ExecutionPolicy(mode=mode)
+            )
+
+    def test_adaptive_fp16_config_still_runs_serial(self, fp16_pairs):
+        cfg = AbftConfig(dtype="float16", scheme="adaptive", block_size=16)
+        engine = MatmulEngine(cfg)
+        results = engine.execute_batch(fp16_pairs)
+        assert batch_count(
+            engine, "abft_engine_execute_batch_total", "mode", "serial"
+        ) == 1
+        for (a, b), result in zip(fp16_pairs, results):
+            assert result.c.dtype == np.float16
+            assert result.c.tobytes() == MatmulEngine(cfg).matmul(a, b).c.tobytes()

@@ -18,8 +18,9 @@ from repro.engine import (
     MatmulEngine,
     pipeline_supported,
 )
+from repro.backends import BackendRegistry, NumpyBackend
 from repro.engine import pipeline
-from repro.errors import ConfigurationError
+from repro.errors import BoundSchemeError, ConfigurationError
 from repro.kernels.stage_split import ChunkEncodedB
 from repro.telemetry import MetricsRegistry
 
@@ -168,10 +169,11 @@ class TestProbeVerdicts:
     ):
         # With overlap on, chunk 1's encode slot is prefetched — and
         # concatenated — before chunk 0's probe runs.  The probe's first
-        # comparison is made to fail whatever the BLAS does, so chunk 1
-        # must take the per-item path too: no concatenated GEMM after the
-        # probe's own, and bytes equal to matmul.  The 32x32 items fall
-        # below the overlap threshold, so the test lowers it.
+        # comparison is made to fail whatever the BLAS does, so the probe
+        # tries no candidate GEMM and chunk 1 must take the per-item path
+        # too: no concatenated GEMM at all, and bytes equal to matmul.
+        # The 32x32 items fall below the overlap threshold, so the test
+        # lowers it.
         monkeypatch.setattr(pipeline, "_OVERLAP_MIN_FLOPS", 0)
         prefetched = threading.Event()
         encode_calls = []
@@ -211,7 +213,8 @@ class TestProbeVerdicts:
         assert prefetched.is_set()
         assert_bitwise_equal(results, reference)
         item_width = reference[0].c_fc.shape[1]
-        assert widths.count(2 * item_width) == 1  # the probe's own GEMM
+        assert widths.count(2 * item_width) == 0
+        assert widths == [item_width] * 4
 
     def test_nan_operand_keeps_the_probe_verdict(self):
         # A NaN is byte-identical to itself on both paths, so it must not
@@ -276,6 +279,161 @@ class TestProbeVerdicts:
         engine.clear_plans()
         engine.execute_batch(batches[56], policy=PIPELINED)
         assert probes == list(widths) + [8, 56]
+
+
+class SpyBackend(NumpyBackend):
+    """numpy's GEMM, recording the shape of every right operand."""
+
+    def __init__(self) -> None:
+        self.b_shapes: list[tuple[int, int]] = []
+
+    def matmul(self, a, b, *, out=None):
+        self.b_shapes.append(b.shape)
+        return super().matmul(a, b, out=out)
+
+
+def spy_engine(**kwargs) -> tuple[MatmulEngine, SpyBackend]:
+    """A one-worker engine whose ``numpy`` backend is a :class:`SpyBackend`."""
+    spy = SpyBackend()
+    backends = BackendRegistry()
+    backends.register("numpy", lambda: spy)
+    kwargs.setdefault("config", SEPARATE)
+    return fresh_engine(backends=backends, max_workers=1, **kwargs), spy
+
+
+def pin_verdicts(engine, verdict: str) -> None:
+    for plan in list(engine._plans._plans.values()):
+        with plan.probe_lock:
+            for width in plan.probe_verdicts:
+                plan.probe_verdicts[width] = verdict
+
+
+class TestCompactGemm:
+    """A concatenated chunk multiplies only the right-operand columns that
+    carry data or checksums, and its result keeps the interleaved layout."""
+
+    @pytest.mark.parametrize("q", [16, 80])
+    def test_gemm_sees_only_kept_columns(self, q):
+        rng = np.random.default_rng(50)
+        a = rng.uniform(-1, 1, (96, 64))
+        pairs = [(a, rng.uniform(-1, 1, (64, q))) for _ in range(5)]
+        engine, spy = spy_engine()
+        engine.execute_batch(pairs, policy=PIPELINED)
+        pin_verdicts(engine, "compact")
+        spy.b_shapes.clear()
+        results = engine.execute_batch(pairs, policy=PIPELINED)
+        assert spy.b_shapes == [(64, 5 * (q + -(-q // 64)))]
+        width = results[0].c_fc.shape[1]
+        assert width == -(-q // 64) * 65
+        for result in results:
+            assert result.c_fc.base is results[0].c_fc.base
+            assert result.c_fc.shape == (130, width)  # 96 rows pad to 128
+            # padding columns are +0.0 (the zero fill)
+            pad = result.c_fc[:, q % 64 + (q // 64) * 65 : width - 1]
+            assert pad.size == 130 * ((-q) % 64)
+            assert not pad.any() and not np.signbit(pad).any()
+
+        pin_verdicts(engine, "full")
+        spy.b_shapes.clear()
+        engine.execute_batch(pairs, policy=PIPELINED)
+        assert spy.b_shapes == [(64, 5 * width)]
+
+    def test_all_negative_left_row_keeps_serial_bytes(self):
+        # Every product in an all-negative row is -0.0 against a zero
+        # column, yet BLAS accumulates from +0.0: the serial padding
+        # columns hold +0.0, which is exactly the compact path's fill.
+        rng = np.random.default_rng(51)
+        a = rng.uniform(-1, 1, (256, 256))
+        negative = a.copy()
+        negative[3] = -np.abs(negative[3]) - 0.5
+        bs = [rng.uniform(-1, 1, (256, 16)) for _ in range(8)]
+        serial = [MatmulEngine(SEPARATE).matmul(negative, b) for b in bs]
+        for result in serial:
+            pad = result.c_fc[:, 16:64]
+            assert not pad.any() and not np.signbit(pad).any()
+
+        engine = fresh_engine(config=SEPARATE, max_workers=1)
+        engine.execute_batch([(a, b) for b in bs], policy=PIPELINED)
+        # the probe's own verdict: bytes must equal serial, whatever it is
+        results = engine.execute_batch(
+            [(negative, b) for b in bs], policy=PIPELINED
+        )
+        assert_bitwise_equal(results, serial)
+        # the compact path, pinned: its fill is serial's padding bytes
+        pin_verdicts(engine, "compact")
+        results = engine.execute_batch(
+            [(negative, b) for b in bs], policy=PIPELINED
+        )
+        for got, ref in zip(results, serial):
+            assert got.c_fc.base is not None
+            assert got.c_fc[:, 16:64].tobytes() == ref.c_fc[:, 16:64].tobytes()
+
+    def test_probe_tries_full_width_after_compact(self, monkeypatch):
+        # The compact candidate is made to fail; the probe then tries the
+        # full-width GEMM, whose verdict later chunks of the width follow.
+        tried = []
+
+        def reproduces(plan, enc, c_cat, ref_runs, other):
+            tried.append(c_cat.shape[1])
+            return len(tried) == 2
+
+        monkeypatch.setattr(pipeline, "_reproduces", reproduces)
+        rng = np.random.default_rng(52)
+        a = rng.uniform(-1, 1, (64, 64))
+        pairs = [(a, rng.uniform(-1, 1, (64, 16))) for _ in range(3)]
+        engine, spy = spy_engine()
+        engine.execute_batch(pairs, policy=PIPELINED)
+        plan = next(iter(engine._plans._plans.values()))
+        assert plan.probe_verdicts == {3: "full"}
+        # both candidates land in the full-width chunk result
+        assert tried == [3 * 65, 3 * 65]
+        assert spy.b_shapes[-2:] == [(64, 3 * 17), (64, 3 * 65)]
+        spy.b_shapes.clear()
+        results = engine.execute_batch(pairs, policy=PIPELINED)
+        assert spy.b_shapes == [(64, 3 * 65)]
+        assert all(r.c_fc.base is not None for r in results)
+
+    def test_unpadded_items_have_one_candidate(self, monkeypatch):
+        tried = []
+        real = pipeline._reproduces
+
+        def reproduces(*args):
+            tried.append(args[2].shape[1])
+            return real(*args)
+
+        monkeypatch.setattr(pipeline, "_reproduces", reproduces)
+        rng = np.random.default_rng(53)
+        a = rng.uniform(-1, 1, (64, 64))
+        pairs = [(a, rng.uniform(-1, 1, (64, 64))) for _ in range(3)]
+        engine = fresh_engine(config=SEPARATE, max_workers=1)
+        results = engine.execute_batch(pairs, policy=PIPELINED)
+        plan = next(iter(engine._plans._plans.values()))
+        assert tried == [3 * 65]
+        assert plan.probe_verdicts[3] in ("full", "per_item")
+        reference = [MatmulEngine(SEPARATE).matmul(a, b) for a, b in pairs]
+        assert_bitwise_equal(results, reference)
+
+    def test_non_finite_left_operand_never_takes_the_compact_gemm(self):
+        rng = np.random.default_rng(54)
+        a = rng.uniform(-1, 1, (64, 64))
+        bs = [rng.uniform(-1, 1, (64, 16)) for _ in range(4)]
+        engine, spy = spy_engine()
+        engine.execute_batch([(a, b) for b in bs], policy=PIPELINED)
+        pin_verdicts(engine, "compact")
+        for value in (np.nan, -np.inf):
+            bad = a.copy()
+            bad[7, 3] = value
+            spy.b_shapes.clear()
+            with np.errstate(invalid="ignore"):
+                try:
+                    engine.execute_batch([(bad, b) for b in bs], policy=PIPELINED)
+                except BoundSchemeError:
+                    pass  # an infinite operand has no finite bound
+            assert spy.b_shapes == [(64, 65)] * 4  # one per item, full width
+        fallbacks = engine.registry.counter(
+            "abft_pipeline_fallbacks_total", labelnames=("reason",)
+        )
+        assert fallbacks.labels(reason="non_finite").get() == 2
 
 
 class _InlineExecutor:

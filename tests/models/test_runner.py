@@ -174,6 +174,42 @@ class TestEncodingReuse:
         assert result.verified is True
         assert result.reuse_count == 0  # relu breaks checksum linearity
 
+    def spy_handles(self, monkeypatch) -> list[int]:
+        """Record the layer of every reusable handle built."""
+        from repro.models import runner as runner_module
+
+        built = []
+        real = runner_module._reusable_from_result
+
+        def spy(result, layer, cfg, batch):
+            built.append(layer.name)
+            return real(result, layer, cfg, batch)
+
+        monkeypatch.setattr(runner_module, "_reusable_from_result", spy)
+        return built
+
+    def test_no_handle_for_the_last_layer(self, monkeypatch, engine):
+        # model_mlp's shape and config: relu hidden layers, a linear head.
+        # Nothing consumes the head's output checksums, so none are cut.
+        built = self.spy_handles(monkeypatch)
+        model = mlp(name="m", batch=128, d_in=256, hidden=512, depth=6, d_out=16)
+        cfg = AbftConfig(block_size=32, p=2)
+        plan = ProtectionPlanner(
+            cfg, coverage_target=1.0, full_intensity=0.0, sea_intensity=0.0
+        ).plan(model)
+        result = ModelRunner(engine, registry=MetricsRegistry()).run(model, plan)
+        assert [run.rung for run in result.layers] == ["full"] * 6
+        assert model.layers[-1].activation == "none"
+        assert built == []
+        assert result.reuse_count == 0
+
+    def test_handles_built_only_for_consumed_layers(self, monkeypatch, runner):
+        built = self.spy_handles(monkeypatch)
+        model = self.linear_chain()
+        result = runner.run(model, full_plan(model))
+        assert built == ["l0", "l1", "l2"]
+        assert result.reuse_count == 3
+
     def test_fp16_blocks_reuse(self, runner):
         layers = tuple(
             LayerSpec(f"l{i}", 32, 32, dtype="float16") for i in range(3)

@@ -10,7 +10,7 @@ from repro.engine import (
     MatmulEngine,
     pipeline_supported,
 )
-from repro.errors import ShapeError
+from repro.errors import BoundSchemeError, ShapeError
 
 PIPELINED = ExecutionPolicy(mode="pipelined")
 SERIAL = ExecutionPolicy(mode="serial")
@@ -248,17 +248,26 @@ def verdict(result):
     return result.detected, findings, report.located_errors
 
 
-def force_probe_verdicts(engine, ok):
-    """Pin every probed chunk width of every cached plan to one chunk path."""
+def force_probe_verdicts(engine, verdict):
+    """Pin every probed chunk width of every cached plan to one chunk path:
+    ``"compact"``, ``"full"`` or ``"per_item"``."""
     for plan in list(engine._plans._plans.values()):
         with plan.probe_lock:
             for width in plan.probe_verdicts:
-                plan.probe_verdicts[width] = ok
+                plan.probe_verdicts[width] = verdict
+
+
+def non_finite_fallbacks(engine):
+    return engine.registry.counter(
+        "abft_pipeline_fallbacks_total", labelnames=("reason",)
+    ).labels(reason="non_finite").get()
 
 
 class TestNonFiniteParity:
     """A NaN right operand gets one verdict and one set of findings on
-    every path, and flags only its own item."""
+    every path, and flags only its own item; a NaN or an Inf left operand
+    gets one verdict on every path too, and never takes the compact
+    GEMM, whose zero-filled padding columns would not be NaN."""
 
     @pytest.fixture
     def batch(self):
@@ -269,13 +278,13 @@ class TestNonFiniteParity:
         poisoned[2][10, 7] = np.nan
         return a, bs, poisoned
 
-    def pipelined(self, a, bs, poisoned, stacked_ok):
+    def pipelined(self, a, bs, pairs, pinned):
+        """``pairs`` on a one-worker engine (one chunk) whose chunk width
+        a clean batch probes first and the test then pins to ``pinned``."""
         engine = MatmulEngine(SEPARATE, max_workers=1)
         engine.execute_batch([(a, b) for b in bs], policy=PIPELINED)
-        force_probe_verdicts(engine, stacked_ok)
-        return engine.execute_batch(
-            [(a, b) for b in poisoned], policy=PIPELINED
-        )
+        force_probe_verdicts(engine, pinned)
+        return engine, engine.execute_batch(pairs, policy=PIPELINED)
 
     def test_nan_operand_verdict_matches_on_every_path(self, batch):
         a, bs, poisoned = batch
@@ -286,10 +295,13 @@ class TestNonFiniteParity:
             np.isnan(f.discrepancy) for f in serial[2].report.findings
         )
 
-        concatenated = self.pipelined(a, bs, poisoned, stacked_ok=True)
-        # item results are views of the chunk's one concatenated GEMM
-        assert all(r.c_fc.base is not None for r in concatenated)
-        per_item = self.pipelined(a, bs, poisoned, stacked_ok=False)
+        paths = []
+        for pinned in ("compact", "full"):
+            _engine, concatenated = self.pipelined(a, bs, pairs, pinned)
+            # item results are views of the chunk's one concatenated GEMM
+            assert all(r.c_fc.base is not None for r in concatenated)
+            paths.append(concatenated)
+        _engine, per_item = self.pipelined(a, bs, pairs, "per_item")
         assert all(r.c_fc.base is None for r in per_item)
         fused_batch = MatmulEngine(FUSED_ONLINE).execute_batch(
             pairs, policy=PIPELINED
@@ -300,5 +312,53 @@ class TestNonFiniteParity:
         assert all(r.fused for r in fused_batch + fused_calls)
 
         expected = [verdict(r) for r in serial]
-        for path in (concatenated, per_item, fused_batch, fused_calls):
+        for path in paths + [per_item, fused_batch, fused_calls]:
             assert [verdict(r) for r in path] == expected
+
+    def test_nan_left_operand_runs_per_item_on_every_path(self, batch):
+        a, bs, _poisoned = batch
+        bad = a.copy()
+        bad[5, 9] = np.nan
+        pairs = [(bad, b) for b in bs]
+        serial = MatmulEngine(SEPARATE).execute_batch(pairs, policy=SERIAL)
+        assert all(r.detected for r in serial)
+
+        results = {}
+        for path in ("compact", "full", "per_item"):
+            engine, results[path] = self.pipelined(a, bs, pairs, path)
+            # the guard, not the verdict, decides: one count per chunk
+            # that would otherwise have concatenated
+            assert non_finite_fallbacks(engine) == (0 if path == "per_item" else 1)
+            assert all(r.c_fc.base is None for r in results[path])
+        fused_batch = MatmulEngine(FUSED_ONLINE).execute_batch(
+            pairs, policy=PIPELINED
+        )
+        fused_calls = [
+            MatmulEngine(FUSED_ONLINE).matmul(a, b) for a, b in pairs
+        ]
+
+        expected = [verdict(r) for r in serial]
+        for path in list(results.values()) + [fused_batch, fused_calls]:
+            assert [verdict(r) for r in path] == expected
+        for path in results.values():
+            for got, ref in zip(path, serial):
+                assert got.c_fc.tobytes() == ref.c_fc.tobytes()
+                assert got.c.tobytes() == ref.c.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_inf_left_operand_raises_on_every_path(self, batch):
+        # An infinite top-p value makes the tolerance bound infinite: every
+        # path refuses the product alike.
+        a, bs, _poisoned = batch
+        bad = a.copy()
+        bad[5, 9] = np.inf
+        pairs = [(bad, b) for b in bs]
+        with pytest.raises(BoundSchemeError):
+            MatmulEngine(SEPARATE).execute_batch(pairs, policy=SERIAL)
+        for path in ("compact", "full", "per_item"):
+            with pytest.raises(BoundSchemeError):
+                self.pipelined(a, bs, pairs, path)
+        with pytest.raises(BoundSchemeError):
+            MatmulEngine(FUSED_ONLINE).execute_batch(pairs, policy=PIPELINED)
+        with pytest.raises(BoundSchemeError):
+            MatmulEngine(FUSED_ONLINE).matmul(bad, bs[0])
