@@ -10,13 +10,6 @@ picks another).  Every served result is verified bitwise against its
 serial counterpart, and the run must coalesce real micro-batches (max
 batch > 1).
 
-Full baseline runs additionally measure the **cluster row**: the same
-workload at concurrency 256 through a sharded multi-process
-``ClusterFrontend`` next to a single-process pipelined server, with the
-throughput ratio recorded in the baseline.  On multi-CPU hosts the
-cluster must win (ratio >= 1); a single-CPU host cannot materialise
-process parallelism, so parity there is recorded, not failed.
-
 Run directly::
 
     PYTHONPATH=src python benchmarks/bench_serve_throughput.py
@@ -40,8 +33,6 @@ import sys
 from pathlib import Path
 
 from repro.serve.bench import (
-    CLUSTER_CONCURRENCY,
-    CLUSTER_WORKERS,
     QUICK_REQUESTS,
     REQUESTS,
     SPEEDUP_FLOOR,
@@ -86,16 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="measure this execution policy instead of the default "
         "pipelined one",
     )
-    parser.add_argument(
-        "--cluster-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="also measure an N-worker multi-process cluster against a "
-        f"single-process pipelined server at concurrency "
-        f"{CLUSTER_CONCURRENCY} (default: {CLUSTER_WORKERS} on full "
-        "baseline runs, skipped in --compare smoke mode; 0 disables)",
-    )
     return parser
 
 
@@ -104,13 +85,6 @@ def main(argv: list[str] | None = None) -> int:
     requests = QUICK_REQUESTS if args.quick else REQUESTS
 
     kwargs = {} if args.policy is None else {"policies": (args.policy,)}
-    cluster_workers = args.cluster_workers
-    if cluster_workers is None:
-        # Full baseline runs measure the cluster row by default; the CI
-        # smoke (--compare) skips the process spawns unless asked.
-        cluster_workers = 0 if args.compare else CLUSTER_WORKERS
-    if cluster_workers:
-        kwargs["cluster_workers"] = cluster_workers
     payload = run_serve_benchmark(requests=requests, **kwargs)
     per_serial = payload["serial_seconds"] / requests * 1e3
     print(
@@ -128,16 +102,6 @@ def main(argv: list[str] | None = None) -> int:
               f"p99 {row['latency_p99_ms']:.1f} ms)")
     if "bubble_fraction" in payload:
         print(f"  pipeline bubble fraction: {payload['bubble_fraction']:.3f}")
-    if "cluster" in payload:
-        row = payload["cluster"]
-        print(
-            f"  cluster x{row['workers']} @ concurrency {row['concurrency']}: "
-            f"{row['cluster_throughput_rps']:.0f} req/s vs single-process "
-            f"pipelined {row['pipelined_throughput_rps']:.0f} req/s "
-            f"({row['speedup_vs_pipelined']:.2f}x, p99 "
-            f"{row['latency_p99_ms']:.1f} ms, {row['requeued']} requeued, "
-            f"{row['host_cpus']} host cpu(s))"
-        )
     print("  all served results bitwise identical to the serial loop")
 
     if args.compare:
@@ -167,20 +131,6 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 1
-    if "cluster" in payload:
-        ratio = payload["cluster"]["speedup_vs_pipelined"]
-        print(f"  speedup (cluster vs single-process pipelined): {ratio:.2f}x")
-        if ratio < 1.0:
-            msg = (
-                f"cluster throughput ratio {ratio:.2f}x below 1.0 vs the "
-                "single-process pipelined server at the same concurrency"
-            )
-            if (payload["cluster"]["host_cpus"] or 1) > 1:
-                print(f"FAIL: {msg}", file=sys.stderr)
-                return 1
-            # One CPU = no process parallelism to win with; record the
-            # honest parity instead of failing the whole baseline run.
-            print(f"  note: {msg} — expected on a single-CPU host")
     return 0
 
 

@@ -35,10 +35,6 @@ Package map (see DESIGN.md for the full inventory):
   (``aabft backends`` / ``aabft autotune``)
 - :mod:`repro.chaos` — declarative chaos recipes + SLO harness over the
   serving layer (``aabft chaos run``, the ``chaos-slo`` CI gate)
-- :mod:`repro.cluster` — sharded multi-process serving cluster with
-  consistent-hash plan routing, shared-memory operand transport and
-  worker supervision (``aabft cluster serve`` / ``aabft loadgen
-  --cluster``)
 - :mod:`repro.models` — chained-GEMM model-inference workloads with
   arithmetic-intensity-planned per-layer protection and mixed-precision
   (fp16/bf16) adaptive bounds (``aabft model plan|run|bench``)
@@ -98,7 +94,6 @@ from .chaos import (
     default_quick_suite,
     run_chaos,
 )
-from .cluster import ClusterConfig, ClusterFrontend
 from .errors import (
     BoundSchemeError,
     ChecksumMismatchError,
@@ -171,8 +166,6 @@ __all__ = [
     "ChaosReport",
     "CheckReport",
     "ChecksumMismatchError",
-    "ClusterConfig",
-    "ClusterFrontend",
     "ConfigurationError",
     "CorrectionError",
     "DeviceError",

@@ -91,10 +91,11 @@ class TunedChoice:
 class _FileLock:
     """An advisory ``flock`` over ``<path>.lock`` (no-op without fcntl).
 
-    Serialises cross-process cache writers.  Platforms without ``fcntl``
-    (or filesystems refusing locks) degrade to the old last-writer-wins
-    behaviour instead of failing — the cache is a performance artefact,
-    never a correctness one.
+    Serialises the writers of processes that share one cache path (two
+    ``aabft autotune`` runs on the default path, say).  Platforms without
+    ``fcntl`` (or filesystems refusing locks) degrade to the old
+    last-writer-wins behaviour instead of failing — the cache is a
+    performance artefact, never a correctness one.
     """
 
     def __init__(self, path: Path) -> None:
@@ -158,11 +159,11 @@ class AutotuneCache:
     Writes are atomic (temp file + rename) and **merge-on-write** under
     an advisory file lock: a writer re-reads the file inside the lock,
     folds its new decision into whatever other processes persisted since
-    this process last looked, and only then rewrites — so concurrent
-    workers (e.g. cluster shards sharing one cache) cannot clobber each
-    other's decisions.  A corrupt, missing or other-version file reads as
-    empty instead of failing, so a broken or stale cache can only cost
-    re-tuning, never correctness.
+    this process last looked, and only then rewrites — so processes that
+    share one cache path cannot clobber each other's decisions.  A
+    corrupt, missing or other-version file reads as empty instead of
+    failing, so a broken or stale cache can only cost re-tuning, never
+    correctness.
     """
 
     def __init__(self, path: str | Path | None = None) -> None:

@@ -31,16 +31,6 @@ Injection mechanics per kind:
 * ``clock_skew`` jumps the server's deadline clock forward, expiring
   in-flight deadlines early; the responses must land on the degradation
   ladder or an explicit ``deadline`` rejection — never vanish.
-* ``worker_kill`` SIGKILLs live worker processes of a sharded
-  :class:`~repro.cluster.frontend.ClusterFrontend` mid-load.  An engine
-  hook cannot cross a process boundary, so the harness runs these
-  recipes in a dedicated **cluster phase** after the single-process
-  phase (each phase's recipe windows are relative to its own start).
-  Both phases share one registry and yield one combined tally, one
-  counter reconciliation and one SLO verdict — the supervisor must
-  requeue the dead shard's in-flight requests and restart the worker,
-  and a request dropped or silently wrong in either phase fails the
-  run the same way.
 
 All telemetry lands under ``abft_chaos_*`` (see
 ``docs/OBSERVABILITY.md``).
@@ -209,24 +199,12 @@ class _ClockSkewInjector(_Injector):
         ctx.clock.skew(self.recipe.intensity)
 
 
-class _WorkerKillInjector(_Injector):
-    def fire(self, ctx: "_HarnessContext") -> None:
-        # Only meaningful against a ClusterFrontend (the harness routes
-        # worker_kill recipes to the cluster phase, so this holds).
-        kill = getattr(ctx.server, "kill_worker", None)
-        for _ in range(int(self.recipe.intensity)):
-            if kill is None or kill() is None:
-                break  # nothing left alive to kill
-            self._record()
-
-
 _INJECTORS = {
     "stage_stall": _StallInjector,
     "backend_failure": _DispatchFailInjector,
     "bitflip": _BitflipInjector,
     "queue_burst": _QueueBurstInjector,
     "clock_skew": _ClockSkewInjector,
-    "worker_kill": _WorkerKillInjector,
 }
 
 
@@ -363,7 +341,6 @@ def _merge_results(
         merged.corrected += r.corrected
         merged.recomputed += r.recomputed
         merged.retry_attempts += r.retry_attempts
-        merged.requeued += r.requeued
         merged.dropped += r.dropped
         merged.silent_wrong += r.silent_wrong
         merged.honest_wrong += r.honest_wrong
@@ -376,36 +353,58 @@ def _merge_results(
     return merged
 
 
-def _run_phase(
+def run_chaos(
     recipes: list[ChaosRecipe],
-    metrics: dict,
-    registry: MetricsRegistry,
+    slo: SLOSpec | None = None,
     *,
-    server,
-    engine,
-    clock: _SkewClock,
-    requests_per_wave: int,
-    concurrency: int,
-    m: int,
-    n: int,
-    q: int,
-    deadline_s: float | None,
-    seed: int,
-    sample_interval_s: float,
-    drain_margin_s: float,
-    samples: list[BurnSample],
-    t_offset_s: float,
-) -> tuple[list[RecipeOutcome], LoadgenResult, float]:
-    """Drive one serving target through one set of recipe windows.
+    requests_per_wave: int = 24,
+    concurrency: int = 8,
+    m: int = 96,
+    n: int = 96,
+    q: int = 12,
+    deadline_s: float | None = 0.5,
+    seed: int = 0,
+    serve_config: ServeConfig | None = None,
+    registry: MetricsRegistry | None = None,
+    sample_interval_s: float = 0.05,
+    drain_margin_s: float = 0.3,
+) -> ChaosReport:
+    """Run a recipe suite against a live server under load; returns the
+    full :class:`~repro.chaos.report.ChaosReport` (it does not raise on
+    breach — gating is the caller's job, see ``chaos_slo_gate``).
 
-    The target must already be started and warm; it is stopped (drained)
-    before returning.  Recipe windows are relative to *this phase's*
-    start.  ``engine`` is the hook seam for in-process injectors, or
-    ``None`` for a multi-process target (hooks cannot cross a process
-    boundary).  Burn samples append to ``samples`` shifted by
-    ``t_offset_s``, so a multi-phase run reads as one continuous
-    timeline.  Returns (per-recipe outcomes, phase tally, phase wall).
+    Parameters
+    ----------
+    recipes:
+        The suite; windows are relative to the run's start and may
+        overlap.
+    slo:
+        Objectives to assert; defaults to ``SLOSpec()``.
+    requests_per_wave / concurrency / m / n / q / deadline_s:
+        Background-traffic shape: closed-loop loadgen waves repeat until
+        the last recipe window closes (plus ``drain_margin_s``).
+    registry:
+        Metrics registry; defaults to a **private** one so counter
+        reconciliation sees only this run's traffic.  Pass the process
+        registry to surface ``abft_chaos_*`` in ``--telemetry-out``.
     """
+    if not recipes:
+        raise ConfigurationError("run_chaos needs at least one recipe")
+    slo = slo if slo is not None else SLOSpec()
+    serve_config = serve_config if serve_config is not None else ServeConfig()
+    registry = registry if registry is not None else MetricsRegistry()
+    metrics = _chaos_metrics(registry)
+
+    counters_before = serve_counter_snapshot(registry)
+    clock = _SkewClock()
+    engine = MatmulEngine(
+        serve_config.abft, registry=registry, backends=_harness_backends()
+    )
+    server = MatmulServer(
+        serve_config, engine=engine, registry=registry, clock=clock
+    )
+    server.start()
+
     ctx = _HarnessContext(
         server, clock, m=m, n=n, q=q, deadline_s=deadline_s, seed=seed
     )
@@ -428,6 +427,7 @@ def _run_phase(
                 inj.handle(event, **kwargs)
 
     stop = threading.Event()
+    samples: list[BurnSample] = []
 
     def _cumulative() -> BurnSample:
         snap = serve_counter_snapshot(registry)
@@ -437,9 +437,7 @@ def _run_phase(
         bad = snap.get(
             ("abft_serve_requests_total", ("outcome", "rejected")), 0
         ) + snap.get(("abft_serve_dropped_total",), 0)
-        return BurnSample(
-            t_s=t_offset_s + elapsed(), good=int(good), bad=int(bad)
-        )
+        return BurnSample(t_s=elapsed(), good=int(good), bad=int(bad))
 
     def _sampler() -> None:
         while not stop.wait(sample_interval_s):
@@ -493,8 +491,7 @@ def _run_phase(
                     stop.wait(budget)
                 metrics["active"].dec()
 
-    if engine is not None:
-        engine.set_chaos_hook(chaos_hook)
+    engine.set_chaos_hook(chaos_hook)
     sampler = threading.Thread(target=_sampler, name="chaos-sampler")
     scheduler = threading.Thread(target=_scheduler, name="chaos-scheduler")
     traffic = threading.Thread(target=_traffic, name="chaos-traffic")
@@ -509,8 +506,7 @@ def _run_phase(
         sampler.join()
     finally:
         stop.set()
-        if engine is not None:
-            engine.set_chaos_hook(None)
+        engine.set_chaos_hook(None)
         server.stop(drain=True)
     metrics["active"].set(0)
 
@@ -520,143 +516,13 @@ def _run_phase(
         extra_records, ctx.submitted, wall=0.0, deadline_s=deadline_s
     )
     wall_s = time.perf_counter() - wall_t0
-    result = _merge_results(wave_results + [extra_tally], wall_s)
+    combined = _merge_results(wave_results + [extra_tally], wall_s)
     samples.append(_cumulative())
     outcomes = [
         RecipeOutcome(recipe=inj.recipe, injections=inj.injections)
         for inj in injectors
     ]
-    return outcomes, result, wall_s
 
-
-def run_chaos(
-    recipes: list[ChaosRecipe],
-    slo: SLOSpec | None = None,
-    *,
-    requests_per_wave: int = 24,
-    concurrency: int = 8,
-    m: int = 96,
-    n: int = 96,
-    q: int = 12,
-    deadline_s: float | None = 0.5,
-    seed: int = 0,
-    serve_config: ServeConfig | None = None,
-    registry: MetricsRegistry | None = None,
-    sample_interval_s: float = 0.05,
-    drain_margin_s: float = 0.3,
-    cluster_workers: int = 2,
-) -> ChaosReport:
-    """Run a recipe suite against live serving stacks under load; returns
-    the full :class:`~repro.chaos.report.ChaosReport` (it does not raise
-    on breach — gating is the caller's job, see ``chaos_slo_gate``).
-
-    ``worker_kill`` recipes run in a separate **cluster phase** against a
-    :class:`~repro.cluster.frontend.ClusterFrontend` of
-    ``cluster_workers`` worker processes, after the single-process phase
-    runs every other kind; each phase's recipe windows are relative to
-    its own start.  Both phases share the registry, and the tally,
-    reconciliation and SLO verdict cover their combined traffic.
-
-    Parameters
-    ----------
-    recipes:
-        The suite; windows are relative to their phase's start and may
-        overlap.
-    slo:
-        Objectives to assert; defaults to ``SLOSpec()``.
-    requests_per_wave / concurrency / m / n / q / deadline_s:
-        Background-traffic shape per phase: closed-loop loadgen waves
-        repeat until the phase's last recipe window closes (plus
-        ``drain_margin_s``).
-    registry:
-        Metrics registry; defaults to a **private** one so counter
-        reconciliation sees only this run's traffic.  Pass the process
-        registry to surface ``abft_chaos_*`` in ``--telemetry-out``.
-    cluster_workers:
-        Worker-process count of the cluster phase's frontend.
-    """
-    if not recipes:
-        raise ConfigurationError("run_chaos needs at least one recipe")
-    slo = slo if slo is not None else SLOSpec()
-    serve_config = serve_config if serve_config is not None else ServeConfig()
-    registry = registry if registry is not None else MetricsRegistry()
-    metrics = _chaos_metrics(registry)
-
-    server_recipes = [r for r in recipes if r.kind != "worker_kill"]
-    cluster_recipes = [r for r in recipes if r.kind == "worker_kill"]
-
-    counters_before = serve_counter_snapshot(registry)
-    samples: list[BurnSample] = []
-    outcomes: list[RecipeOutcome] = []
-    phase_results: list[LoadgenResult] = []
-    wall_s = 0.0
-    traffic_shape = dict(
-        requests_per_wave=requests_per_wave,
-        concurrency=concurrency,
-        m=m,
-        n=n,
-        q=q,
-        deadline_s=deadline_s,
-        seed=seed,
-        sample_interval_s=sample_interval_s,
-        drain_margin_s=drain_margin_s,
-        samples=samples,
-    )
-
-    if server_recipes:
-        clock = _SkewClock()
-        engine = MatmulEngine(
-            serve_config.abft, registry=registry, backends=_harness_backends()
-        )
-        server = MatmulServer(
-            serve_config, engine=engine, registry=registry, clock=clock
-        )
-        server.start()
-        phase_outcomes, result, phase_wall = _run_phase(
-            server_recipes,
-            metrics,
-            registry,
-            server=server,
-            engine=server.engine,
-            clock=clock,
-            t_offset_s=wall_s,
-            **traffic_shape,
-        )
-        outcomes.extend(phase_outcomes)
-        phase_results.append(result)
-        wall_s += phase_wall
-
-    if cluster_recipes:
-        # Imported here: the cluster package spawns processes and is only
-        # needed when a suite actually exercises process loss.
-        from ..cluster import ClusterConfig, ClusterFrontend
-
-        cluster_config = ClusterConfig(
-            serve=serve_config,
-            num_workers=cluster_workers,
-            # Tight supervision: requeued requests stall for one death
-            # detection, which must stay well inside the latency SLO.
-            heartbeat_interval_s=0.05,
-            heartbeat_timeout_s=0.5,
-        )
-        frontend = ClusterFrontend(cluster_config, registry=registry)
-        # Interpreter spawn must not bill against the phase's SLO clock.
-        frontend.wait_ready(timeout=60.0)
-        phase_outcomes, result, phase_wall = _run_phase(
-            cluster_recipes,
-            metrics,
-            registry,
-            server=frontend,
-            engine=None,
-            clock=_SkewClock(),
-            t_offset_s=wall_s,
-            **traffic_shape,
-        )
-        outcomes.extend(phase_outcomes)
-        phase_results.append(result)
-        wall_s += phase_wall
-
-    combined = _merge_results(phase_results, wall_s)
     diffs = reconcile_counters(
         combined,
         counter_delta(counters_before, serve_counter_snapshot(registry)),

@@ -33,14 +33,6 @@ slowdown and loss, not just silent data corruption:
     Jump the server's deadline clock forward by ``intensity`` seconds at
     the window start, expiring in-flight deadlines early.  ``site`` is
     ``"server"``.
-``worker_kill``
-    SIGKILL ``intensity`` live worker processes of a sharded
-    :class:`~repro.cluster.frontend.ClusterFrontend` at the window start
-    — the process-loss fault model.  The supervisor must detect each
-    death, re-queue the shard's in-flight requests to survivors and
-    restart the worker; the harness runs these recipes in a dedicated
-    cluster phase (an engine hook cannot cross a process boundary).
-    ``site`` is ``"worker"``; ``intensity`` is a whole kill count.
 """
 
 from __future__ import annotations
@@ -66,7 +58,6 @@ CHAOS_KINDS = (
     "queue_burst",
     "bitflip",
     "clock_skew",
-    "worker_kill",
 )
 
 _STAGES = ("encode", "multiply", "check")
@@ -78,7 +69,6 @@ _SITE_RULES = {
     "queue_burst": ("admission",),
     "bitflip": ("gemm",),
     "clock_skew": ("server",),
-    "worker_kill": ("worker",),
 }
 
 
@@ -140,13 +130,10 @@ class ChaosRecipe:
                     f"{self.kind} intensity is a probability in [0, 1], "
                     f"got {self.intensity}"
                 )
-        elif self.kind in ("queue_burst", "worker_kill"):
+        elif self.kind == "queue_burst":
             if self.intensity < 1 or self.intensity != int(self.intensity):
-                what = (
-                    "request" if self.kind == "queue_burst" else "kill"
-                )
                 raise ConfigurationError(
-                    f"{self.kind} intensity is a whole {what} count >= 1, "
+                    f"queue_burst intensity is a whole request count >= 1, "
                     f"got {self.intensity}"
                 )
         elif self.intensity <= 0:
@@ -248,11 +235,5 @@ def default_quick_suite() -> list[ChaosRecipe]:
         ChaosRecipe(
             kind="clock_skew", site="server", intensity=0.05,
             start_s=3.2, duration_s=0.8, seed=5,
-        ),
-        # Runs in the harness's separate cluster phase (its window is
-        # relative to that phase's start, not the server phase's).
-        ChaosRecipe(
-            kind="worker_kill", site="worker", intensity=1,
-            start_s=0.2, duration_s=1.0, seed=6,
         ),
     ]

@@ -34,9 +34,8 @@ It runs two gates and exits nonzero when either fails:
   micro-benchmark must stay within ``throughput_tolerance`` of the
   committed per-call baseline in ``BENCH_engine.json``;
 * **chaos-slo** — a quick chaos-recipe suite (stage stalls, backend
-  dispatch failures, queue bursts, kernel bit-flips, deadline clock
-  skew, plus worker-process kills against a sharded cluster frontend)
-  runs against live serving stacks under closed-loop load and every
+  dispatch failures, queue bursts, kernel bit-flips and deadline clock
+  skew) runs against a live server under closed-loop load and every
   declared SLO must hold: the p99 ceiling, the zero-silent-wrong-answer
   invariant, exact ``abft_serve_*`` counter reconciliation and the
   multi-window error-budget burn-rate limit.
@@ -674,18 +673,14 @@ def chaos_slo_gate(
     seed: int = 2014,
     report_dir: str | Path | None = None,
     registry: MetricsRegistry | None = None,
-    cluster_workers: int = 2,
 ) -> GateResult:
     """Run a chaos-recipe suite under live load and gate on the SLOs.
 
     Replays ``recipes_path`` (default: the built-in quick suite — one
-    recipe per fault kind) via :func:`repro.chaos.run_chaos` — most kinds
-    against a private single-process server, ``worker_kill`` recipes
-    against a ``cluster_workers``-shard
-    :class:`~repro.cluster.frontend.ClusterFrontend` — and fails on
-    **any** SLO breach: a p99 past the ceiling, a silent wrong answer, a
-    client/counter accounting mismatch, a dropped request or a sustained
-    multi-window burn-rate overrun.  The suite must also actually inject
+    recipe per fault kind) via :func:`repro.chaos.run_chaos` against a
+    private server, and fails on **any** SLO breach: a p99 past the
+    ceiling, a silent wrong answer, a client/counter accounting mismatch,
+    a dropped request or a sustained multi-window burn-rate overrun.  The suite must also actually inject
     faults — a run with zero injections gates nothing and fails.
     ``report_dir`` additionally writes the dated VALIDATION_REPORT pair
     there (what the ``chaos-soak`` CI job uploads).
@@ -707,7 +702,6 @@ def chaos_slo_gate(
             seed=seed,
             requests_per_wave=requests_per_wave,
             registry=reg,
-            cluster_workers=cluster_workers,
         )
     if report_dir is not None:
         report.write(report_dir)

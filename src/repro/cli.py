@@ -10,9 +10,7 @@ Commands
 ``aabft demo``            — a protected multiplication with a live fault
 ``aabft ci-gate``         — detection-coverage + throughput + chaos-SLO gates
 ``aabft serve``           — micro-batching serving worker (JSONL requests)
-``aabft cluster serve``   — sharded multi-process serving cluster (JSONL)
 ``aabft loadgen``         — closed-loop load generator + invariant checks
-                            (``--cluster`` drives a worker-process cluster)
 ``aabft chaos run``       — chaos recipes against a live server, SLO verdict
 ``aabft bench``           — serve/engine throughput benchmarks
 ``aabft model plan``      — per-layer protection plan for a model workload
@@ -190,63 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="compare every served result against the reference product "
         "(a silent wrong answer becomes an accounting violation)",
-    )
-    loadgen.add_argument(
-        "--cluster",
-        action="store_true",
-        help="drive a sharded multi-process cluster frontend instead of an "
-        "in-process server (same accounting invariants, including the "
-        "re-queue tally)",
-    )
-    loadgen.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="cluster worker processes (with --cluster; default 2)",
-    )
-
-    cluster = sub.add_parser(
-        "cluster",
-        help="sharded multi-process serving cluster",
-    )
-    cluster_sub = cluster.add_subparsers(dest="cluster_command", required=True)
-    cserve = cluster_sub.add_parser(
-        "serve",
-        help="cluster serving front-end driven by JSONL request specs",
-    )
-    cserve.add_argument(
-        "--requests",
-        metavar="PATH",
-        default="-",
-        help="JSONL request-spec file ('-' = stdin); each line may set "
-        "m, n, q, seed, count, deadline_s, id",
-    )
-    cserve.add_argument(
-        "--workers", type=int, default=2, help="worker processes (shards)"
-    )
-    cserve.add_argument("--m", type=int, default=256, help="default rows of A")
-    cserve.add_argument("--n", type=int, default=256, help="default inner dim")
-    cserve.add_argument("--q", type=int, default=16, help="default cols of B")
-    cserve.add_argument(
-        "--deadline-s", type=float, default=None, help="default per-request deadline"
-    )
-    cserve.add_argument(
-        "--max-batch", type=int, default=32, help="per-worker micro-batch limit"
-    )
-    cserve.add_argument(
-        "--window-s", type=float, default=0.002, help="batch coalescing window"
-    )
-    cserve.add_argument(
-        "--queue-depth", type=int, default=256, help="per-worker queue bound"
-    )
-    cserve.add_argument(
-        "--seed", type=int, default=0, help="default RNG seed for operands"
-    )
-    cserve.add_argument(
-        "--autotune-cache",
-        metavar="PATH",
-        default=None,
-        help="shared on-disk autotune cache every worker consults",
     )
 
     chaos = sub.add_parser(
@@ -770,9 +711,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_loadgen(args: argparse.Namespace) -> int:
     import json
 
-    from .serve import ServeConfig, run_loadgen
+    from .serve import run_loadgen
 
-    kwargs = dict(
+    result = run_loadgen(
         requests=args.requests,
         concurrency=args.concurrency,
         m=args.m,
@@ -783,103 +724,11 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         seed=args.seed,
         verify_results=args.verify_results,
     )
-    if args.cluster:
-        from .cluster import ClusterConfig, ClusterFrontend
-
-        cluster_cfg = ClusterConfig(
-            serve=ServeConfig(
-                max_queue_depth=max(256, 2 * args.concurrency),
-            ),
-            num_workers=args.workers,
-        )
-
-        def _factory():
-            frontend = ClusterFrontend(cluster_cfg)
-            frontend.wait_ready(timeout=120.0)
-            return frontend
-
-        result = run_loadgen(client_factory=_factory, **kwargs)
-    else:
-        result = run_loadgen(**kwargs)
     print(json.dumps(result.summary(), indent=2))
     if not result.ok:
         for violation in result.violations:
             print(f"VIOLATION: {violation}", file=sys.stderr)
         return 1
-    return 0
-
-
-def _cmd_cluster(args: argparse.Namespace) -> int:
-    import json
-
-    from .cluster import ClusterConfig, ClusterFrontend
-    from .serve import ServeConfig
-    from .workloads import uniform_matrix
-
-    cfg = ClusterConfig(
-        serve=ServeConfig(
-            max_queue_depth=args.queue_depth,
-            max_batch_size=args.max_batch,
-            batch_window_s=args.window_s,
-            default_deadline_s=args.deadline_s,
-        ),
-        num_workers=args.workers,
-        autotune_cache=args.autotune_cache,
-    )
-    stream = sys.stdin if args.requests == "-" else open(args.requests)
-    futures = []
-    try:
-        with ClusterFrontend(cfg) as frontend:
-            frontend.wait_ready(timeout=120.0)
-            for line in stream:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                spec = json.loads(line)
-                m = int(spec.get("m", args.m))
-                n = int(spec.get("n", args.n))
-                q = int(spec.get("q", args.q))
-                count = int(spec.get("count", 1))
-                rng = np.random.default_rng(int(spec.get("seed", args.seed)))
-                a = uniform_matrix(m, n, rng)
-                for i in range(count):
-                    b = uniform_matrix(n, q, rng)
-                    base = spec.get("id")
-                    request_id = (
-                        None if base is None
-                        else (base if count == 1 else f"{base}.{i}")
-                    )
-                    futures.append(
-                        frontend.submit(
-                            a, b,
-                            deadline_s=spec.get("deadline_s"),
-                            request_id=request_id,
-                        )
-                    )
-            responses = [f.result() for f in futures]
-    finally:
-        if stream is not sys.stdin:
-            stream.close()
-    served = rejected = 0
-    for r in responses:
-        print(json.dumps({
-            "request_id": r.request_id,
-            "status": r.status.value,
-            "detected": r.detected,
-            "corrected": r.corrected,
-            "recomputed": r.recomputed,
-            "rejected_reason": r.rejected_reason,
-            "batch_size": r.batch_size,
-            "requeues": r.requeues,
-            "queue_wait_s": round(r.queue_wait_s, 6),
-            "service_s": round(r.service_s, 6),
-        }))
-        served += r.ok
-        rejected += not r.ok
-    print(json.dumps({
-        "summary": {"submitted": len(responses), "served": served,
-                    "rejected": rejected, "workers": args.workers},
-    }))
     return 0
 
 
@@ -1302,8 +1151,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _cmd_serve(args)
     if args.command == "loadgen":
         return _cmd_loadgen(args)
-    if args.command == "cluster":
-        return _cmd_cluster(args)
     if args.command == "chaos":
         return _cmd_chaos(args)
     if args.command == "bench":

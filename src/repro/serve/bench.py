@@ -13,15 +13,6 @@ the stage-pipelined ``pipelined`` mode, dispatched through
 policy row plus the pipelined executor's bubble fraction read from
 ``abft_pipeline_bubble_fraction``.
 
-With ``cluster_workers`` set, the payload additionally carries a
-``cluster`` section: the same workload pushed at ``cluster_concurrency``
-(default 256) through a sharded multi-process
-:class:`~repro.cluster.frontend.ClusterFrontend` next to a
-single-process pipelined server at the *same* concurrency, with the
-throughput ratio recorded.  The ratio is hardware-sensitive — the
-cluster's win comes from true process parallelism, so single-CPU hosts
-land near parity (``host_cpus`` is recorded alongside for context).
-
 :func:`run_serve_benchmark` returns a JSON-friendly payload (what
 ``BENCH_serve.json`` holds); :func:`compare_to_baseline` implements the
 CI smoke check against the committed baseline.  Both
@@ -68,10 +59,6 @@ CONCURRENCY = 32
 SPEEDUP_FLOOR = 2.0
 #: Policy rows measured by default; the last is primary.
 DEFAULT_POLICIES = ("pipelined",)
-#: Cluster section defaults: the high-concurrency regime where one
-#: process saturates and sharding should take over.
-CLUSTER_CONCURRENCY = 256
-CLUSTER_WORKERS = 2
 
 
 def _run_served(
@@ -143,98 +130,6 @@ def _run_served(
     }
 
 
-def _run_cluster(
-    a: np.ndarray,
-    bs: list[np.ndarray],
-    config: AbftConfig,
-    concurrency: int,
-    workers: int,
-    serial_results: list,
-) -> dict:
-    """One served measurement through a sharded multi-process cluster."""
-    from ..cluster import ClusterConfig, ClusterFrontend
-
-    worker_cfg = ServeConfig(
-        abft=config,
-        execution=ExecutionPolicy(mode="pipelined"),
-        # Smaller per-worker batches keep every shard's pipeline busy
-        # instead of one shard barriering on a giant batch.
-        max_batch_size=max(8, concurrency // (4 * workers)),
-        max_queue_depth=max(256, 2 * concurrency),
-    )
-    cluster_cfg = ClusterConfig(
-        serve=worker_cfg,
-        num_workers=workers,
-        # The whole workload shares one plan key; a spill bound of a
-        # 1/workers share of the window spreads it across every shard.
-        spill_queue_depth=max(1, concurrency // (2 * workers)),
-        max_shard_inflight=max(512, 2 * concurrency),
-    )
-    requests = len(bs)
-    latencies: list[float] = []
-
-    def _on_done(fut: Future, t0: float) -> None:
-        latencies.append(time.perf_counter() - t0)
-
-    frontend = ClusterFrontend(cluster_cfg, registry=MetricsRegistry())
-    try:
-        frontend.wait_ready(timeout=120.0)
-        # Warm every shard's plan cache: one untimed full-concurrency
-        # wave (the load-bounded ring walk spreads the single hot plan
-        # key across all shards).
-        warm = [
-            frontend.submit(a, bs[i % requests], request_id=f"warm{i}")
-            for i in range(min(requests, concurrency))
-        ]
-        for fut in warm:
-            fut.result(timeout=120.0)
-        responses: list[Future] = []
-        outstanding: deque = deque()
-        start = time.perf_counter()
-        submitted = 0
-        while submitted < requests or outstanding:
-            while submitted < requests and len(outstanding) < concurrency:
-                t0 = time.perf_counter()
-                fut = frontend.submit(a, bs[submitted], request_id=f"c{submitted}")
-                fut.add_done_callback(lambda f, t0=t0: _on_done(f, t0))
-                outstanding.append(fut)
-                responses.append(fut)
-                submitted += 1
-            outstanding.popleft().result(timeout=120.0)
-        cluster_seconds = time.perf_counter() - start
-    finally:
-        frontend.stop(drain=True)
-
-    max_batch = 0
-    requeued = 0
-    for i, (fut, ref) in enumerate(zip(responses, serial_results)):
-        response = fut.result()
-        assert response.status is VerificationStatus.FULL, (
-            f"[cluster] request {i} served {response.status.value}, "
-            f"expected full"
-        )
-        assert np.array_equal(response.c, ref.c), (
-            f"[cluster] request {i} diverged"
-        )
-        max_batch = max(max_batch, response.batch_size)
-        requeued += response.requeues
-
-    latencies.sort()
-    return {
-        "workers": workers,
-        "concurrency": concurrency,
-        "requests": requests,
-        "cluster_seconds": cluster_seconds,
-        "cluster_throughput_rps": requests / cluster_seconds,
-        "latency_p50_ms": percentile(latencies, 50) * 1e3,
-        "latency_p99_ms": percentile(latencies, 99) * 1e3,
-        "max_batch_size": max_batch,
-        "requeued": requeued,
-        "host_cpus": os.cpu_count(),
-        "bitwise_identical": True,
-    }
-
-
 def run_serve_benchmark(
     *,
     requests: int = REQUESTS,
@@ -245,20 +140,14 @@ def run_serve_benchmark(
     seed: int = 20140623,
     policies: tuple[str, ...] = DEFAULT_POLICIES,
     registry: MetricsRegistry | None = None,
-    cluster_workers: int | None = None,
-    cluster_concurrency: int = CLUSTER_CONCURRENCY,
 ) -> dict:
     """Benchmark serve-layer micro-batching against the serial loop.
 
     Runs one served measurement per entry of ``policies``; the *last*
     entry is the primary row reported in the payload's top-level keys
-    (kept flat for the CI baseline comparison).  With ``cluster_workers``
-    set, additionally measures a ``cluster_workers``-shard
-    :class:`~repro.cluster.frontend.ClusterFrontend` against a
-    single-process pipelined server at ``cluster_concurrency`` and
-    records both rows (plus their throughput ratio) under ``cluster``.
-    Returns the ``BENCH_serve.json`` payload.  Raises ``AssertionError``
-    if any served result differs bitwise from the serial reference or an
+    (kept flat for the CI baseline comparison).  Returns the
+    ``BENCH_serve.json`` payload.  Raises ``AssertionError`` if any
+    served result differs bitwise from the serial reference or an
     accounting invariant breaks.
     """
     rng = np.random.default_rng(seed)
@@ -302,24 +191,6 @@ def run_serve_benchmark(
     }
     if "pipelined" in rows:
         payload["bubble_fraction"] = rows["pipelined"]["bubble_fraction"]
-
-    if cluster_workers:
-        single_row = _run_served(
-            a, bs, config, cluster_concurrency, "pipelined",
-            serial_results, registry,
-        )
-        cluster_row = _run_cluster(
-            a, bs, config, cluster_concurrency, cluster_workers,
-            serial_results,
-        )
-        cluster_row["pipelined_seconds"] = single_row["serve_seconds"]
-        cluster_row["pipelined_throughput_rps"] = (
-            single_row["serve_throughput_rps"]
-        )
-        cluster_row["speedup_vs_pipelined"] = (
-            single_row["serve_seconds"] / cluster_row["cluster_seconds"]
-        )
-        payload["cluster"] = cluster_row
     return payload
 
 

@@ -73,7 +73,6 @@ class LoadgenResult:
     corrected: int = 0
     recomputed: int = 0
     retry_attempts: int = 0
-    requeued: int = 0
     dropped: int = 0
     max_batch_size: int = 0
     silent_wrong: int = 0
@@ -129,7 +128,6 @@ class LoadgenResult:
             "corrected": self.corrected,
             "recomputed": self.recomputed,
             "retry_attempts": self.retry_attempts,
-            "requeued": self.requeued,
             "silent_wrong": self.silent_wrong,
             "honest_wrong": self.honest_wrong,
             "max_batch_size": self.max_batch_size,
@@ -146,9 +144,8 @@ class LoadgenResult:
 
 
 def run_loadgen(
-    server=None,
+    server: MatmulServer | None = None,
     *,
-    client_factory=None,
     requests: int = 200,
     concurrency: int = 16,
     m: int = 128,
@@ -168,22 +165,8 @@ def run_loadgen(
     Parameters
     ----------
     server:
-        The serving target to drive — anything exposing the
-        :class:`~repro.serve.server.MatmulServer` surface (``submit`` /
-        ``registry`` / ``stop``), including a
-        :class:`~repro.cluster.frontend.ClusterFrontend`.  ``None``
-        builds a :class:`~repro.serve.server.MatmulServer` from
-        ``serve_config`` (and ``registry``) and stops it — drained —
-        when the run ends.
-    client_factory:
-        Alternative to ``server``: a zero-argument callable building the
-        serving target.  The generator owns the built client exactly as
-        it owns a default-built server (stops it drained at the end,
-        reconciles its counters by default) — this is how the same
-        loadgen, with its ``verify_results``/``reconcile_counters``
-        accounting unchanged, drives the cluster path
-        (``aabft loadgen --cluster``).  Mutually exclusive with
-        ``server``.
+        The server to drive.  ``None`` builds one from ``serve_config``
+        (and ``registry``) and stops it — drained — when the run ends.
     requests / concurrency:
         Total requests and the closed-loop window: at most ``concurrency``
         requests are outstanding at any moment.
@@ -218,15 +201,10 @@ def run_loadgen(
         raise ValueError(f"requests must be >= 1, got {requests}")
     if concurrency < 1:
         raise ValueError(f"concurrency must be >= 1, got {concurrency}")
-    if server is not None and client_factory is not None:
-        raise ValueError("pass either server or client_factory, not both")
     own_server = server is None
     if own_server:
-        if client_factory is not None:
-            server = client_factory()
-        else:
-            kwargs = {} if registry is None else {"registry": registry}
-            server = MatmulServer(serve_config, **kwargs)
+        kwargs = {} if registry is None else {"registry": registry}
+        server = MatmulServer(serve_config, **kwargs)
     if reconcile is None:
         reconcile = own_server
 
@@ -307,7 +285,7 @@ def _tally(
     reasons: _TallyCounter = _TallyCounter()
     latencies: list[float] = []
     detected = corrected = recomputed = retry_attempts = dropped = 0
-    requeued = silent_wrong = honest_wrong = 0
+    silent_wrong = honest_wrong = 0
     max_batch = 0
     violations: list[str] = []
 
@@ -317,7 +295,6 @@ def _tally(
             violations.append(f"request died without a response: {outcome!r}")
             continue
         statuses[outcome.status.value] += 1
-        requeued += outcome.requeues
         if outcome.status is VerificationStatus.REJECTED:
             if not outcome.rejected_reason:
                 violations.append(
@@ -371,7 +348,6 @@ def _tally(
         corrected=corrected,
         recomputed=recomputed,
         retry_attempts=retry_attempts,
-        requeued=requeued,
         dropped=dropped,
         max_batch_size=max_batch,
         silent_wrong=silent_wrong,
@@ -386,9 +362,8 @@ def _tally(
 # ---------------------------------------------------------------------------
 
 #: The counter families the reconciliation owns — the ``abft_serve_*``
-#: accounting set plus the cluster's requeue counter (which stays at zero
-#: for single-process serving): any unexplained movement in these over a
-#: reconciled run is a violation.
+#: accounting set: any unexplained movement in these over a reconciled
+#: run is a violation.
 _RECONCILED_FAMILIES = frozenset(
     {
         "abft_serve_requests_total",
@@ -397,7 +372,6 @@ _RECONCILED_FAMILIES = frozenset(
         "abft_serve_retries_total",
         "abft_serve_detections_total",
         "abft_serve_dropped_total",
-        "abft_cluster_requeued_total",
     }
 )
 
@@ -516,14 +490,6 @@ def reconcile_counters(result: LoadgenResult, delta: dict) -> list[str]:
         {},
         moved("abft_serve_dropped_total"),
         result.dropped,
-    )
-    # Cluster requeues: every re-queue event the frontend counted must be
-    # visible on a delivered response (zero==zero for single-process runs).
-    expect(
-        "abft_cluster_requeued_total",
-        {},
-        moved("abft_cluster_requeued_total"),
-        result.requeued,
     )
     for key, value in delta.items():
         if value:

@@ -133,11 +133,6 @@ class MatmulResponse:
         Seconds spent waiting in the admission queue / executing.
     batch_size:
         Size of the micro-batch this request rode in (0 when rejected).
-    requeues:
-        Times the request was re-queued to another shard after a worker
-        death (always 0 for single-process serving; see
-        :mod:`repro.cluster`).  Requeued work is re-executed, never
-        silently dropped — this field is its never-silent record.
     backend:
         The compute backend that executed the GEMM stage (``None`` for
         rejected responses).
@@ -159,7 +154,6 @@ class MatmulResponse:
     queue_wait_s: float = 0.0
     service_s: float = 0.0
     batch_size: int = 0
-    requeues: int = 0
     backend: str | None = None
     backend_fallback: str | None = None
 

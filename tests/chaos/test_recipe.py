@@ -91,6 +91,14 @@ class TestJsonRoundTrip:
         [recipe] = load_recipes(path)
         assert recipe.kind == "bitflip"
 
+    def test_load_rejects_worker_kill(self, tmp_path):
+        path = tmp_path / "worker_kill.json"
+        path.write_text(json.dumps(
+            [{"kind": "worker_kill", "site": "worker", "intensity": 1}]
+        ))
+        with pytest.raises(ConfigurationError, match="unknown chaos kind"):
+            load_recipes(path)
+
     def test_load_rejects_empty(self, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text("[]")
@@ -104,11 +112,6 @@ class TestQuickSuite:
         assert {r.kind for r in suite} == set(CHAOS_KINDS)
 
     def test_windows_are_staggered(self):
-        # worker_kill runs in the harness's separate cluster phase on its
-        # own clock, so only same-phase windows must not overlap.
-        server_phase = [
-            r for r in default_quick_suite() if r.kind != "worker_kill"
-        ]
-        suite = sorted(server_phase, key=lambda r: r.start_s)
+        suite = sorted(default_quick_suite(), key=lambda r: r.start_s)
         for earlier, later in zip(suite, suite[1:]):
             assert earlier.end_s <= later.start_s + 1e-9

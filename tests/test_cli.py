@@ -139,6 +139,16 @@ class TestParser:
     def test_serve_defaults_to_stdin(self):
         assert build_parser().parse_args(["serve"]).requests == "-"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["cluster", "serve"], ["loadgen", "--cluster"],
+         ["loadgen", "--workers", "2"]],
+    )
+    def test_cluster_commands_refused(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+
     def test_loadgen_options(self):
         args = build_parser().parse_args(
             [

@@ -12,7 +12,6 @@ SUBPACKAGES = [
     "repro.backends",
     "repro.bounds",
     "repro.chaos",
-    "repro.cluster",
     "repro.engine",
     "repro.exact",
     "repro.experiments",
@@ -161,16 +160,13 @@ class TestImports:
             "run_model_benchmark",
         }
 
-    def test_cluster_exports_locked(self):
-        from repro import cluster
+    def test_cluster_exports_absent(self):
+        import importlib.util
 
-        assert set(cluster.__all__) == {
-            "ClusterConfig",
-            "ClusterFrontend",
-            "HashRing",
-        }
         for symbol in ("ClusterConfig", "ClusterFrontend"):
-            assert symbol in repro.__all__
+            assert symbol not in repro.__all__
+            assert not hasattr(repro, symbol)
+        assert importlib.util.find_spec("repro.cluster") is None
 
     def test_response_satisfies_protected_result(self):
         import numpy as np
