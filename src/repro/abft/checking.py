@@ -31,6 +31,7 @@ __all__ = [
     "CheckReport",
     "column_discrepancies",
     "row_discrepancies",
+    "compact_row_discrepancies",
     "check_partitioned",
     "checks_pass",
     "check_grids",
@@ -167,6 +168,56 @@ def row_discrepancies(
     return out
 
 
+def compact_row_discrepancies(
+    c: np.ndarray, col_layout: PartitionedLayout, kept: int
+) -> np.ndarray:
+    """:func:`row_discrepancies` of products side by side that each hold
+    only ``kept`` of their ``col_layout.encoded_rows`` encoded columns:
+    every full block with its checksum, then the last block's real
+    columns and its checksum, leaving out that block's zero padding.
+    Bitwise what :func:`row_discrepancies` gives for the zero-padded
+    products.
+
+    numpy sums a contiguous run of up to 128 elements in eight
+    interleaved partial sums; a zero appended past the next multiple of
+    eight only adds ``+0.0`` to one, which changes at most the sign of a
+    zero sum (``|.|`` removes it).  So a padded last block sums its real
+    columns zero-extended to that multiple, capped at ``BS``.  Longer
+    runs split in halves at length-dependent places, so blocks wider
+    than 128 sum the whole zero-padded block.
+    """
+    c = np.asarray(c)
+    bs, stride, blocks = col_layout.block_size, col_layout.stride, col_layout.num_blocks
+    real = kept - 1 - (blocks - 1) * stride  # the last block's data columns
+    if not 1 <= real <= bs or c.shape[1] % kept:
+        raise ShapeError(
+            f"result has {c.shape[1]} columns, not products of {kept} kept "
+            f"columns in a {col_layout.encoded_rows}-column layout"
+        )
+    rows, products = c.shape[0], c.shape[1] // kept
+    out = np.empty((rows, products * blocks))
+    grid = out.reshape(rows, products, blocks)
+    per_product = c.reshape(rows, products, kept)
+    whole = blocks if real == bs else blocks - 1
+    if whole:
+        view = per_product[:, :, : whole * stride].reshape(
+            rows, products, whole, stride
+        )
+        _block_sums(view[..., :bs], 3, grid[:, :, :whole])
+        grid[:, :, :whole] -= view[..., bs]
+    if real < bs:
+        last = per_product[:, :, whole * stride :]  # real columns, checksum
+        extended = bs if bs > 128 else min(bs, -(-real // 8) * 8)
+        data = last[..., :real]
+        if extended > real:
+            data = np.zeros((rows, products, extended))
+            data[..., :real] = last[..., :real]
+        _block_sums(data, 2, grid[:, :, -1])
+        grid[:, :, -1] -= last[..., real]
+    np.abs(out, out=out)
+    return out
+
+
 def _block_sums(blocks: np.ndarray, axis: int, out: np.ndarray) -> None:
     # Widening inside the reduction gives a float64 copy's bytes while a
     # block fits numpy's cast buffer; a longer one would be summed buffer
@@ -285,6 +336,7 @@ def decide_checks(
     col_layout: PartitionedLayout,
     *,
     items: int = 1,
+    widen: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[list[CheckReport], bool]:
     """The check decision of ``items`` products, lower bound first.
 
@@ -299,6 +351,12 @@ def decide_checks(
     each product.  Without ``lower`` the exact grids are built before the
     discrepancies, so a build that raises (an Inf operand) does so first.
     Returns the reports and whether the lower bound decided.
+
+    ``widen`` serves products that hold only some of their encoded
+    columns (see :func:`compact_row_discrepancies`): the column grids of
+    ``discrepancies`` and ``lower`` then cover the held columns, and
+    ``widen`` places that column discrepancy grid at full width after the
+    lower test.  The reports and the ``exact`` grids are full width.
     """
     exact_grids = exact() if lower is None else None
     col_disc, row_disc = discrepancies()
@@ -306,6 +364,8 @@ def decide_checks(
         col_disc, lower[0], row_disc, lower[1]
     ):
         exact_grids = exact()
+    if widen is not None:
+        col_disc = widen(col_disc)
     reports = []
     for j in range(items):
         cd, rd = item_grids(col_disc, row_disc, col_layout, j, items)

@@ -19,7 +19,7 @@ and the simulated pipeline without branching::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -65,7 +65,9 @@ class AbftResult:
         The data result matrix (checksums and padding stripped) — what an
         unprotected ``a @ b`` would have returned.
     c_fc:
-        The raw full-checksum result (encoded coordinates).
+        The raw full-checksum result (encoded coordinates).  A result
+        made by :meth:`deferred` builds it on first read and keeps it;
+        every later read returns the same array.
     report:
         The checksum check report.
     row_layout / col_layout:
@@ -104,3 +106,26 @@ class AbftResult:
     def detected(self) -> bool:
         """Whether the check flagged any comparison."""
         return self.report.error_detected
+
+    @classmethod
+    def deferred(
+        cls, build_c_fc: Callable[[], np.ndarray], **fields
+    ) -> AbftResult:
+        """A result whose ``c_fc`` is ``build_c_fc()``, called on the
+        first read of ``c_fc`` (the pipelined executor's compact chunk
+        items, whose product holds no padding columns)."""
+        result = cls(c_fc=None, **fields)
+        del result.c_fc
+        result._build_c_fc = build_c_fc
+        return result
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute the instance lacks: a deferred
+        # ``c_fc`` before its first read.  Racing first reads may both
+        # build; ``setdefault`` keeps one array for every reader.
+        build = self.__dict__.get("_build_c_fc")
+        if name != "c_fc" or build is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        return self.__dict__.setdefault("c_fc", build())

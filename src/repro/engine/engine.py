@@ -598,9 +598,13 @@ class MatmulEngine:
           numpy fallback exactly like a real backend failure (the numpy
           retry does not re-fire the hook).
         * ``event == "result"`` (``backend=<name>``, ``c_fc=<array>``) —
-          fired with the full-checksum GEMM result; mutating ``c_fc`` in
-          place emulates a kernel-level fault that the check stage must
-          catch.  (On the fused online path the in-loop per-tile checks
+          fired with the GEMM result; mutating ``c_fc`` in place emulates
+          a kernel-level fault that the check stage must catch.  It is
+          the full-checksum result, except for a pipelined chunk under
+          the ``compact`` verdict: there it is the chunk's compact
+          product, every item's data and checksum columns side by side
+          with no padding columns (``full``: every encoded column of
+          every item).  (On the fused online path the in-loop per-tile checks
           have already run by then, so whenever a chaos hook is
           installed the fused path re-derives the full discrepancy
           grids after this hook fires — bitwise identical in clean

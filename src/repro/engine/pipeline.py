@@ -22,11 +22,16 @@ operands are concatenated column-wise so the encode reduction, the GEMM,
 the discrepancy kernels and the tolerance-grid evaluation each run *once
 per chunk* instead of once per pair.  The chunk's GEMM multiplies only
 the right-operand columns that carry data or checksums (``q +
-ceil(q/BS)`` per item instead of ``ceil(q/BS) · (BS+1)``) and writes the
-product into a full-width chunk result whose padding columns hold
-``+0.0``, so every item's ``c_fc`` is still a view in the interleaved
-layout.  A left operand holding a NaN or an Inf would give NaN, not
-``+0.0``, in those columns, so its chunks run per item, counted in
+ceil(q/BS)`` per item instead of ``ceil(q/BS) · (BS+1)``), and the chunk
+keeps that product as the GEMM wrote it, with its
+:class:`~repro.kernels.stage_split.ColumnMap`.  The chaos ``result``
+hook, the check and the items' ``c`` (one copy per chunk) all read it
+in place: the discrepancy and tolerance grids cover the kept columns,
+and only a chunk that fails the lower-bound test builds full-width
+exact grids, deciding each item as the serial check does.  An item's
+full-width ``c_fc`` is built on first read, with ``+0.0`` in the padding
+columns — the GEMM of a zero column.  A left operand holding a NaN or an
+Inf would give NaN there, so its chunks run per item, counted in
 ``abft_pipeline_fallbacks_total{reason="non_finite"}``.
 
 **Bitwise identity is the hard invariant.**  Per-item slices of the
@@ -36,12 +41,13 @@ grids are elementwise in the top-p data — but a concatenated GEMM is
 selection depends on operand shapes).  The executor therefore
 dual-computes the **first** chunk of every chunk width of a plan along
 both the concatenated and the per-item reference path and compares
-every artifact — encoded slices, top-p data, result bytes,
-discrepancies.  The probe tries two concatenated GEMMs in turn: the
-``compact`` one above, then (for padded items) the ``full`` one that
-multiplies every encoded column, padding included.  The first
-byte-identical candidate becomes the width's verdict; when neither is,
-the width is pinned to the ``per_item`` reference path (counted in
+every artifact — encoded slices, top-p data, result bytes, and the
+discrepancies of the chunk check later chunks run.  The probe tries two
+concatenated GEMMs in turn: the ``compact`` one above, then (for padded
+items) the ``full`` one that multiplies every encoded column, padding
+included, under the identity map.  The first byte-identical candidate
+becomes the width's verdict; when neither is, the width is pinned to
+the ``per_item`` reference path (counted in
 ``abft_pipeline_fallbacks_total{reason="bitwise_probe"}``), which
 encodes and multiplies each pair exactly as
 :meth:`~repro.engine.MatmulEngine.matmul` does.  The verdicts live on
@@ -55,20 +61,26 @@ from __future__ import annotations
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from ..abft.checking import (
     column_discrepancies,
+    compact_row_discrepancies,
     decide_checks,
     item_grids,
     row_discrepancies,
 )
-from ..abft.encoding import strip_encoding
 from ..abft.providers import AABFTToleranceGrids
 from ..abft.result import AbftResult
 from ..errors import ConfigurationError
-from ..kernels.stage_split import ChunkEncodedB, ColumnMap, encode_b_chunk
+from ..kernels.stage_split import (
+    ChunkEncodedB,
+    ColumnMap,
+    column_map,
+    encode_b_chunk,
+)
 from ..telemetry import span
 
 __all__ = ["pipeline_supported", "run_pipelined"]
@@ -144,12 +156,13 @@ class _ChunkState:
     group: _Group
     items: list[tuple[int, object]]  # (original index, raw right operand)
     encoded: object = None  # ChunkEncodedB | list[EncodedOperand]
-    c_cat: object = None  # concatenated GEMM result (batched path only)
-    c_fcs: list | None = None
+    # The GEMM results: one concatenated product, or one per item; and
+    # the encoded columns each holds per item.
+    products: list | None = None
+    columns: ColumnMap | None = None
     backends: list | None = None
     fallbacks: list | None = None
     reports: list | None = None
-    enc_padding: int = 0
     item_tops: list | None = None  # (values, indices) per item
 
 
@@ -293,38 +306,43 @@ def run_pipelined(engine, a_items, b_items, cfg) -> list:
         if group.fresh:
             plan.pool.give(group.enc_a.array)
 
-    # --- assemble results in submission order ---------------------------
+    # --- assemble results in submission order: every item's c from one
+    # copy per product, a compact item's c_fc built when read ------------
     results: list = [None] * len(a_items)
     for state in states:
         ea = state.group.enc_a
+        columns = state.columns
+        per_product = len(state.items) // len(state.products)
+        cs = [
+            c
+            for product in state.products
+            for c in columns.data(product, plan.q, plan.row_layout, plan.m)
+        ]
         for j, (idx, _b) in enumerate(state.items):
-            c_fc = state.c_fcs[j]
+            product, k = state.products[j // per_product], j % per_product
             report = state.reports[j]
-            c = strip_encoding(
-                c_fc,
-                plan.row_layout,
-                plan.col_layout,
-                ea.padding,
-                state.enc_padding,
-            )
-            provider = _aabft_provider(
-                cfg, plan, (ea.top_values, ea.top_indices), state.item_tops[j]
-            )
-            engine._m_calls.inc()
-            if report.error_detected:
-                engine._m_detections.inc()
-            results[idx] = AbftResult(
-                c=c,
-                c_fc=c_fc,
+            fields = dict(
+                c=cs[j],
                 report=report,
                 row_layout=plan.row_layout,
                 col_layout=plan.col_layout,
-                provider=provider,
+                provider=_aabft_provider(
+                    cfg, plan, (ea.top_values, ea.top_indices), state.item_tops[j]
+                ),
                 backend=state.backends[j],
                 backend_fallback=selection_fallback or state.fallbacks[j],
                 fused=fused_online,
                 fused_fallback=fused_fallback,
             )
+            if columns.identity:
+                results[idx] = AbftResult(c_fc=columns.item(product, k), **fields)
+            else:
+                results[idx] = AbftResult.deferred(
+                    partial(columns.item, product, k), **fields
+                )
+            engine._m_calls.inc()
+            if report.error_detected:
+                engine._m_detections.inc()
 
     # --- pipeline telemetry: bubble fraction and stage occupancy --------
     wall = time.perf_counter() - t_start
@@ -371,7 +389,6 @@ def _encode_chunk(engine, plan, cfg, state: _ChunkState, dtype) -> None:
         concatenate = False
     if not concatenate:
         state.encoded = _encode_items(engine, plan, cfg, state, dtype)
-        state.enc_padding = plan.cols_added
         return
     state.encoded = encode_b_chunk(
         [np.asarray(b).astype(dtype, copy=False) for _idx, b in state.items],
@@ -382,7 +399,6 @@ def _encode_chunk(engine, plan, cfg, state: _ChunkState, dtype) -> None:
         pool=plan.pool,
         full=verdict != "compact",
     )
-    state.enc_padding = state.encoded.padding
 
 
 def _encode_items(engine, plan, cfg, state: _ChunkState, dtype) -> list:
@@ -403,14 +419,13 @@ def _reencode_items(engine, plan, cfg, state: _ChunkState, other) -> list:
     return encoded
 
 
-def _chunk_gemm(engine, plan, a_arr, b_arr, columns: ColumnMap):
-    """One concatenated GEMM of ``a_arr`` by the right-operand columns
-    ``columns`` keeps, its product spread to the full-width chunk result
-    (padding columns ``+0.0``; the identity map multiplies them all)."""
-    return engine._dispatch(
-        plan,
-        lambda name: columns.spread(engine._backends.get(name).matmul(a_arr, b_arr)),
-    )
+def _per_item(plan, state: _ChunkState, runs) -> None:
+    """Make ``runs`` (one ``(c_fc, backend, fallback)`` per item) the
+    chunk's products: one full-width product per item."""
+    state.products = [run[0] for run in runs]
+    state.columns = column_map(plan.q, plan.col_layout.block_size, 1).full
+    state.backends = [run[1] for run in runs]
+    state.fallbacks = [run[2] for run in runs]
 
 
 def _multiply_chunk(engine, plan, cfg, state: _ChunkState) -> dict:
@@ -430,12 +445,9 @@ def _multiply_chunk(engine, plan, cfg, state: _ChunkState) -> dict:
             return other
         if verdict != "per_item":
             # Probed byte-identical: one GEMM covers the whole chunk.
-            c_cat, used, fallback = _chunk_gemm(
-                engine, plan, a_arr, *enc.operand(full=verdict == "full")
-            )
-            w = enc.item_width
-            state.c_cat = c_cat
-            state.c_fcs = [c_cat[:, j * w : (j + 1) * w] for j in range(count)]
+            b_arr, state.columns = enc.operand(full=verdict == "full")
+            product, used, fallback = engine._dispatch_gemm(plan, a_arr, b_arr)
+            state.products = [product]
             state.backends = [used] * count
             state.fallbacks = [fallback] * count
             state.item_tops = [enc.item_tops(j) for j in range(count)]
@@ -446,14 +458,10 @@ def _multiply_chunk(engine, plan, cfg, state: _ChunkState) -> dict:
         state.encoded = _reencode_items(engine, plan, cfg, state, other)
         enc.release(plan.pool)
     # Reference path (the probe failed for this width).
-    state.c_fcs, state.backends, state.fallbacks = [], [], []
-    state.item_tops = []
-    for enc_b in state.encoded:
-        c_fc, used, fallback = engine._dispatch_gemm(plan, a_arr, enc_b.array)
-        state.c_fcs.append(c_fc)
-        state.backends.append(used)
-        state.fallbacks.append(fallback)
-        state.item_tops.append((enc_b.top_values, enc_b.top_indices))
+    _per_item(plan, state, [
+        engine._dispatch_gemm(plan, a_arr, enc_b.array) for enc_b in state.encoded
+    ])
+    state.item_tops = [(eb.top_values, eb.top_indices) for eb in state.encoded]
     return other
 
 
@@ -493,10 +501,9 @@ def _probe_chunk(engine, plan, cfg, state: _ChunkState, other) -> None:
     if ok:
         # Unpadded items have one concatenated GEMM: compact is full width.
         for candidate in ("compact", "full") if enc.padding else ("full",):
-            c_cat, _used, _fb = _chunk_gemm(
-                engine, plan, a_arr, *enc.operand(full=candidate == "full")
-            )
-            if _reproduces(plan, enc, c_cat, ref_runs, other):
+            b_arr, columns = enc.operand(full=candidate == "full")
+            product, _used, _fb = engine._dispatch_gemm(plan, a_arr, b_arr)
+            if _reproduces(plan, columns, product, ref_runs, other):
                 verdict = candidate
                 break
 
@@ -506,38 +513,30 @@ def _probe_chunk(engine, plan, cfg, state: _ChunkState, other) -> None:
         engine._m_pipe_fallbacks.labels(reason="bitwise_probe").inc()
 
     # The reference artifacts become the chunk's results.
-    state.c_fcs = [run[0] for run in ref_runs]
-    state.backends = [run[1] for run in ref_runs]
-    state.fallbacks = [run[2] for run in ref_runs]
+    _per_item(plan, state, ref_runs)
     state.item_tops = [(ref.top_values, ref.top_indices) for ref in ref_enc]
     state.encoded = ref_enc
     enc.release(plan.pool)
 
 
-def _reproduces(plan, enc: ChunkEncodedB, c_cat, ref_runs, other) -> bool:
-    """Whether a concatenated chunk result slices into the per-item
-    results' bytes and, closing the loop, their discrepancy bytes (timed
-    into ``other`` as check work)."""
-    w = enc.item_width
+def _reproduces(plan, columns: ColumnMap, product, ref_runs, other) -> bool:
+    """Whether a concatenated chunk product holds the per-item results'
+    bytes and, through the chunk check later chunks run on it, their
+    discrepancy bytes (timed into ``other`` as check work)."""
     if not all(
-        _same_bytes(run[0], c_cat[:, j * w : (j + 1) * w])
+        _same_bytes(run[0], columns.item(product, j))
         for j, run in enumerate(ref_runs)
     ):
         return False
     t0 = time.perf_counter()
-    cat_col = column_discrepancies(c_cat, plan.row_layout)
-    cat_row = row_discrepancies(c_cat, enc.layout)
-    blocks = plan.col_layout.num_blocks
+    cat_col, cat_row = _product_discrepancies(plan, product, columns)
+    cat_col = columns.spread(cat_col)
+    count = len(ref_runs)
     ok = all(
-        _same_bytes(
-            column_discrepancies(run[0], plan.row_layout),
-            cat_col[:, j * w : (j + 1) * w],
-        )
-        and _same_bytes(
-            row_discrepancies(run[0], plan.col_layout),
-            cat_row[:, j * blocks : (j + 1) * blocks],
-        )
+        _same_bytes(column_discrepancies(run[0], plan.row_layout), col)
+        and _same_bytes(row_discrepancies(run[0], plan.col_layout), row)
         for j, run in enumerate(ref_runs)
+        for col, row in [item_grids(cat_col, cat_row, plan.col_layout, j, count)]
     )
     other["check"] = other.get("check", 0.0) + time.perf_counter() - t0
     return ok
@@ -560,20 +559,17 @@ def _fused_chunk(engine, plan, cfg, state: _ChunkState) -> dict:
     col_e, row_e = grids.exact()
     grids.release()
     check_s = time.perf_counter() - t0  # grids are check work
-    state.c_fcs, state.reports, state.backends, state.fallbacks = (
-        [], [], [], []
-    )
+    runs, state.reports = [], []
     count = len(enc_b)
     for j, eb in enumerate(enc_b):
         ce, re_ = item_grids(col_e, row_e, plan.col_layout, j, count)
         c_fc, report, used, fallback, _mul_s, item_chk = (
             engine._fused_multiply_check(plan, cfg, ea.array, eb.array, ce, re_)
         )
-        state.c_fcs.append(c_fc)
+        runs.append((c_fc, used, fallback))
         state.reports.append(report)
-        state.backends.append(used)
-        state.fallbacks.append(fallback)
         check_s += item_chk
+    _per_item(plan, state, runs)
     plan.pool.give(col_e)
     plan.pool.give(row_e)
     for eb in enc_b:
@@ -585,19 +581,32 @@ def _check_chunk(engine, plan, cfg, state: _ChunkState) -> None:
     """Check slot: one lower-bound test per chunk, exact grids on demand.
 
     The items' discrepancy grids sit side by side like their tolerance
-    grids, so :func:`decide_checks` tests the whole chunk against its
-    certified lower grids at once; a chunk that fails builds its exact
-    grids once and decides each item on its slices.
+    grids, over the columns the chunk's products hold, so
+    :func:`decide_checks` tests the whole chunk against its certified
+    lower grids at once.  A chunk that fails builds the full-width exact
+    grids once and decides each item on its slices, as the serial check
+    does.
     """
     count = len(state.items)
     grids = _chunk_grids(plan, cfg, state)
+
+    def exact():
+        if state.columns.identity:
+            return grids.exact()
+        full = _chunk_grids(plan, cfg, state, full_width=True)
+        try:
+            return full.exact()
+        finally:
+            full.release()
+
     state.reports, by_lower = decide_checks(
         lambda: _chunk_discrepancies(plan, state),
         grids.lower(),
-        grids.exact,
+        exact,
         plan.row_layout,
         plan.col_layout,
         items=count,
+        widen=state.columns.spread,
     )
     engine._m_decided["lower_bound" if by_lower else "exact"].inc(count)
     grids.release()
@@ -606,38 +615,46 @@ def _check_chunk(engine, plan, cfg, state: _ChunkState) -> None:
             plan.pool.give(enc_b.array)
 
 
+def _product_discrepancies(plan, product, columns: ColumnMap):
+    """One product's discrepancy grids over the columns it holds, its
+    items' side by side."""
+    return (
+        column_discrepancies(product, plan.row_layout),
+        compact_row_discrepancies(product, plan.col_layout, columns.kept),
+    )
+
+
 def _chunk_discrepancies(plan, state: _ChunkState):
     """The chunk's discrepancy grids, its items' side by side."""
-    if isinstance(state.encoded, ChunkEncodedB):
-        # One discrepancy pass over the concatenation.
-        return (
-            column_discrepancies(state.c_cat, plan.row_layout),
-            row_discrepancies(state.c_cat, state.encoded.layout),
-        )
-    count = len(state.items)
-    col_disc = np.empty(
-        (plan.row_layout.num_blocks, count * plan.col_layout.encoded_rows)
-    )
-    row_disc = np.empty(
-        (plan.row_layout.encoded_rows, count * plan.col_layout.num_blocks)
-    )
-    for j, c_fc in enumerate(state.c_fcs):
-        cd, rd = item_grids(col_disc, row_disc, plan.col_layout, j, count)
-        column_discrepancies(c_fc, plan.row_layout, out=cd)
-        row_discrepancies(c_fc, plan.col_layout, out=rd)
-    return col_disc, row_disc
+    grids = [
+        _product_discrepancies(plan, product, state.columns)
+        for product in state.products
+    ]
+    if len(grids) == 1:
+        return grids[0]
+    return tuple(np.concatenate(axis, axis=1) for axis in zip(*grids))
 
 
-def _chunk_grids(plan, cfg, state: _ChunkState) -> AABFTToleranceGrids:
+def _chunk_grids(
+    plan, cfg, state: _ChunkState, *, full_width: bool = False
+) -> AABFTToleranceGrids:
     """The chunk's tolerance grids: one build over its stacked top-p data.
 
-    The items' grids come out side by side; :func:`item_grids` cuts item
-    ``j``'s, bitwise equal to building it alone.
+    The grids cover the columns the chunk's products hold, or with
+    ``full_width`` every encoded column.  The items' grids come out side
+    by side; :func:`item_grids` cuts item ``j``'s full-width ones,
+    bitwise equal to building it alone.
     """
-    if isinstance(state.encoded, ChunkEncodedB):
-        col_values = state.encoded.top_values
-        col_indices = state.encoded.top_indices
+    count = len(state.items)
+    enc = state.encoded
+    if isinstance(enc, ChunkEncodedB):
+        columns = state.columns.full if full_width else state.columns
+        col_values, col_indices = (
+            (enc.top_values, enc.top_indices) if columns.identity
+            else enc.compact_tops
+        )
     else:
+        columns = column_map(plan.q, plan.col_layout.block_size, count).full
         col_values = np.concatenate([v for v, _i in state.item_tops])
         col_indices = np.concatenate([i for _v, i in state.item_tops])
     ea = state.group.enc_a
@@ -649,7 +666,7 @@ def _chunk_grids(plan, cfg, state: _ChunkState) -> AABFTToleranceGrids:
         col_values,
         col_indices,
         plan.row_layout.checksum_slice(),
-        plan.col_layout.checksum_slice(),  # spans every stacked item
+        columns.checksums(plan.col_layout.block_size),
         epsilon_floor=cfg.epsilon_floor,
         pool=plan.pool,
     )

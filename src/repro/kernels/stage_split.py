@@ -20,9 +20,10 @@ chunk-level entry points that make that overlap safe:
   its top-p arrays) reproduces the per-item encodings bit for bit.  The
   same block locality makes per-item slices of the discrepancy grids of
   the concatenated result bitwise equal to per-item evaluation.
-* :class:`ColumnMap` places compact columns at their full-width
-  (interleaved) positions, writing a fill into the padding: ``+0.0``
-  product columns, all-zero-column top-p data, zero operand columns.
+* :class:`ColumnMap` describes the columns a product holds per item and
+  reads the product in place: each item's data block (one copy per
+  product), its checksum columns, and its full-width (interleaved)
+  ``c_fc``, built on request with ``+0.0`` in the padding columns.
 
 Buffer-aliasing discipline: every pooled buffer used here is obtained by
 a fresh :meth:`~repro.engine.plan.WorkspacePool.take` (never handed out
@@ -31,12 +32,13 @@ consuming stage has finished with it, so the encode of chunk ``i+1``
 can never alias the operands the multiply of chunk ``i`` is still
 reading.  The concatenated raw workspace is recycled *inside*
 :func:`encode_b_chunk`; the encoded operands are owned by the caller
-(:meth:`ChunkEncodedB.release`).
+(:meth:`ChunkEncodedB.release`).  Products and the arrays read out of
+them escape into results, so none of them is pooled.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -51,7 +53,7 @@ __all__ = ["ChunkEncodedB", "ColumnMap", "column_map", "encode_b_chunk"]
 @dataclass(frozen=True)
 class ColumnMap:
     """Which of each chunk item's encoded columns a concatenated GEMM
-    multiplies.
+    multiplies, and so which columns its product holds.
 
     An item has ``width`` encoded columns: its ``BS``-column blocks, each
     followed by its checksum column.  When ``q`` is not a block multiple
@@ -74,6 +76,11 @@ class ColumnMap:
     @property
     def identity(self) -> bool:
         return self.lead == self.width
+
+    @property
+    def full(self) -> ColumnMap:
+        """The identity map of the same items."""
+        return ColumnMap(self.count, self.width, self.width)
 
     def spread(
         self,
@@ -103,6 +110,63 @@ class ColumnMap:
         dst[items + (-1,)] = src[items + (-1,)]
         return out
 
+    def item(self, product: np.ndarray, j: int) -> np.ndarray:
+        """Item ``j``'s full-width encoded columns of ``product``: a view
+        under the identity map, else a fresh array with ``+0.0`` padding
+        (what the GEMM of a zero column gives)."""
+        kept = product[:, j * self.kept : (j + 1) * self.kept]
+        return kept if self.identity else replace(self, count=1).spread(kept)
+
+    def checksums(self, block_size: int) -> np.ndarray:
+        """Positions of every item's checksum columns among the kept ones
+        (block order, item by item; cached, read-only)."""
+        return _checksum_positions(self, block_size)
+
+    def data(
+        self,
+        product: np.ndarray,
+        q: int,
+        row_layout: PartitionedLayout,
+        rows: int,
+    ) -> np.ndarray:
+        """The data elements of ``product`` in one copy: shape ``(items,
+        rows, q)``, each item's block C-contiguous.
+
+        ``product`` holds ``product.shape[1] // kept`` items; ``q`` is an
+        item's unpadded data columns, ``rows`` the unpadded data rows of
+        the product's ``row_layout`` (the copy keeps the padding rows,
+        and the returned view leaves them out).  A kept column's position
+        in its item does not depend on the map, so one gather serves both.
+        """
+        bs = row_layout.block_size
+        stride = bs + 1
+        items = product.shape[1] // self.kept
+        blocks = row_layout.num_blocks
+        src = product.reshape(blocks, row_layout.stride, items, self.kept)
+        src = src[:, :bs].transpose(2, 0, 1, 3)  # item, row block, row, column
+        out = np.empty((items, row_layout.data_rows, q), product.dtype)
+        dst = out.reshape(items, blocks, bs, q)
+        whole, rest = divmod(q, bs)
+        if whole:  # each full block's BS data columns
+            blocks_in = src[..., : whole * stride].reshape(
+                items, blocks, bs, whole, stride
+            )
+            blocks_out = dst[..., : whole * bs].reshape(items, blocks, bs, whole, bs)
+            blocks_out[...] = blocks_in[..., :bs]
+        if rest:  # the last block's real columns
+            dst[..., whole * bs :] = src[..., whole * stride : whole * stride + rest]
+        return out[:, :rows]
+
+
+@lru_cache(maxsize=256)
+def _checksum_positions(columns: ColumnMap, block_size: int) -> np.ndarray:
+    stride = block_size + 1
+    one = np.arange(columns.width // stride) * stride + block_size
+    one[-1] = columns.kept - 1  # a padded last block's checksum ends its real columns
+    positions = (np.arange(columns.count)[:, None] * columns.kept + one).ravel()
+    positions.flags.writeable = False
+    return positions
+
 
 @lru_cache(maxsize=256)
 def column_map(q: int, block_size: int, count: int) -> ColumnMap:
@@ -130,8 +194,6 @@ class ChunkEncodedB:
     columns:
         The compact :class:`ColumnMap` of the chunk (its ``count`` items
         of ``width`` encoded columns each).
-    layout:
-        Partitioned layout of the concatenated encoded columns.
     padding:
         Zero columns appended to each item to reach a block multiple.
     top_values / top_indices:
@@ -139,15 +201,19 @@ class ChunkEncodedB:
         ``(count * item_width, p)``; rows ``[j*w:(j+1)*w]`` are item
         ``j``'s per-column top-p data.  Always freshly allocated (they
         escape into epsilon providers).
+    compact_tops:
+        ``(values, indices)``: the top-p data of the :attr:`compact`
+        columns, the rows of :attr:`top_values` / :attr:`top_indices`
+        the map keeps.
     """
 
     compact: np.ndarray
     encoded: np.ndarray | None
     columns: ColumnMap
-    layout: PartitionedLayout
     padding: int
     top_values: np.ndarray
     top_indices: np.ndarray
+    compact_tops: tuple[np.ndarray, np.ndarray]
 
     @property
     def item_width(self) -> int:
@@ -165,12 +231,11 @@ class ChunkEncodedB:
 
     def operand(self, full: bool) -> tuple[np.ndarray, ColumnMap]:
         """The right operand a concatenated GEMM multiplies and the map
-        placing its product: the compact columns, or every column (built
-        only on request)."""
+        of its product's columns: the compact columns, or every column
+        (built only on request)."""
         if not full:
             return self.compact, self.columns
-        cols = self.columns
-        return self.encoded, ColumnMap(cols.count, cols.width, cols.width)
+        return self.encoded, self.columns.full
 
     def release(self, pool) -> None:
         """Give the pooled operand buffers back."""
@@ -218,9 +283,6 @@ def encode_b_chunk(
     padded_q = q + padding
     count = len(items)
     item_blocks = padded_q // block_size
-    layout = PartitionedLayout(
-        data_rows=count * padded_q, block_size=block_size
-    )
     columns = column_map(q, block_size, count)
 
     def take(shape):
@@ -267,13 +329,13 @@ def encode_b_chunk(
     if full:
         encoded = compact
         if not columns.identity:
-            encoded = columns.spread(compact, out=take((n, layout.encoded_rows)))
+            encoded = columns.spread(compact, out=take((n, count * columns.width)))
     return ChunkEncodedB(
         compact=compact,
         encoded=encoded,
         columns=columns,
-        layout=layout,
         padding=padding,
         top_values=columns.spread(values, axis=0),
         top_indices=columns.spread(indices, axis=0, fill=np.arange(p)),
+        compact_tops=(values, indices),
     )

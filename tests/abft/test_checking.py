@@ -7,6 +7,7 @@ from repro.abft.checking import (
     CheckReport,
     check_partitioned,
     column_discrepancies,
+    compact_row_discrepancies,
     row_discrepancies,
 )
 from repro.abft.encoding import (
@@ -117,6 +118,80 @@ class TestDiscrepancyWidths:
         row_out = np.empty((66, 3))
         assert row_discrepancies(c, cols, out=row_out) is row_out
         assert row_out.tobytes() == upcast_row_discrepancies(c, cols).tobytes()
+
+
+def padded_products(rng, dtype, q, bs, items=3):
+    """``items`` made-up products side by side, full width and compact.
+
+    Each product has ``q`` data columns in ``bs``-column blocks, each block
+    followed by its checksum column; the last block's padding columns are
+    ``+0.0``, as the GEMM of a zero column gives, and the compact product
+    leaves them out.  Row 0 is all ``-0.0``, and a NaN, a ``+Inf`` and a
+    ``-Inf`` sit among the kept columns.  Returns ``(full, compact,
+    kept_mask, col_layout, row_layout)``.
+    """
+    blocks = -(-q // bs)
+    width = blocks * (bs + 1)
+    padding = blocks * bs - q
+    row_layout = PartitionedLayout(2 * bs, bs)
+    rows = row_layout.encoded_rows
+    full = rng.uniform(-1, 1, (rows, items, width)).astype(dtype)
+    kept = np.ones(width, dtype=bool)
+    kept[width - 1 - padding : width - 1] = False
+    full[:, :, ~kept] = 0.0
+    full[0, :, kept] = -0.0
+    kept_cols = np.flatnonzero(np.tile(kept, items))
+    full = full.reshape(rows, items * width)
+    for row, value in zip((1, 2, 3), (np.nan, np.inf, -np.inf)):
+        full[row, rng.choice(kept_cols)] = value
+    kept_mask = np.tile(kept, items)
+    col_layout = PartitionedLayout(blocks * bs, bs)
+    return full, np.ascontiguousarray(full[:, kept_mask]), kept_mask, col_layout, row_layout
+
+
+class TestCompactDiscrepancies:
+    """The discrepancies of products that hold only their data and
+    checksum columns are the zero-padded products' bytes (no GEMM: the
+    products are made up, so this holds whatever the BLAS)."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("bs", [8, 16, 32, 64])
+    def test_every_ragged_last_block_matches_the_padded_product(self, rng, bs, dtype):
+        mismatched = []
+        for rest in range(1, bs):  # q mod BS
+            for q in (rest, bs + rest):  # one padded block; a full one first
+                full, compact, kept, col_layout, row_layout = padded_products(
+                    rng, dtype, q, bs
+                )
+                cat = PartitionedLayout(3 * col_layout.data_rows, bs)
+                rows = compact_row_discrepancies(
+                    compact, col_layout, compact.shape[1] // 3
+                )
+                cols = column_discrepancies(compact, row_layout)
+                full_cols = column_discrepancies(full, row_layout)
+                if rows.tobytes() != row_discrepancies(full, cat).tobytes():
+                    mismatched.append(("row", q))
+                if cols.tobytes() != np.ascontiguousarray(full_cols[:, kept]).tobytes():
+                    mismatched.append(("column", q))
+        assert mismatched == []
+
+    def test_full_width_products_match_row_discrepancies(self, rng):
+        full, _compact, _kept, col_layout, _rows = padded_products(
+            rng, np.float64, 128, 64
+        )
+        cat = PartitionedLayout(3 * 128, 64)
+        got = compact_row_discrepancies(full, col_layout, col_layout.encoded_rows)
+        assert got.tobytes() == row_discrepancies(full, cat).tobytes()
+
+    def test_shape_validation(self, rng):
+        _full, compact, _kept, col_layout, _rows = padded_products(
+            rng, np.float64, 20, 16
+        )
+        with pytest.raises(ShapeError):
+            compact_row_discrepancies(compact[:, 1:], col_layout, 21)
+        with pytest.raises(ShapeError):
+            compact_row_discrepancies(compact, col_layout, 16)
 
 
 class TestCheckPartitioned:

@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 from repro.abft.checking import check_partitioned
 from repro.abft.providers import AABFTToleranceGrids
+from repro.backends import BackendRegistry
 from repro.engine import AbftConfig, ExecutionPolicy, MatmulEngine
 from repro.errors import BoundSchemeError
 from repro.fp.bits import flip_bit
 from repro.telemetry import MetricsRegistry
+from tests.engine.test_pipeline import SpyBackend
 
 PIPELINED = ExecutionPolicy(mode="pipelined")
 SEPARATE = AbftConfig(fusion="separate", block_size=16)
@@ -49,10 +51,15 @@ def run_path(path, a, bs, cfg=SEPARATE, hook=None):
     """Results of ``a @ b`` for every ``b`` through one execution path.
 
     The pipelined paths first run the batch once so the bitwise probe
-    records a verdict, then pin it: ``"compact"`` runs every chunk through
-    one concatenated GEMM, ``"per_item"`` through per-item GEMMs.
+    records a verdict, then pin it: ``"compact"`` runs the chunk through
+    one concatenated GEMM over every item's kept columns, ``"per_item"``
+    through one full-width GEMM per item, as the right operand widths the
+    backend saw show.
     """
-    engine = fresh_engine(cfg)
+    spy = SpyBackend()
+    backends = BackendRegistry()
+    backends.register("numpy", lambda: spy)
+    engine = fresh_engine(cfg, backends=backends)
     if path == "serial":
         engine.set_chaos_hook(hook)
         return engine, [engine.matmul(a, b) for b in bs]
@@ -65,9 +72,15 @@ def run_path(path, a, bs, cfg=SEPARATE, hook=None):
                 )
     engine.reset_stats()
     engine.set_chaos_hook(hook)
+    spy.b_shapes.clear()
     results = engine.execute_batch([(a, b) for b in bs], policy=PIPELINED)
-    concatenated = all(r.c_fc.base is not None for r in results)
-    assert concatenated == (path == "concatenated")
+    q, bsz = bs[0].shape[1], cfg.block_size
+    blocks = -(-q // bsz)
+    widths = [shape[1] for shape in spy.b_shapes]
+    if path == "concatenated":
+        assert widths == [len(bs) * (q + blocks)]
+    else:
+        assert widths == [blocks * (bsz + 1)] * len(bs)
     return engine, results
 
 

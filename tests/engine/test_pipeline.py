@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import sys
 import threading
 import time
 from concurrent.futures import Future
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.abft.result import AbftResult
 from repro.engine import (
     AbftConfig,
     ExecutionPolicy,
@@ -21,7 +23,8 @@ from repro.engine import (
 from repro.backends import BackendRegistry, NumpyBackend
 from repro.engine import pipeline
 from repro.errors import BoundSchemeError, ConfigurationError
-from repro.kernels.stage_split import ChunkEncodedB
+from repro.fp.bits import flip_bit
+from repro.kernels.stage_split import ChunkEncodedB, ColumnMap
 from repro.telemetry import MetricsRegistry
 
 PIPELINED = ExecutionPolicy(mode="pipelined")
@@ -326,7 +329,6 @@ class TestCompactGemm:
         width = results[0].c_fc.shape[1]
         assert width == -(-q // 64) * 65
         for result in results:
-            assert result.c_fc.base is results[0].c_fc.base
             assert result.c_fc.shape == (130, width)  # 96 rows pad to 128
             # padding columns are +0.0 (the zero fill)
             pad = result.c_fc[:, q % 64 + (q // 64) * 65 : width - 1]
@@ -352,7 +354,7 @@ class TestCompactGemm:
             pad = result.c_fc[:, 16:64]
             assert not pad.any() and not np.signbit(pad).any()
 
-        engine = fresh_engine(config=SEPARATE, max_workers=1)
+        engine, spy = spy_engine()
         engine.execute_batch([(a, b) for b in bs], policy=PIPELINED)
         # the probe's own verdict: bytes must equal serial, whatever it is
         results = engine.execute_batch(
@@ -361,11 +363,12 @@ class TestCompactGemm:
         assert_bitwise_equal(results, serial)
         # the compact path, pinned: its fill is serial's padding bytes
         pin_verdicts(engine, "compact")
+        spy.b_shapes.clear()
         results = engine.execute_batch(
             [(negative, b) for b in bs], policy=PIPELINED
         )
+        assert spy.b_shapes == [(256, 8 * 17)]
         for got, ref in zip(results, serial):
-            assert got.c_fc.base is not None
             assert got.c_fc[:, 16:64].tobytes() == ref.c_fc[:, 16:64].tobytes()
 
     def test_probe_tries_full_width_after_compact(self, monkeypatch):
@@ -373,8 +376,8 @@ class TestCompactGemm:
         # full-width GEMM, whose verdict later chunks of the width follow.
         tried = []
 
-        def reproduces(plan, enc, c_cat, ref_runs, other):
-            tried.append(c_cat.shape[1])
+        def reproduces(plan, columns, product, ref_runs, other):
+            tried.append(product.shape[1])
             return len(tried) == 2
 
         monkeypatch.setattr(pipeline, "_reproduces", reproduces)
@@ -385,8 +388,8 @@ class TestCompactGemm:
         engine.execute_batch(pairs, policy=PIPELINED)
         plan = next(iter(engine._plans._plans.values()))
         assert plan.probe_verdicts == {3: "full"}
-        # both candidates land in the full-width chunk result
-        assert tried == [3 * 65, 3 * 65]
+        # each candidate is judged on its own product: compact, then full
+        assert tried == [3 * 17, 3 * 65]
         assert spy.b_shapes[-2:] == [(64, 3 * 17), (64, 3 * 65)]
         spy.b_shapes.clear()
         results = engine.execute_batch(pairs, policy=PIPELINED)
@@ -434,6 +437,140 @@ class TestCompactGemm:
             "abft_pipeline_fallbacks_total", labelnames=("reason",)
         )
         assert fallbacks.labels(reason="non_finite").get() == 2
+
+
+class FlipOnce:
+    """Chaos hook: flip one bit of the element at ``(row, col)`` of the
+    first result the engine dispatches."""
+
+    def __init__(self, row: int, col: int, bit: int) -> None:
+        self.row, self.col, self.bit = row, col, bit
+        self.fired = False
+
+    def __call__(self, event, **kwargs) -> None:
+        c_fc = kwargs.get("c_fc")
+        if event == "result" and c_fc is not None and not self.fired:
+            c_fc[self.row, self.col] = flip_bit(c_fc[self.row, self.col], self.bit)
+            self.fired = True
+
+
+class TestCompactProduct:
+    """A compact chunk keeps its product as the GEMM wrote it: no
+    full-width array exists until an item's ``c_fc`` is read, and a
+    ``result``-hook flip of the product is found where the serial path
+    finds the same flip."""
+
+    Q = 20  # BS 64: an item keeps 20 data columns and 1 checksum of 65
+
+    def compact_engine(self, a, bs):
+        """A one-chunk engine whose probe found the compact GEMM
+        byte-identical to the per-item ones (as it does at this shape)."""
+        engine, spy = spy_engine()
+        engine.execute_batch([(a, b) for b in bs], policy=PIPELINED)
+        plan = next(iter(engine._plans._plans.values()))
+        assert plan.probe_verdicts == {len(bs): "compact"}
+        spy.b_shapes.clear()
+        return engine, spy
+
+    def operands(self, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(-1, 1, (96, 128))  # 96 rows pad to 128: 130 encoded
+        return a, [rng.uniform(-1, 1, (128, self.Q)) for _ in range(4)]
+
+    def test_c_fc_is_built_on_first_read(self, monkeypatch):
+        a, bs = self.operands(60)
+        engine, spy = self.compact_engine(a, bs)
+        written = []
+        real_spread = ColumnMap.spread
+
+        def spread(self, compact, **kwargs):
+            out = real_spread(self, compact, **kwargs)
+            if kwargs.get("axis", 1) == 1 and out is not compact:
+                written.append(out.shape)
+            return out
+
+        monkeypatch.setattr(ColumnMap, "spread", spread)
+        results = engine.execute_batch([(a, b) for b in bs], policy=PIPELINED)
+        assert spy.b_shapes == [(128, 4 * 21)]
+        # only the (row block, column) discrepancy grid is widened
+        assert all(shape[0] != 130 for shape in written)
+        written.clear()
+        first = results[2].c_fc
+        assert written == [(130, 65)]
+        assert results[2].c_fc is first
+        assert written == [(130, 65)]
+        serial = MatmulEngine(SEPARATE).matmul(a, bs[2])
+        assert first.tobytes() == serial.c_fc.tobytes()
+        assert results[2].c.tobytes() == serial.c.tobytes()
+
+    def test_racing_first_reads_share_one_c_fc(self):
+        # More readers than cores, switching threads every microsecond:
+        # however the first reads interleave, every reader gets one array.
+        def slow_build():
+            time.sleep(0.001)
+            return np.zeros((2, 2))
+
+        results = [
+            AbftResult.deferred(
+                slow_build, c=None, report=None, row_layout=None,
+                col_layout=None, provider=None,
+            )
+            for _ in range(20)
+        ]
+        seen = [[] for _ in results]
+        start = threading.Barrier(8)
+
+        def read():
+            start.wait(10.0)
+            for result, got in zip(results, seen):
+                got.append(result.c_fc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for result, got in zip(results, seen):
+            assert len(got) == 8
+            assert all(array is result.c_fc for array in got)
+
+    @pytest.mark.parametrize("element", ["data", "checksum"])
+    def test_result_hook_flip_is_found_where_serial_finds_it(self, element):
+        a, bs = self.operands(61)
+        item, row, bit = 2, 5, np.finfo(np.float64).nmant + 2
+        # the element's column within its item: full width, then compact
+        col, kept_col = (7, 7) if element == "data" else (64, self.Q)
+        serial_engine = MatmulEngine(SEPARATE)
+        serial_engine.set_chaos_hook(FlipOnce(row, col, bit))
+        ref = serial_engine.matmul(a, bs[item])
+
+        engine, _spy = self.compact_engine(a, bs)
+        hook = FlipOnce(row, item * (self.Q + 1) + kept_col, bit)
+        engine.set_chaos_hook(hook)
+        results = engine.execute_batch([(a, b) for b in bs], policy=PIPELINED)
+        assert hook.fired
+        assert [r.detected for r in results] == [j == item for j in range(4)]
+        got = results[item]
+        assert (row, col) in ref.report.located_errors
+        assert got.report.located_errors == ref.report.located_errors
+        assert [
+            (f.axis, f.encoded_row, f.encoded_col, f.epsilon)
+            for f in got.report.findings
+        ] == [
+            (f.axis, f.encoded_row, f.encoded_col, f.epsilon)
+            for f in ref.report.findings
+        ]
+        assert got.report.column_disc.tobytes() == ref.report.column_disc.tobytes()
+        assert got.report.row_disc.tobytes() == ref.report.row_disc.tobytes()
+        # the built c_fc holds the flipped value
+        assert got.c_fc.tobytes() == ref.c_fc.tobytes()
+        assert got.c.tobytes() == ref.c.tobytes()
 
 
 class _InlineExecutor:

@@ -4,6 +4,7 @@ metrics, and one verdict for a non-finite operand on every path."""
 import numpy as np
 import pytest
 
+from repro.backends import BackendRegistry
 from repro.engine import (
     AbftConfig,
     ExecutionPolicy,
@@ -11,6 +12,7 @@ from repro.engine import (
     pipeline_supported,
 )
 from repro.errors import BoundSchemeError, ShapeError
+from tests.engine.test_pipeline import SpyBackend
 
 PIPELINED = ExecutionPolicy(mode="pipelined")
 SERIAL = ExecutionPolicy(mode="serial")
@@ -278,13 +280,23 @@ class TestNonFiniteParity:
         poisoned[2][10, 7] = np.nan
         return a, bs, poisoned
 
+    #: GEMM right operand widths of the 4-item chunk (q=40, BS=64): one
+    #: GEMM over every item's 41 kept columns or all 65, or one per item.
+    WIDTHS = {"compact": [4 * 41], "full": [4 * 65], "per_item": [65] * 4}
+
     def pipelined(self, a, bs, pairs, pinned):
         """``pairs`` on a one-worker engine (one chunk) whose chunk width
-        a clean batch probes first and the test then pins to ``pinned``."""
-        engine = MatmulEngine(SEPARATE, max_workers=1)
+        a clean batch probes first and the test then pins to ``pinned``;
+        also the right operand widths of the pinned run's GEMMs."""
+        spy = SpyBackend()
+        backends = BackendRegistry()
+        backends.register("numpy", lambda: spy)
+        engine = MatmulEngine(SEPARATE, max_workers=1, backends=backends)
         engine.execute_batch([(a, b) for b in bs], policy=PIPELINED)
         force_probe_verdicts(engine, pinned)
-        return engine, engine.execute_batch(pairs, policy=PIPELINED)
+        spy.b_shapes.clear()
+        results = engine.execute_batch(pairs, policy=PIPELINED)
+        return engine, results, [shape[1] for shape in spy.b_shapes]
 
     def test_nan_operand_verdict_matches_on_every_path(self, batch):
         a, bs, poisoned = batch
@@ -296,13 +308,10 @@ class TestNonFiniteParity:
         )
 
         paths = []
-        for pinned in ("compact", "full"):
-            _engine, concatenated = self.pipelined(a, bs, pairs, pinned)
-            # item results are views of the chunk's one concatenated GEMM
-            assert all(r.c_fc.base is not None for r in concatenated)
-            paths.append(concatenated)
-        _engine, per_item = self.pipelined(a, bs, pairs, "per_item")
-        assert all(r.c_fc.base is None for r in per_item)
+        for pinned in ("compact", "full", "per_item"):
+            _engine, results, widths = self.pipelined(a, bs, pairs, pinned)
+            assert widths == self.WIDTHS[pinned]
+            paths.append(results)
         fused_batch = MatmulEngine(FUSED_ONLINE).execute_batch(
             pairs, policy=PIPELINED
         )
@@ -312,7 +321,7 @@ class TestNonFiniteParity:
         assert all(r.fused for r in fused_batch + fused_calls)
 
         expected = [verdict(r) for r in serial]
-        for path in paths + [per_item, fused_batch, fused_calls]:
+        for path in paths + [fused_batch, fused_calls]:
             assert [verdict(r) for r in path] == expected
 
     def test_nan_left_operand_runs_per_item_on_every_path(self, batch):
@@ -325,11 +334,11 @@ class TestNonFiniteParity:
 
         results = {}
         for path in ("compact", "full", "per_item"):
-            engine, results[path] = self.pipelined(a, bs, pairs, path)
+            engine, results[path], widths = self.pipelined(a, bs, pairs, path)
             # the guard, not the verdict, decides: one count per chunk
             # that would otherwise have concatenated
             assert non_finite_fallbacks(engine) == (0 if path == "per_item" else 1)
-            assert all(r.c_fc.base is None for r in results[path])
+            assert widths == self.WIDTHS["per_item"]
         fused_batch = MatmulEngine(FUSED_ONLINE).execute_batch(
             pairs, policy=PIPELINED
         )

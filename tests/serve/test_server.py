@@ -7,6 +7,7 @@ from repro.abft.checking import check_partitioned
 from repro.abft.result import AbftResult
 from repro.engine import AbftConfig, MatmulEngine
 from repro.errors import BoundSchemeError
+from repro.fp.bits import flip_bit
 from repro.serve import (
     MatmulRequest,
     MatmulServer,
@@ -338,6 +339,58 @@ class TestRecovery:
         assert response.detected  # never silently claims success
         assert response.retries == 2 and not response.recomputed
         assert response.report.error_detected
+
+
+class FlipOnce:
+    """Chaos hook: flip one exponent bit of the element at ``(row, col)``
+    of the first result the engine dispatches."""
+
+    def __init__(self, row, col):
+        self.row, self.col, self.fired = row, col, False
+
+    def __call__(self, event, **kwargs):
+        c_fc = kwargs.get("c_fc")
+        if event == "result" and c_fc is not None and not self.fired:
+            bit = np.finfo(c_fc.dtype).nmant + 2
+            c_fc[self.row, self.col] = flip_bit(c_fc[self.row, self.col], bit)
+            self.fired = True
+
+
+class TestCompactChunkCorrection:
+    """A flip in a pipelined chunk's compact product is corrected to the
+    bytes a one-request (serial) call corrects the same flip to."""
+
+    CONFIG = ServeConfig(abft=AbftConfig(fusion="separate"), batch_window_s=0.0)
+
+    def serve(self, server, pairs):
+        futs = [server.submit(a, b) for a, b in pairs]
+        server.start()
+        server.stop(drain=True)
+        return [f.result() for f in futs]
+
+    def test_two_request_batch_matches_the_serial_correction(self):
+        rng = np.random.default_rng(70)
+        a = rng.uniform(-1, 1, (96, 192))
+        pairs = [(a, rng.uniform(-1, 1, (192, 20))) for _ in range(2)]
+        row, col = 9, 11  # data element (9, 11) of the second item
+
+        server = make_server(self.CONFIG)
+        server.engine.execute_batch(pairs, policy=self.CONFIG.execution)
+        plan = next(iter(server.engine._plans._plans.values()))
+        assert plan.probe_verdicts == {2: "compact"}
+        hook = FlipOnce(row, 21 + col)  # item 1 starts at compact column 21
+        server.engine.set_chaos_hook(hook)
+        first, second = self.serve(server, pairs)
+        assert hook.fired and second.batch_size == 2
+        assert not first.detected and not first.corrected
+        assert second.corrected and not second.detected
+        assert (row, col) in second.report.located_errors
+
+        reference = make_server(self.CONFIG)
+        reference.engine.set_chaos_hook(FlipOnce(row, col))
+        (ref,) = self.serve(reference, pairs[1:])
+        assert ref.batch_size == 1 and ref.corrected
+        assert second.c.tobytes() == ref.c.tobytes()
 
 
 class TestFailureIsolation:
