@@ -31,7 +31,6 @@ __all__ = [
     "CheckReport",
     "column_discrepancies",
     "row_discrepancies",
-    "compact_row_discrepancies",
     "check_partitioned",
     "checks_pass",
     "check_grids",
@@ -168,15 +167,20 @@ def row_discrepancies(
     return out
 
 
-def compact_row_discrepancies(
-    c: np.ndarray, col_layout: PartitionedLayout, kept: int
+def _compact_row_discrepancies(
+    c: np.ndarray,
+    col_layout: PartitionedLayout,
+    kept: int,
+    *,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """:func:`row_discrepancies` of products side by side that each hold
     only ``kept`` of their ``col_layout.encoded_rows`` encoded columns:
     every full block with its checksum, then the last block's real
     columns and its checksum, leaving out that block's zero padding.
     Bitwise what :func:`row_discrepancies` gives for the zero-padded
-    products.
+    products; ``out`` is as there.  (The pipelined executor's check of
+    its compact chunk products.)
 
     numpy sums a contiguous run of up to 128 elements in eight
     interleaved partial sums; a zero appended past the next multiple of
@@ -195,17 +199,22 @@ def compact_row_discrepancies(
             f"columns in a {col_layout.encoded_rows}-column layout"
         )
     rows, products = c.shape[0], c.shape[1] // kept
-    out = np.empty((rows, products * blocks))
-    grid = out.reshape(rows, products, blocks)
-    per_product = c.reshape(rows, products, kept)
-    whole = blocks if real == bs else blocks - 1
-    if whole:
-        view = per_product[:, :, : whole * stride].reshape(
-            rows, products, whole, stride
-        )
-        _block_sums(view[..., :bs], 3, grid[:, :, :whole])
-        grid[:, :, :whole] -= view[..., bs]
-    if real < bs:
+    if out is None:
+        out = np.empty((rows, products * blocks))
+    if real == bs:  # no padding: every product's blocks lie back to back
+        view = c.reshape(rows, products * blocks, stride)
+        _block_sums(view[..., :bs], 2, out)
+        out -= view[..., bs]
+    else:
+        grid = out.reshape(rows, products, blocks)  # a view: it splits an axis
+        per_product = c.reshape(rows, products, kept)
+        whole = blocks - 1
+        if whole:
+            view = per_product[:, :, : whole * stride].reshape(
+                rows, products, whole, stride
+            )
+            _block_sums(view[..., :bs], 3, grid[:, :, :whole])
+            grid[:, :, :whole] -= view[..., bs]
         last = per_product[:, :, whole * stride :]  # real columns, checksum
         extended = bs if bs > 128 else min(bs, -(-real // 8) * 8)
         data = last[..., :real]
@@ -353,7 +362,7 @@ def decide_checks(
     Returns the reports and whether the lower bound decided.
 
     ``widen`` serves products that hold only some of their encoded
-    columns (see :func:`compact_row_discrepancies`): the column grids of
+    columns (see :func:`_compact_row_discrepancies`): the column grids of
     ``discrepancies`` and ``lower`` then cover the held columns, and
     ``widen`` places that column discrepancy grid at full width after the
     lower test.  The reports and the ``exact`` grids are full width.

@@ -63,7 +63,10 @@ class AbftResult:
     ----------
     c:
         The data result matrix (checksums and padding stripped) — what an
-        unprotected ``a @ b`` would have returned.
+        unprotected ``a @ b`` would have returned.  The items of one
+        pipelined chunk product share one buffer: each item's ``c`` is a
+        C-contiguous view of it, so keeping one keeps the chunk's data
+        alive (``c.copy()`` keeps the item's alone).
     c_fc:
         The raw full-checksum result (encoded coordinates).  A result
         made by :meth:`deferred` builds it on first read and keeps it;

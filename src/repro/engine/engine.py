@@ -604,7 +604,9 @@ class MatmulEngine:
           the ``compact`` verdict: there it is the chunk's compact
           product, every item's data and checksum columns side by side
           with no padding columns (``full``: every encoded column of
-          every item).  (On the fused online path the in-loop per-tile checks
+          every item); a hook that derives the encoded layouts from the
+          array's shape holds only for the full-checksum result.  (On
+          the fused online path the in-loop per-tile checks
           have already run by then, so whenever a chaos hook is
           installed the fused path re-derives the full discrepancy
           grids after this hook fires — bitwise identical in clean

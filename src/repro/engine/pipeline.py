@@ -27,11 +27,12 @@ keeps that product as the GEMM wrote it, with its
 :class:`~repro.kernels.stage_split.ColumnMap`.  The chaos ``result``
 hook, the check and the items' ``c`` (one copy per chunk) all read it
 in place: the discrepancy and tolerance grids cover the kept columns,
-and only a chunk that fails the lower-bound test builds full-width
-exact grids, deciding each item as the serial check does.  An item's
-full-width ``c_fc`` is built on first read, with ``+0.0`` in the padding
-columns — the GEMM of a zero column.  A left operand holding a NaN or an
-Inf would give NaN there, so its chunks run per item, counted in
+and only a chunk that fails the lower-bound test builds its exact
+grids, spread to full width to decide each item as the serial check
+does.  An item's full-width ``c_fc`` is built on first read, with
+``+0.0`` in the padding columns — the GEMM of a zero column.  A left
+operand holding a NaN or an Inf would give NaN there, so its chunks run
+per item, counted in
 ``abft_pipeline_fallbacks_total{reason="non_finite"}``.
 
 **Bitwise identity is the hard invariant.**  Per-item slices of the
@@ -66,8 +67,8 @@ from functools import partial
 import numpy as np
 
 from ..abft.checking import (
+    _compact_row_discrepancies,
     column_discrepancies,
-    compact_row_discrepancies,
     decide_checks,
     item_grids,
     row_discrepancies,
@@ -529,7 +530,7 @@ def _reproduces(plan, columns: ColumnMap, product, ref_runs, other) -> bool:
     ):
         return False
     t0 = time.perf_counter()
-    cat_col, cat_row = _product_discrepancies(plan, product, columns)
+    cat_col, cat_row = _discrepancies(plan, [product], columns)
     cat_col = columns.spread(cat_col)
     count = len(ref_runs)
     ok = all(
@@ -580,27 +581,23 @@ def _fused_chunk(engine, plan, cfg, state: _ChunkState) -> dict:
 def _check_chunk(engine, plan, cfg, state: _ChunkState) -> None:
     """Check slot: one lower-bound test per chunk, exact grids on demand.
 
-    The items' discrepancy grids sit side by side like their tolerance
-    grids, over the columns the chunk's products hold, so
-    :func:`decide_checks` tests the whole chunk against its certified
-    lower grids at once.  A chunk that fails builds the full-width exact
-    grids once and decides each item on its slices, as the serial check
-    does.
+    The items' discrepancy and tolerance grids sit side by side, over the
+    columns the chunk's products hold, so :func:`decide_checks` tests the
+    whole chunk against its certified lower grids at once.  A chunk that
+    fails builds its exact grids once, spreads the column grid to full
+    width with ``0.0`` where a padding column's discrepancy reads
+    ``+0.0`` (a comparison that never fails), and decides each item on
+    its slices, as the serial check does.
     """
     count = len(state.items)
     grids = _chunk_grids(plan, cfg, state)
 
     def exact():
-        if state.columns.identity:
-            return grids.exact()
-        full = _chunk_grids(plan, cfg, state, full_width=True)
-        try:
-            return full.exact()
-        finally:
-            full.release()
+        col_e, row_e = grids.exact()
+        return state.columns.spread(col_e), row_e
 
     state.reports, by_lower = decide_checks(
-        lambda: _chunk_discrepancies(plan, state),
+        lambda: _discrepancies(plan, state.products, state.columns),
         grids.lower(),
         exact,
         plan.row_layout,
@@ -615,40 +612,37 @@ def _check_chunk(engine, plan, cfg, state: _ChunkState) -> None:
             plan.pool.give(enc_b.array)
 
 
-def _product_discrepancies(plan, product, columns: ColumnMap):
-    """One product's discrepancy grids over the columns it holds, its
-    items' side by side."""
-    return (
-        column_discrepancies(product, plan.row_layout),
-        compact_row_discrepancies(product, plan.col_layout, columns.kept),
-    )
+def _discrepancies(plan, products, columns: ColumnMap):
+    """The discrepancy grids of ``products`` (each holding ``columns``)
+    over the columns they hold, their items side by side: one pass per
+    product into its slices of one pair of grids."""
+    cols = columns.count * columns.kept
+    blocks = columns.count * plan.col_layout.num_blocks
+    col_disc = np.empty((plan.row_layout.num_blocks, len(products) * cols))
+    row_disc = np.empty((plan.row_layout.encoded_rows, len(products) * blocks))
+    for i, product in enumerate(products):
+        column_discrepancies(
+            product, plan.row_layout, out=col_disc[:, i * cols : (i + 1) * cols]
+        )
+        _compact_row_discrepancies(
+            product,
+            plan.col_layout,
+            columns.kept,
+            out=row_disc[:, i * blocks : (i + 1) * blocks],
+        )
+    return col_disc, row_disc
 
 
-def _chunk_discrepancies(plan, state: _ChunkState):
-    """The chunk's discrepancy grids, its items' side by side."""
-    grids = [
-        _product_discrepancies(plan, product, state.columns)
-        for product in state.products
-    ]
-    if len(grids) == 1:
-        return grids[0]
-    return tuple(np.concatenate(axis, axis=1) for axis in zip(*grids))
-
-
-def _chunk_grids(
-    plan, cfg, state: _ChunkState, *, full_width: bool = False
-) -> AABFTToleranceGrids:
+def _chunk_grids(plan, cfg, state: _ChunkState) -> AABFTToleranceGrids:
     """The chunk's tolerance grids: one build over its stacked top-p data.
 
-    The grids cover the columns the chunk's products hold, or with
-    ``full_width`` every encoded column.  The items' grids come out side
-    by side; :func:`item_grids` cuts item ``j``'s full-width ones,
-    bitwise equal to building it alone.
+    The grids cover the columns the chunk's products hold, its items'
+    side by side, each bitwise equal to building it alone.
     """
     count = len(state.items)
     enc = state.encoded
     if isinstance(enc, ChunkEncodedB):
-        columns = state.columns.full if full_width else state.columns
+        columns = state.columns
         col_values, col_indices = (
             (enc.top_values, enc.top_indices) if columns.identity
             else enc.compact_tops

@@ -134,28 +134,38 @@ class ColumnMap:
 
         ``product`` holds ``product.shape[1] // kept`` items; ``q`` is an
         item's unpadded data columns, ``rows`` the unpadded data rows of
-        the product's ``row_layout`` (the copy keeps the padding rows,
-        and the returned view leaves them out).  A kept column's position
-        in its item does not depend on the map, so one gather serves both.
+        the product's ``row_layout`` (the copy leaves the padding rows
+        out).  A kept column's position in its item does not depend on
+        the map, so one gather serves both.
         """
         bs = row_layout.block_size
-        stride = bs + 1
         items = product.shape[1] // self.kept
-        blocks = row_layout.num_blocks
-        src = product.reshape(blocks, row_layout.stride, items, self.kept)
+        src = product.reshape(
+            row_layout.num_blocks, row_layout.stride, items, self.kept
+        )
         src = src[:, :bs].transpose(2, 0, 1, 3)  # item, row block, row, column
-        out = np.empty((items, row_layout.data_rows, q), product.dtype)
-        dst = out.reshape(items, blocks, bs, q)
-        whole, rest = divmod(q, bs)
-        if whole:  # each full block's BS data columns
-            blocks_in = src[..., : whole * stride].reshape(
-                items, blocks, bs, whole, stride
-            )
-            blocks_out = dst[..., : whole * bs].reshape(items, blocks, bs, whole, bs)
-            blocks_out[...] = blocks_in[..., :bs]
-        if rest:  # the last block's real columns
-            dst[..., whole * bs :] = src[..., whole * stride : whole * stride + rest]
-        return out[:, :rows]
+        out = np.empty((items, rows, q), product.dtype)
+        whole, rest = divmod(rows, bs)
+        if whole:  # row blocks without padding rows
+            dst = out[:, : whole * bs].reshape(items, whole, bs, q)
+            _copy_data_columns(src[:, :whole], dst, bs)
+        if rest:  # the last row block's real rows
+            _copy_data_columns(src[:, whole, :rest], out[:, whole * bs :], bs)
+        return out
+
+
+def _copy_data_columns(src: np.ndarray, dst: np.ndarray, bs: int) -> None:
+    """Copy the data columns among ``src``'s kept columns (last axis)
+    into ``dst``'s ``q`` columns."""
+    q = dst.shape[-1]
+    stride = bs + 1
+    whole, rest = divmod(q, bs)
+    if whole:  # each full block's BS data columns
+        blocks_in = src[..., : whole * stride].reshape(src.shape[:-1] + (whole, stride))
+        blocks_out = dst[..., : whole * bs].reshape(dst.shape[:-1] + (whole, bs))
+        blocks_out[...] = blocks_in[..., :bs]
+    if rest:  # the last block's real columns
+        dst[..., whole * bs :] = src[..., whole * stride : whole * stride + rest]
 
 
 @lru_cache(maxsize=256)

@@ -505,7 +505,10 @@ class ModelRunner:
             hook_state["armed"] = False
             # Layouts derived from the live result shape (encoded rows =
             # data + data/BS), so injection coordinates stay correct even
-            # if negotiation reshaped the plan.
+            # if negotiation reshaped the plan.  That holds for the
+            # full-checksum result of the serial ``matmul`` call below,
+            # not for a pipelined chunk's compact product (see
+            # ``MatmulEngine.set_chaos_hook``).
             bs = cfg.block_size
             row_layout = PartitionedLayout(
                 data_rows=c_fc.shape[0] // (bs + 1) * bs, block_size=bs

@@ -110,7 +110,10 @@ class MatmulResponse:
     status:
         The verification coverage actually delivered (never silent).
     c:
-        The result matrix, or ``None`` for rejected requests.
+        The result matrix, or ``None`` for rejected requests.  Requests
+        served by one pipelined chunk share one buffer (see
+        :attr:`~repro.abft.result.AbftResult.c`): holding this view keeps
+        every one of their results in memory.
     report:
         The checksum report of the *final* (served) result; ``None`` for
         unchecked and rejected responses.

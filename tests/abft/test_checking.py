@@ -5,9 +5,9 @@ import pytest
 
 from repro.abft.checking import (
     CheckReport,
+    _compact_row_discrepancies,
     check_partitioned,
     column_discrepancies,
-    compact_row_discrepancies,
     row_discrepancies,
 )
 from repro.abft.encoding import (
@@ -165,7 +165,7 @@ class TestCompactDiscrepancies:
                     rng, dtype, q, bs
                 )
                 cat = PartitionedLayout(3 * col_layout.data_rows, bs)
-                rows = compact_row_discrepancies(
+                rows = _compact_row_discrepancies(
                     compact, col_layout, compact.shape[1] // 3
                 )
                 cols = column_discrepancies(compact, row_layout)
@@ -181,7 +181,7 @@ class TestCompactDiscrepancies:
             rng, np.float64, 128, 64
         )
         cat = PartitionedLayout(3 * 128, 64)
-        got = compact_row_discrepancies(full, col_layout, col_layout.encoded_rows)
+        got = _compact_row_discrepancies(full, col_layout, col_layout.encoded_rows)
         assert got.tobytes() == row_discrepancies(full, cat).tobytes()
 
     def test_shape_validation(self, rng):
@@ -189,9 +189,9 @@ class TestCompactDiscrepancies:
             rng, np.float64, 20, 16
         )
         with pytest.raises(ShapeError):
-            compact_row_discrepancies(compact[:, 1:], col_layout, 21)
+            _compact_row_discrepancies(compact[:, 1:], col_layout, 21)
         with pytest.raises(ShapeError):
-            compact_row_discrepancies(compact, col_layout, 16)
+            _compact_row_discrepancies(compact, col_layout, 16)
 
 
 class TestCheckPartitioned:

@@ -503,6 +503,19 @@ class TestCompactProduct:
         assert first.tobytes() == serial.c_fc.tobytes()
         assert results[2].c.tobytes() == serial.c.tobytes()
 
+    def test_items_share_one_copy_of_the_data_rows(self):
+        a, bs = self.operands(62)
+        engine, _spy = self.compact_engine(a, bs)
+        results = engine.execute_batch([(a, b) for b in bs], policy=PIPELINED)
+        # one (items, rows, q) array: the left operand's padding rows
+        # (96 of 128) are not held by the results
+        base = results[0].c.base
+        assert base.shape == (4, 96, self.Q)
+        for j, result in enumerate(results):
+            assert result.c.base is base and result.c.flags.c_contiguous
+            serial = MatmulEngine(SEPARATE).matmul(a, bs[j])
+            assert result.c.tobytes() == serial.c.tobytes()
+
     def test_racing_first_reads_share_one_c_fc(self):
         # More readers than cores, switching threads every microsecond:
         # however the first reads interleave, every reader gets one array.
