@@ -25,9 +25,7 @@ The fused-online row (PR 9) times the same warm encoded-handle loop at
 fused result and discrepancy grids bitwise against the separate path.  The
 fused in-loop check reduces the float32 result with a float64 accumulator
 instead of materialising two full float64 casts, so the per-call
-encode+check cost must beat the separate path by ``FUSED_FLOOR`` — and the
-autotuner must demonstrably pick ``fused`` for the float32 shape where it
-wins (float64 is check-parity, recorded alongside).
+encode+check cost must beat the separate path by ``FUSED_FLOOR``.
 
 Run directly::
 
@@ -48,7 +46,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -60,7 +57,6 @@ from repro.abft.encoding import (
     encode_partitioned_rows_reference,
 )
 from repro.abft.providers import AABFTEpsilonProvider
-from repro.backends.autotune import Autotuner, AutotuneCache
 from repro.bounds.probabilistic import ProbabilisticBound
 from repro.bounds.upper_bound import top_p_of_columns, top_p_of_rows
 from repro.engine import AbftConfig, ExecutionPolicy, MatmulEngine
@@ -219,30 +215,6 @@ def fused_stage_times(repeats: int) -> dict:
     }
 
 
-def fused_autotune_evidence() -> dict:
-    """Tuned fusion decisions at the fused bench shape.
-
-    The autotuner must choose ``fused`` for the float32 shape where the
-    in-loop check wins; the float64 decision (check-parity on this stack,
-    so the never-slower hysteresis keeps ``separate``) is recorded as the
-    only-where-it-wins evidence.
-    """
-    cfg = AbftConfig(block_size=BLOCK_SIZE, p=P)
-    with tempfile.TemporaryDirectory() as tmp:
-        tuner = Autotuner(cache=AutotuneCache(Path(tmp) / "autotune.json"))
-        f32 = tuner.tune(
-            FUSED_SIZE, FUSED_SIZE, FUSED_SIZE, dtype=np.float32, config=cfg
-        )
-        f64 = tuner.tune(
-            FUSED_SIZE, FUSED_SIZE, FUSED_SIZE, dtype=np.float64, config=cfg
-        )
-    return {
-        "float32_fusion": f32.fusion,
-        "float32_tile_blocks": f32.fused_tile_blocks,
-        "float64_fusion": f64.fusion,
-    }
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         description="Encode/check stage benchmark (fused kernels vs references)"
@@ -371,20 +343,13 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     # Fused-online row: the in-loop check must beat the separate
-    # encode+check path on the warm large-shape workload, and the
-    # autotuner must pick fusion for the shape where it wins.
+    # encode+check path on the warm large-shape workload.
     fused = fused_stage_times(FUSED_QUICK_REPEATS if args.quick else FUSED_REPEATS)
     print(
         f"  fused-online ({FUSED_SIZE}² float32 handles): "
         f"{fused['fused_per_call'] * 1e3:.2f} ms/call vs separate "
         f"{fused['separate_per_call'] * 1e3:.2f} ms/call "
         f"({fused['speedup']:.2f}x, floor {FUSED_FLOOR:.2f}x)"
-    )
-    tune_evidence = fused_autotune_evidence()
-    print(
-        f"  autotune fusion decisions: float32={tune_evidence['float32_fusion']}"
-        f" (tile_blocks={tune_evidence['float32_tile_blocks']}),"
-        f" float64={tune_evidence['float64_fusion']}"
     )
 
     # Acceptance: at most ~1/3 of the committed pre-PR stage baseline.
@@ -410,9 +375,6 @@ def main(argv: list[str] | None = None) -> int:
         "fused_speedup_vs_separate": fused["speedup"],
         "fused_floor": FUSED_FLOOR,
         "fused_bitwise_identical": True,
-        "fused_autotune_float32": tune_evidence["float32_fusion"],
-        "fused_autotune_float32_tile_blocks": tune_evidence["float32_tile_blocks"],
-        "fused_autotune_float64": tune_evidence["float64_fusion"],
     }
     if ENGINE_BASELINE.exists():
         base = json.loads(ENGINE_BASELINE.read_text())["engine_stats"]
@@ -443,13 +405,6 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"FAIL: fused-online encode+check speedup below the "
             f"{FUSED_FLOOR:.2f}x floor",
-            file=sys.stderr,
-        )
-        return 1
-    if tune_evidence["float32_fusion"] != "fused":
-        print(
-            "FAIL: autotuner did not choose fusion for the float32 shape "
-            "where it wins",
             file=sys.stderr,
         )
         return 1

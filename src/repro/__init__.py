@@ -31,8 +31,7 @@ Package map (see DESIGN.md for the full inventory):
 - :mod:`repro.serve` — micro-batching request scheduler with backpressure
   and adaptive degradation (``aabft serve`` / ``aabft loadgen``)
 - :mod:`repro.backends` — pluggable compute backends (numpy / cupy) with
-  capability negotiation and a fused-vs-separate autotuner
-  (``aabft backends`` / ``aabft autotune``)
+  capability negotiation (``aabft backends``)
 - :mod:`repro.chaos` — declarative chaos recipes + SLO harness over the
   serving layer (``aabft chaos run``, the ``chaos-slo`` CI gate)
 - :mod:`repro.models` — chained-GEMM model-inference workloads with
@@ -59,12 +58,9 @@ from .abft import (
     weighted_abft_matmul,
 )
 from .backends import (
-    Autotuner,
-    AutotuneCache,
     Backend,
     BackendCapabilities,
     BackendRegistry,
-    TunedChoice,
     default_registry,
     get_backend,
 )
@@ -152,8 +148,6 @@ __all__ = [
     "AbftConfig",
     "AbftResult",
     "AnalyticalBound",
-    "Autotuner",
-    "AutotuneCache",
     "Backend",
     "BackendCapabilities",
     "BackendRegistry",
@@ -211,7 +205,6 @@ __all__ = [
     "SLOSpec",
     "ServeConfig",
     "ShapeError",
-    "TunedChoice",
     "VerificationStatus",
     "ErrorMap",
     "aabft_matmul",

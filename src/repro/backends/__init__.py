@@ -12,11 +12,11 @@ of a hard-wired ``a @ b``:
 * two shipped backends — :class:`NumpyBackend` (one host BLAS call that
   lets BLAS own the cores; the bitwise reference) and
   :class:`CupyBackend` (guarded-import device GEMM, capability-gated —
-  the seam for a real GPU);
-* :class:`Autotuner` / :class:`AutotuneCache` — per-``(shape, dtype,
-  scheme)`` timing of the fused online-ABFT loop against the separate
-  GEMM + check, with decisions persisted on disk and fed into
-  negotiation.
+  the seam for a real GPU).
+
+Negotiation also resolves the fusion strategy (config pin >
+``AABFT_FUSION`` env pin > ``separate``); a backend advertising the
+``fused_online`` capability runs a ``fused`` pin.
 
 Example
 -------
@@ -27,13 +27,6 @@ Example
 True
 """
 
-from .autotune import (
-    ENV_AUTOTUNE_CACHE,
-    Autotuner,
-    AutotuneCache,
-    TunedChoice,
-    default_cache_path,
-)
 from .base import Backend, BackendCapabilities, BackendUnavailable
 from .cupy_backend import CupyBackend
 from .numpy_backend import NumpyBackend
@@ -56,14 +49,9 @@ __all__ = [
     "BackendUnavailable",
     "CupyBackend",
     "NumpyBackend",
-    "Autotuner",
-    "AutotuneCache",
-    "TunedChoice",
     "DEFAULT_BACKEND",
     "ENV_BACKEND",
-    "ENV_AUTOTUNE_CACHE",
     "ENV_FUSION",
-    "default_cache_path",
     "default_registry",
     "get_backend",
     "negotiate",

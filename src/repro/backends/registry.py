@@ -157,8 +157,8 @@ class BackendSelection:
         Fused tile edge in whole encoded blocks (``None`` = the single
         full-result tile, the degenerate bitwise-identical mode).
     fusion_source:
-        Where the fusion strategy came from: ``"pinned"``, ``"env"``,
-        ``"autotuned"`` or ``"default"``.
+        Where the fusion strategy came from: ``"pinned"``, ``"env"`` or
+        ``"default"``.
     fusion_fallback_reason:
         Set when a requested ``"fused"`` strategy was rejected (backend
         lacks the ``fused_online`` capability) and the selection fell
@@ -199,14 +199,13 @@ def negotiate(
     dtype,
     *,
     registry: BackendRegistry | None = None,
-    autotuner=None,
     environ=None,
 ) -> BackendSelection:
     """Select the backend and fusion strategy for one multiplication.
 
     ``config`` is an :class:`~repro.engine.config.AbftConfig`; see the
     module docstring for the backend policy and :func:`_resolve_fusion`
-    for the fusion policy, the only one ``autotuner`` informs.
+    for the fusion policy.
     """
     reg = registry if registry is not None else default_registry()
     env = os.environ if environ is None else environ
@@ -232,31 +231,18 @@ def negotiate(
                 fallback_from=requested,
                 fallback_reason=reason,
             )
-    return _resolve_fusion(
-        selection, config, reg, env, autotuner, m, n, q, dtype
-    )
+    return _resolve_fusion(selection, config, reg, env)
 
 
 def _resolve_fusion(
-    selection: BackendSelection,
-    config,
-    reg: BackendRegistry,
-    env,
-    autotuner,
-    m: int,
-    n: int,
-    q: int,
-    dtype,
+    selection: BackendSelection, config, reg: BackendRegistry, env
 ) -> BackendSelection:
     """Resolve the fusion strategy for an already-selected backend.
 
     Pin ladder mirrors the backend's: config pin > ``AABFT_FUSION`` env
-    pin > autotuned decision > ``"separate"``.  The tuner times only the
-    ``numpy`` GEMM, so its decision applies only to calls that run on
-    ``numpy``; other backends never look the cache up.  A requested
-    ``"fused"`` strategy against a backend without the ``fused_online``
-    capability falls back to ``"separate"`` with a recorded reason —
-    never silently.
+    pin > ``"separate"``.  A requested ``"fused"`` strategy against a
+    backend without the ``fused_online`` capability falls back to
+    ``"separate"`` with a recorded reason — never silently.
     """
     fusion: str | None = None
     fusion_source = "default"
@@ -269,12 +255,6 @@ def _resolve_fusion(
         env_pin = env.get(ENV_FUSION, "").strip()
         if env_pin and env_pin != "auto":
             fusion, fusion_source = env_pin, "env"
-        elif autotuner is not None and selection.backend == DEFAULT_BACKEND:
-            tuned = autotuner.lookup(m, n, q, dtype, config)
-            if tuned is not None and tuned.fusion == "fused":
-                fusion, fusion_source = "fused", "autotuned"
-                if tile_blocks is None:
-                    tile_blocks = tuned.fused_tile_blocks
 
     if fusion is None or fusion == "separate":
         return replace(

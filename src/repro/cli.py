@@ -17,7 +17,6 @@ Commands
 ``aabft model run``       — execute a model through the protected engine
 ``aabft model bench``     — mixed-vs-full-vs-unchecked model benchmark
 ``aabft backends``        — registered compute backends + availability
-``aabft autotune``        — time fused vs separate checks, cache the decisions
 
 The ``--full`` flag switches to the paper's complete 512..8192 sweeps
 (slow: exact arithmetic and functional simulation on a CPU).
@@ -440,47 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit 1 when any registered backend is unavailable",
     )
 
-    autotune = sub.add_parser(
-        "autotune",
-        help="time fused vs separate checks per shape and cache the decisions",
-    )
-    autotune.add_argument(
-        "--shapes",
-        metavar="MxNxQ[,MxNxQ...]",
-        default="256x256x256",
-        help="comma-separated problem shapes to tune (default 256x256x256)",
-    )
-    autotune.add_argument(
-        "--block-size", type=int, default=64, help="checksum block size"
-    )
-    autotune.add_argument("--p", type=int, default=2, help="top-p parameter")
-    autotune.add_argument(
-        "--scheme",
-        choices=("aabft", "sea", "fixed"),
-        default="aabft",
-        help="bound scheme of the tuned config",
-    )
-    autotune.add_argument(
-        "--repeats", type=int, default=3, help="timing repeats per candidate"
-    )
-    autotune.add_argument(
-        "--cache",
-        metavar="PATH",
-        default=None,
-        help="autotune cache file (default: $AABFT_AUTOTUNE_CACHE or "
-        "~/.cache/aabft/autotune.json)",
-    )
-    autotune.add_argument(
-        "--force",
-        action="store_true",
-        help="re-time even when the cache already holds a decision",
-    )
-    autotune.add_argument(
-        "--expect-cached",
-        action="store_true",
-        help="assert every shape is served from the cache (no timing); "
-        "exits 1 otherwise — the CI smoke check for cache reuse",
-    )
     return parser
 
 
@@ -1061,77 +1019,6 @@ def _cmd_backends(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_shapes(text: str) -> list[tuple[int, int, int]]:
-    shapes = []
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        parts = item.lower().split("x")
-        if len(parts) != 3:
-            raise ValueError(f"shape {item!r} is not of the form MxNxQ")
-        shapes.append(tuple(int(p) for p in parts))
-    if not shapes:
-        raise ValueError("no shapes given")
-    return shapes
-
-
-def _ms(seconds: float | None) -> str:
-    return "n/a" if seconds is None else f"{seconds * 1e3:.3f} ms"
-
-
-def _cmd_autotune(args: argparse.Namespace) -> int:
-    from .backends import Autotuner, AutotuneCache
-    from .engine import AbftConfig
-
-    try:
-        shapes = _parse_shapes(args.shapes)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    config = AbftConfig(
-        block_size=args.block_size, p=args.p, scheme=args.scheme
-    )
-    cache = AutotuneCache(args.cache)
-    tuner = Autotuner(cache, repeats=args.repeats)
-    code = 0
-    for m, n, q in shapes:
-        cached = tuner.lookup(
-            m, n, q, dtype=np.dtype(np.float64), config=config
-        )
-        if args.expect_cached:
-            if cached is None:
-                print(
-                    f"FAIL: {m}x{n}x{q} has no cached winner in {cache.path}",
-                    file=sys.stderr,
-                )
-                code = 1
-                continue
-            choice, served_from_cache = cached, True
-        else:
-            served_from_cache = cached is not None and not args.force
-            choice = (
-                cached
-                if served_from_cache
-                else tuner.tune(
-                    m, n, q, config=config, force=args.force, seed=args.seed
-                )
-            )
-        fused = choice.fusion
-        if fused == "fused":
-            tb = choice.fused_tile_blocks
-            fused += f" (tile_blocks={'full' if tb is None else tb})"
-        source = "cached" if served_from_cache else "tuned"
-        print(
-            f"{m}x{n}x{q}: fusion={fused} "
-            f"numpy gemm {choice.per_call_s * 1e3:.3f} ms + separate check "
-            f"{_ms(choice.separate_check_s)} vs fused "
-            f"{_ms(choice.fused_per_call_s)} ({source})"
-        )
-    print(f"cache: {cache.path} ({len(cache)} entries)")
-    return code
-
-
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "table1":
         return _cmd_table1()
@@ -1159,8 +1046,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _cmd_model(args)
     if args.command == "backends":
         return _cmd_backends(args)
-    if args.command == "autotune":
-        return _cmd_autotune(args)
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

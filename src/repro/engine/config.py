@@ -75,8 +75,8 @@ class AbftConfig:
         ``"fused"`` pins the per-tile fused kernel
         (:func:`repro.kernels.online_fused.online_fused_matmul`),
         ``"separate"`` pins the classic separate passes, and ``"auto"``
-        (default) lets negotiation choose (``AABFT_FUSION`` env pin >
-        autotuned decision > separate).  A fused pin against a backend
+        (default) resolves to an ``AABFT_FUSION`` env pin, else
+        separate.  A fused pin against a backend
         without the ``fused_online`` capability falls back to separate
         with a counted reason — never silently.
     fused_tile_blocks:

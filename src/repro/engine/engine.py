@@ -57,7 +57,6 @@ from ..abft.providers import (
     SEAEpsilonProvider,
 )
 from ..abft.result import AbftResult
-from ..backends.autotune import Autotuner, AutotuneCache
 from ..backends.registry import (
     ENV_BACKEND,
     ENV_FUSION,
@@ -209,31 +208,6 @@ def _storage_compute(
     return compute, compute
 
 
-#: No autotune decision read yet (``None`` is a decision: "none cached").
-_UNREAD = object()
-
-
-class _TunerRead:
-    """The autotuner as one negotiation sees it.
-
-    Records the cache key negotiation looks up (``None`` when it did not
-    consult the tuner) and the decision it read.  Given a decision the
-    caller already read, it answers with that one, so a call that
-    re-resolves on a changed decision still makes one lookup.
-    """
-
-    def __init__(self, tuner: Autotuner, decided=_UNREAD) -> None:
-        self._tuner = tuner
-        self.key: str | None = None
-        self.decided = decided
-
-    def lookup(self, m: int, n: int, q: int, dtype, config):
-        self.key = self._tuner.key(m, n, q, dtype, config)
-        if self.decided is _UNREAD:
-            self.decided = self._tuner.lookup_key(self.key)
-        return self.decided
-
-
 class MatmulEngine:
     """A session object executing ABFT-protected matrix multiplications.
 
@@ -258,22 +232,14 @@ class MatmulEngine:
         The :class:`~repro.backends.registry.BackendRegistry` the GEMM
         stage dispatches through; defaults to the process-wide registry
         with the ``numpy`` and ``cupy`` backends.
-    autotuner:
-        The :class:`~repro.backends.autotune.Autotuner` consulted when a
-        config's fusion is ``"auto"``, neither a config nor an
-        ``AABFT_FUSION`` pin applies and the call runs on ``numpy``.
-        Defaults to one reading the on-disk decision cache (lookups only
-        — timing trials never run inline; use :meth:`autotune` or
-        ``aabft autotune``).
 
     Each request — the requested config, ``m``, ``n``, ``q``, both operand
     dtypes, the ``AABFT_BACKEND`` and ``AABFT_FUSION`` values and the
     backend registry's generation — is resolved once into a
     :class:`~repro.engine.plan.CallResolution` (storage and compute
     dtypes, negotiated backend and fusion, plan, fallback texts) that
-    later calls reuse.  Env pins, in-process :meth:`autotune` decisions
-    and newly registered backends therefore apply from the next call, and
-    fallbacks stay counted per call.
+    later calls reuse.  Env pins and newly registered backends therefore
+    apply from the next call, and fallbacks stay counted per call.
 
     The engine is thread-safe: the plan cache, its request index,
     workspace pools and metrics are lock-protected, and result objects
@@ -291,7 +257,6 @@ class MatmulEngine:
         max_workers: int | None = None,
         registry: MetricsRegistry | None = None,
         backends: BackendRegistry | None = None,
-        autotuner: Autotuner | None = None,
     ) -> None:
         self.config = config if config is not None else AbftConfig()
         if not isinstance(self.config, AbftConfig):
@@ -357,11 +322,6 @@ class MatmulEngine:
             ("event",),
         )
         self._backends = backends if backends is not None else default_registry()
-        self._autotuner = (
-            autotuner
-            if autotuner is not None
-            else Autotuner(AutotuneCache(), metrics_registry=reg)
-        )
         self._m_backend_dispatch = reg.counter(
             "abft_backend_dispatch_total",
             "GEMM-stage dispatches per compute backend",
@@ -439,11 +399,6 @@ class MatmulEngine:
     def backends(self) -> BackendRegistry:
         """The compute-backend registry this engine negotiates against."""
         return self._backends
-
-    @property
-    def autotuner(self) -> Autotuner:
-        """The autotuner consulted for ``fusion="auto"`` configs."""
-        return self._autotuner
 
     def matmul(self, a, b, *, config: AbftConfig | None = None) -> AbftResult:
         """One protected multiplication ``a @ b``.
@@ -556,30 +511,6 @@ class MatmulEngine:
         if mode == "pipelined":
             return run_pipelined(self, a_items, b_items, cfg)
         return self._run_serial_batch(pairs, cfg)
-
-    def autotune(
-        self,
-        m: int,
-        n: int,
-        q: int,
-        *,
-        dtype=np.float64,
-        config: AbftConfig | None = None,
-        force: bool = False,
-    ):
-        """Run fusion timing trials for one call signature.
-
-        Times the fused online-ABFT loop against the separate GEMM +
-        check on operands of the *encoded* GEMM shapes, persists the
-        decision to the autotune cache, and returns the
-        :class:`~repro.backends.autotune.TunedChoice`.  Subsequent
-        ``fusion="auto"`` calls with this signature on ``numpy`` pick the
-        decision up through negotiation.
-        """
-        cfg = self._resolve_config(config)
-        return self._autotuner.tune(
-            m, n, q, dtype=dtype, config=cfg, force=force
-        )
 
     def set_chaos_hook(self, hook) -> None:
         """Install (or clear, with ``None``) the chaos/test-injection seam.
@@ -1010,26 +941,19 @@ class MatmulEngine:
     ) -> CallResolution:
         """Settle a request on its indexed resolution, or negotiate it.
 
-        ``call`` is what the request index held (``None`` on a miss).  A
-        resolution that read the autotuner reads its decision again — one
-        lookup per call, as negotiation makes — and is negotiated afresh
-        when the decision changed.  Every call increments the
-        resolution's fallback counters: fallbacks stay counted per call.
+        ``call`` is what the request index held (``None`` on a miss).
+        Every call increments the resolution's fallback counters:
+        fallbacks stay counted per call.
         """
-        decided = _UNREAD
-        if call is not None and call.tune_key is not None:
-            tuned = self._autotuner.lookup_key(call.tune_key)
-            if tuned is not call.tuned and tuned != call.tuned:
-                call, decided = None, tuned
         if call is None:
-            call = self._negotiate(request, decided)
+            call = self._negotiate(request)
         else:
             self._plans.hit(request, call)
         for counter in call.counters:
             counter.inc()
         return call
 
-    def _negotiate(self, request: tuple, decided=_UNREAD) -> CallResolution:
+    def _negotiate(self, request: tuple) -> CallResolution:
         """Negotiate a request and index its :class:`CallResolution`.
 
         Resolves the storage and compute dtypes, then ``backend="auto"``
@@ -1042,16 +966,13 @@ class MatmulEngine:
         candidate falls back to ``numpy`` and is counted in
         ``abft_backend_fallbacks_total``; a rejected fused request falls
         back to separate and is counted in ``abft_fused_fallbacks_total``;
-        :meth:`_resolve` counts both on every call.  ``decided`` is an
-        autotune decision the caller already read for this request.
+        :meth:`_resolve` counts both on every call.
         """
         cfg, m, n, q, a_dtype, b_dtype, env_backend, env_fusion, _gen = request
         storage, compute = _resolve_storage_compute(cfg, a_dtype, b_dtype)
-        tuner = _TunerRead(self._autotuner, decided)
         selection = negotiate(
             cfg, m, n, q, compute,
             registry=self._backends,
-            autotuner=tuner,
             environ={ENV_BACKEND: env_backend, ENV_FUSION: env_fusion},
         )
         counters = []
@@ -1104,8 +1025,6 @@ class MatmulEngine:
             backend_fallback=fallback_text,
             fused_fallback=fused_fallback_text,
             counters=tuple(counters),
-            tune_key=tuner.key,
-            tuned=tuner.decided if tuner.key is not None else None,
         )
         self._plans.index(request, call)
         return call

@@ -266,10 +266,6 @@ class CallResolution:
         Counter children incremented on every call: the fallback records
         (``abft_backend_fallbacks_total{reason="selection"}``,
         ``abft_fused_fallbacks_total{reason="negotiation"|"low_precision"}``).
-    tune_key / tuned:
-        When negotiation read the autotuner, its cache key and the
-        decision read; calls re-read the key and resolve afresh when the
-        decision changed.  ``tune_key`` is ``None`` otherwise.
     """
 
     plan: ExecutionPlan
@@ -278,8 +274,6 @@ class CallResolution:
     backend_fallback: str | None = None
     fused_fallback: str | None = None
     counters: tuple = ()
-    tune_key: str | None = None
-    tuned: object = None
 
 
 class PlanCache:

@@ -163,7 +163,6 @@ def online_fused_matmul(
     tile_blocks: int | None = None,
     out: np.ndarray | None = None,
     pool=None,
-    abort_on_failure: bool = True,
     max_recomputes: int = 2,
     inject_hook: InjectHook | None = None,
     matmul: Callable[..., np.ndarray] = np.matmul,
@@ -186,9 +185,6 @@ def online_fused_matmul(
         multi-tile mode's staging buffers: each tile is computed into a
         contiguous buffer and copied into place (identical bytes — numpy
         buffers non-contiguous matmul outputs the same way internally).
-    abort_on_failure:
-        ``False`` checks every tile but never recomputes or aborts (the
-        autotuner's timing mode).
     max_recomputes:
         Recompute attempts per failing tile before declaring the failure
         persistent and aborting.
@@ -283,7 +279,7 @@ def online_fused_matmul(
                 col_eps, row_eps, outcome.col_disc, outcome.row_disc,
             )
             outcome.check_seconds += time.perf_counter() - t0
-            if not bad or not abort_on_failure:
+            if not bad:
                 break
             if attempt >= max_recomputes:
                 outcome.failed_tile = idx

@@ -161,47 +161,30 @@ class TestNeverSilentFallback:
         assert result.backend == delegate_backend
         assert result.backend_fallback is None
 
-    def test_stale_cache_winner_cannot_steer_a_call(self, tmp_path):
-        from repro.backends import Autotuner, AutotuneCache
-
-        reg = MetricsRegistry()
-        path = tmp_path / "cache.json"
-        tuner = Autotuner(AutotuneCache(path), repeats=1, metrics_registry=reg)
-        engine = MatmulEngine(registry=reg, autotuner=tuner)
-        a, b = operands(96, 64, 96, np.float64)
-        # A version-1 file: a (backend, tile) winner whose fusion decision
-        # was timed on a backend that no longer exists.
-        key = tuner.key(96, 64, 96, np.float64, engine.config)
+    def test_stale_cache_winner_cannot_steer_a_call(
+        self, tmp_path, monkeypatch
+    ):
+        # A well-formed decision file, of the kind an earlier fusion tuner
+        # wrote, naming a two-block fused tile for this very call: fusion
+        # resolves from pins alone, so the file changes nothing.
+        path = tmp_path / "autotune.json"
         path.write_text(json.dumps({
-            "version": 1,
-            "entries": {key: {
-                "backend": "blocked", "tile": 64, "per_call_s": 0.5,
-                "baseline_per_call_s": 1.0, "fusion": "fused",
-                "fused_tile_blocks": None, "fused_per_call_s": 0.4,
-                "separate_check_s": 0.3,
+            "version": 2,
+            "entries": {"256x256x256/float64/aabft/bs64/p2": {
+                "per_call_s": 1e-3, "fusion": "fused",
+                "fused_tile_blocks": 2, "fused_per_call_s": 1e-4,
+                "separate_check_s": 1e-3,
             }},
         }))
-        result = engine.matmul(a, b)
-        assert (result.backend, result.fused) == ("numpy", False)
-        assert result.backend_fallback is None
-        events = reg.counter(
-            "abft_backend_autotune_total", labelnames=("event",)
-        )
-        assert events.labels(event="cache_miss").get() == 1.0
-        assert events.labels(event="cache_hit").get() == 0.0
-        fallbacks = reg.snapshot()["abft_backend_fallbacks_total"]["values"]
-        assert all(v["value"] == 0 for v in fallbacks)
-
-    def test_engine_autotune_entry_point(self, tmp_path):
-        from repro.backends import Autotuner, AutotuneCache
-
-        tuner = Autotuner(AutotuneCache(tmp_path / "c.json"), repeats=1)
-        engine = MatmulEngine(registry=MetricsRegistry(), autotuner=tuner)
-        choice = engine.autotune(64, 64, 64)
-        assert choice.per_call_s > 0
-        assert (
-            tuner.lookup(64, 64, 64, np.float64, engine.config) == choice
-        )
+        monkeypatch.setenv("AABFT_AUTOTUNE_CACHE", str(path))
+        a, b = operands(256, 256, 256, np.float64, seed=3)
+        engine = fresh_engine()
+        result = engine.matmul(a, b, config=AbftConfig(fusion="auto"))
+        separate = engine.matmul(a, b, config=AbftConfig(fusion="separate"))
+        assert result.fused is False
+        assert result.fused_fallback is None
+        assert result.c.tobytes() == separate.c.tobytes()
+        assert result.c_fc.tobytes() == separate.c_fc.tobytes()
 
 
 class SpyFused(NumpyBackend):

@@ -132,7 +132,7 @@ class TestRegistry:
 class TestNegotiation:
     DTYPE = np.dtype(np.float64)
 
-    def negotiate(self, config, *, m=64, n=64, q=64, environ=None, tuner=None):
+    def negotiate(self, config, *, m=64, n=64, q=64, environ=None):
         return negotiate(
             config,
             m,
@@ -140,7 +140,6 @@ class TestNegotiation:
             q,
             self.DTYPE,
             registry=make_registry(),
-            autotuner=tuner,
             environ=environ if environ is not None else {},
         )
 
@@ -184,24 +183,6 @@ class TestNegotiation:
     def test_pinned_non_deterministic_backend_is_allowed(self):
         sel = self.negotiate(AbftConfig(backend="fuzzy"))
         assert sel.backend == "fuzzy"
-
-    def test_autotuner_informs_fusion_only_on_numpy(self):
-        from repro.backends import TunedChoice
-
-        class Tuner:
-            lookups = 0
-
-            def lookup(self, m, n, q, dtype, config):
-                Tuner.lookups += 1
-                return TunedChoice(per_call_s=1.0, fusion="fused")
-
-        sel = self.negotiate(AbftConfig(), tuner=Tuner())
-        assert (sel.backend, sel.source) == ("numpy", "default")
-        assert (sel.fusion, sel.fusion_source) == ("fused", "autotuned")
-        # A decision timed on numpy never steers another backend.
-        sel = self.negotiate(AbftConfig(backend="counting"), tuner=Tuner())
-        assert (sel.backend, sel.fusion) == ("counting", "separate")
-        assert Tuner.lookups == 1
 
 
 class TestConfigValidation:

@@ -2,8 +2,8 @@
 
 A call's negotiated execution (dtypes, backend, fusion, plan) is indexed
 by its request.  These tests pin what the index must still see between
-calls: environment pins, in-process autotune decisions, backend
-registrations, plan eviction and concurrent callers.
+calls: environment pins, backend registrations, plan eviction and
+concurrent callers.
 """
 
 from __future__ import annotations
@@ -14,16 +14,9 @@ import threading
 import numpy as np
 import pytest
 
-from repro.backends import (
-    Autotuner,
-    AutotuneCache,
-    BackendRegistry,
-    NumpyBackend,
-    TunedChoice,
-)
+from repro.backends import BackendRegistry, NumpyBackend
 from repro.engine import AbftConfig, MatmulEngine
 from repro.engine import engine as engine_module
-from repro.telemetry import MetricsRegistry
 
 
 @pytest.fixture(autouse=True)
@@ -40,13 +33,6 @@ def operands():
     return rng.uniform(-1, 1, (96, 64)), rng.uniform(-1, 1, (64, 80))
 
 
-def fresh_engine(tmp_path, **kwargs) -> MatmulEngine:
-    """An engine whose autotuner reads an empty cache of its own."""
-    reg = MetricsRegistry()
-    tuner = Autotuner(AutotuneCache(tmp_path / "autotune.json"), metrics_registry=reg)
-    return MatmulEngine(registry=reg, autotuner=tuner, **kwargs)
-
-
 def counter(engine, name, labelnames=(), **labels) -> float:
     family = engine.registry.counter(name, labelnames=labelnames)
     return family.labels(**labels).get() if labels else family.get()
@@ -54,9 +40,9 @@ def counter(engine, name, labelnames=(), **labels) -> float:
 
 class TestPinsApplyFromTheNextCall:
     def test_backend_pin_set_then_cleared(
-        self, tmp_path, operands, monkeypatch, delegate_backend
+        self, operands, monkeypatch, delegate_backend
     ):
-        engine = fresh_engine(tmp_path)
+        engine = MatmulEngine()
         a, b = operands
         assert engine.matmul(a, b).backend == "numpy"
         monkeypatch.setenv("AABFT_BACKEND", delegate_backend)
@@ -72,8 +58,8 @@ class TestPinsApplyFromTheNextCall:
         assert counter(engine, "abft_backend_dispatch_total", dispatch,
                        backend="numpy") == 2.0
 
-    def test_fusion_pin_set_then_cleared(self, tmp_path, operands, monkeypatch):
-        engine = fresh_engine(tmp_path)
+    def test_fusion_pin_set_then_cleared(self, operands, monkeypatch):
+        engine = MatmulEngine()
         a, b = operands
         first = engine.matmul(a, b)
         monkeypatch.setenv("AABFT_FUSION", "fused")
@@ -84,39 +70,14 @@ class TestPinsApplyFromTheNextCall:
         assert counter(engine, "abft_fused_calls_total") == 1.0
 
 
-class TestAutotuneAppliesFromTheNextCall:
-    def test_in_process_tune_deciding_fused(self, tmp_path, operands, monkeypatch):
-        engine = fresh_engine(tmp_path)
-        a, b = operands
-        warm = [engine.matmul(a, b) for _ in range(2)]
-        assert not any(r.fused for r in warm)
-
-        fused = TunedChoice(per_call_s=1e-3, fusion="fused")
-        monkeypatch.setattr(
-            Autotuner, "_tune_fusion", lambda self, *args, **kwargs: fused
-        )
-        assert engine.autotune(96, 64, 80).fusion == "fused"
-        tuned = engine.matmul(a, b)
-        assert tuned.fused
-        assert tuned.c_fc.tobytes() == warm[0].c_fc.tobytes()
-        # Still one autotune-cache lookup per call: two misses before the
-        # tune, one hit after it (the tune itself counts "tuned").
-        events = ("event",)
-        assert counter(engine, "abft_backend_autotune_total", events,
-                       event="cache_miss") == 2.0
-        assert counter(engine, "abft_backend_autotune_total", events,
-                       event="cache_hit") == 1.0
-        assert engine.stats().plan_misses == 2  # separate, then fused
-
-
 class TestRegistrationsApplyFromTheNextCall:
-    def test_backend_registered_after_the_first_call(self, tmp_path, operands):
+    def test_backend_registered_after_the_first_call(self, operands):
         class Late(NumpyBackend):
             name = "late"
 
         backends = BackendRegistry()
         backends.register("numpy", NumpyBackend)
-        engine = fresh_engine(tmp_path, backends=backends)
+        engine = MatmulEngine(backends=backends)
         cfg = AbftConfig(backend="late")
         a, b = operands
         before = engine.matmul(a, b, config=cfg)
@@ -134,8 +95,8 @@ class TestRegistrationsApplyFromTheNextCall:
 
 
 class TestIndexLivesWithThePlans:
-    def test_eviction_and_clear_drop_indexed_requests(self, tmp_path):
-        engine = fresh_engine(tmp_path, plan_cache_size=2)
+    def test_eviction_and_clear_drop_indexed_requests(self):
+        engine = MatmulEngine(plan_cache_size=2)
         rng = np.random.default_rng(3)
         for n in (32, 48, 64, 80):
             a = rng.uniform(-1, 1, (n, n))
@@ -153,7 +114,7 @@ class TestIndexLivesWithThePlans:
 
 class TestNegotiatedOnce:
     def test_one_negotiation_over_a_hundred_warm_calls(
-        self, tmp_path, operands, monkeypatch
+        self, operands, monkeypatch
     ):
         calls = []
         real = engine_module.negotiate
@@ -163,7 +124,7 @@ class TestNegotiatedOnce:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(engine_module, "negotiate", spy)
-        engine = fresh_engine(tmp_path)
+        engine = MatmulEngine()
         a, b = operands
         first = engine.matmul(a, b)
         for _ in range(100):
@@ -174,7 +135,7 @@ class TestNegotiatedOnce:
 
 
 class TestConcurrentCallers:
-    def test_four_threads_get_a_fresh_engines_bytes(self, tmp_path):
+    def test_four_threads_get_a_fresh_engines_bytes(self):
         rng = np.random.default_rng(5)
         shapes = [(64, 48, 40), (80, 64, 32), (48, 96, 72)]
         pairs = [
@@ -182,11 +143,11 @@ class TestConcurrentCallers:
             for m, n, q in shapes
         ]
         expected = [
-            fresh_engine(tmp_path / str(i)).matmul(a, b).c_fc.tobytes()
+            MatmulEngine().matmul(a, b).c_fc.tobytes()
             for i, (a, b) in enumerate(pairs)
         ]
         # Two plan slots for three shapes: indexing races eviction.
-        engine = fresh_engine(tmp_path, plan_cache_size=2)
+        engine = MatmulEngine(plan_cache_size=2)
         rounds = 12
         barrier = threading.Barrier(4)
         errors = []

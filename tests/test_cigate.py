@@ -179,7 +179,6 @@ class TestModelCoverageGate:
         result = model_coverage_gate(
             trials_per_layer=2,
             clean_trials=1,
-            latency_repeats=3,
             registry=reg,
         )
         assert result.passed
@@ -193,7 +192,6 @@ class TestModelCoverageGate:
             floor=1.01,
             trials_per_layer=2,
             clean_trials=1,
-            latency_repeats=3,
             registry=MetricsRegistry(),
         )
         assert not result.passed
@@ -204,7 +202,6 @@ class TestModelCoverageGate:
         result = model_coverage_gate(
             trials_per_layer=2,
             clean_trials=1,
-            latency_repeats=3,
             registry=reg,
         )
         gauges = reg.gauge(

@@ -22,7 +22,6 @@ class TestParser:
             "loadgen",
             "bench",
             "backends",
-            "autotune",
         ):
             args = parser.parse_args([cmd])
             assert args.command == cmd
@@ -149,6 +148,11 @@ class TestParser:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
 
+    def test_autotune_command_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["autotune"])
+        assert exc.value.code == 2
+
     def test_loadgen_options(self):
         args = build_parser().parse_args(
             [
@@ -193,28 +197,6 @@ class TestParser:
         )
         assert args.backends == "numpy,cupy"
         assert build_parser().parse_args(["ci-gate"]).backends is None
-
-    def test_autotune_options(self):
-        args = build_parser().parse_args(
-            [
-                "autotune",
-                "--shapes", "128x128x64",
-                "--block-size", "32",
-                "--p", "3",
-                "--scheme", "sea",
-                "--repeats", "5",
-                "--cache", "tune.json",
-                "--force",
-                "--expect-cached",
-            ]
-        )
-        assert args.shapes == "128x128x64"
-        assert args.block_size == 32
-        assert args.p == 3
-        assert args.scheme == "sea"
-        assert args.repeats == 5
-        assert args.cache == "tune.json"
-        assert args.force and args.expect_cached
 
 
 class TestModelParser:
@@ -427,28 +409,6 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "numpy" in out
         assert "cupy" in out
-
-    def test_autotune_caches_and_reuses(self, capsys, tmp_path):
-        cache = tmp_path / "autotune.json"
-        argv = [
-            "autotune", "--shapes", "96x96x48", "--repeats", "1",
-            "--cache", str(cache),
-        ]
-        assert main(argv) == 0
-        first = capsys.readouterr().out
-        assert "tuned" in first and cache.exists()
-        assert "fusion=" in first and "separate check" in first
-        # Second run must serve the winner from the cache without timing.
-        assert main(argv + ["--expect-cached"]) == 0
-        second = capsys.readouterr().out
-        assert "cached" in second
-
-    def test_autotune_expect_cached_fails_on_cold_cache(self, capsys, tmp_path):
-        assert main(
-            ["autotune", "--shapes", "96x96x48",
-             "--cache", str(tmp_path / "cold.json"), "--expect-cached"]
-        ) == 1
-        assert "no cached winner" in capsys.readouterr().err
 
     def test_serve_reads_jsonl_requests(self, capsys, tmp_path):
         spec = tmp_path / "requests.jsonl"
