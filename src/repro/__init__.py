@@ -50,12 +50,7 @@ from .abft import (
     aabft_matmul,
     correct_single_error,
     fixed_abft_matmul,
-    online_abft_matmul,
-    protected_lu,
-    protected_qr,
-    protected_solve,
     sea_abft_matmul,
-    weighted_abft_matmul,
 )
 from .backends import (
     Backend,
@@ -92,7 +87,6 @@ from .chaos import (
 )
 from .errors import (
     BoundSchemeError,
-    ChecksumMismatchError,
     ConfigurationError,
     CorrectionError,
     DeviceError,
@@ -159,7 +153,6 @@ __all__ = [
     "ChaosRecipe",
     "ChaosReport",
     "CheckReport",
-    "ChecksumMismatchError",
     "ConfigurationError",
     "CorrectionError",
     "DeviceError",
@@ -217,15 +210,10 @@ __all__ = [
     "get_backend",
     "fixed_abft_matmul",
     "get_registry",
-    "online_abft_matmul",
-    "protected_lu",
-    "protected_qr",
-    "protected_solve",
     "rounding_error_map",
     "run_chaos",
     "run_loadgen",
     "sea_abft_matmul",
     "span",
-    "weighted_abft_matmul",
     "__version__",
 ]

@@ -30,31 +30,11 @@ from .multiply import (
     sea_abft_matmul,
 )
 from .result import AbftResult, ProtectedResult
-from .lu import LuReport, ProtectedLuResult, SingularPivotError, plain_lu, protected_lu
-from .online import OnlineAbftResult, PanelEvent, online_abft_matmul
 from .pipeline import AABFTPipeline, PipelineResult
-from .qr import ProtectedQrResult, QrReport, plain_qr, protected_qr
-from .solve import ProtectedSolveResult, SolveReport, protected_solve
 from .providers import (
     AABFTEpsilonProvider,
     ConstantEpsilonProvider,
     SEAEpsilonProvider,
-)
-from .weighted_partitioned import (
-    BlockWeightedFinding,
-    PartitionedWeightedChecker,
-    PartitionedWeightedLayout,
-    PartitionedWeightedResult,
-    encode_partitioned_weighted_columns,
-    partitioned_weighted_matmul,
-)
-from .weighted import (
-    WeightedAbftResult,
-    WeightedChecker,
-    WeightedCheckOutcome,
-    encode_weighted_columns,
-    linear_weights,
-    weighted_abft_matmul,
 )
 
 __all__ = [
@@ -71,22 +51,6 @@ __all__ = [
     "EpsilonProvider",
     "ErrorClass",
     "ErrorClassifier",
-    "LuReport",
-    "OnlineAbftResult",
-    "PanelEvent",
-    "ProtectedLuResult",
-    "ProtectedQrResult",
-    "ProtectedSolveResult",
-    "SolveReport",
-    "QrReport",
-    "SingularPivotError",
-    "BlockWeightedFinding",
-    "PartitionedWeightedChecker",
-    "PartitionedWeightedLayout",
-    "PartitionedWeightedResult",
-    "WeightedAbftResult",
-    "WeightedChecker",
-    "WeightedCheckOutcome",
     "PartitionedLayout",
     "PipelineResult",
     "ProtectedResult",
@@ -104,17 +68,6 @@ __all__ = [
     "fixed_abft_matmul",
     "pad_to_block_multiple",
     "strip_encoding",
-    "online_abft_matmul",
-    "plain_lu",
-    "plain_qr",
-    "protected_qr",
-    "protected_solve",
-    "protected_lu",
     "row_discrepancies",
     "sea_abft_matmul",
-    "encode_partitioned_weighted_columns",
-    "encode_weighted_columns",
-    "partitioned_weighted_matmul",
-    "linear_weights",
-    "weighted_abft_matmul",
 ]

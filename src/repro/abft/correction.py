@@ -63,7 +63,8 @@ def correct_single_error(
     Parameters
     ----------
     c_fc:
-        The (possibly corrupted) full-checksum result; not modified.
+        The (possibly corrupted) full-checksum result; not modified.  The
+        corrected copy keeps its dtype.
     report:
         The check report that located the error.
     row_layout / col_layout:
@@ -92,7 +93,7 @@ def correct_single_error(
     col_delta = _signed_column_delta(c_fc, row_layout, row, col)
     row_delta = _signed_column_delta(c_fc.T, col_layout, col, row)
 
-    corrected = np.array(c_fc, dtype=np.float64, copy=True)
+    corrected = np.array(c_fc, copy=True)
     corrected[row, col] -= col_delta
 
     result = CorrectionResult(

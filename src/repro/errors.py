@@ -12,7 +12,6 @@ __all__ = [
     "ConfigurationError",
     "ShapeError",
     "EncodingError",
-    "ChecksumMismatchError",
     "CorrectionError",
     "FaultSpecError",
     "KernelLaunchError",
@@ -35,19 +34,6 @@ class ShapeError(ReproError, ValueError):
 
 class EncodingError(ReproError):
     """Checksum encoding failed or an encoded matrix is malformed."""
-
-
-class ChecksumMismatchError(ReproError):
-    """A checksum check failed and the caller requested strict behaviour.
-
-    Most checking APIs *return* a report instead of raising; this exception
-    is only raised by the ``strict=True`` convenience paths.
-    """
-
-    def __init__(self, message: str, report: object | None = None) -> None:
-        super().__init__(message)
-        #: The :class:`repro.abft.checking.CheckReport` describing the mismatch.
-        self.report = report
 
 
 class CorrectionError(ReproError):

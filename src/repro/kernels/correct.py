@@ -3,11 +3,11 @@
 Algorithm 2's listing ends with "write back error location **or start
 correction**".  This kernel implements that correction path on the
 simulated device: one thread block per result block re-derives the signed
-column discrepancy at every located error position and subtracts it —
-the same arithmetic as the host-side
-:func:`repro.abft.correction.correct_single_error`, but running where the
-data already lives, so the corrected matrix never has to round-trip
-through the host.
+column discrepancy at every located error position and subtracts it.
+It shares that arithmetic with the host-side
+:func:`repro.abft.correction.correct_single_error` (both return the same
+bytes, in the result's dtype), but runs where the data already lives, so
+the corrected matrix never has to round-trip through the host.
 
 The kernel corrects one error per result block (the ABFT single-error
 model); blocks with multiple candidate positions are left untouched and
@@ -16,6 +16,7 @@ reported, since the intersection is ambiguous there.
 
 from __future__ import annotations
 
+from ..abft.correction import _signed_column_delta
 from ..abft.encoding import PartitionedLayout
 from ..gpusim.kernel import BlockContext, Dim3, Kernel, LaunchConfig
 from ..gpusim.memory import DeviceBuffer
@@ -88,14 +89,7 @@ class CorrectionKernel(Kernel):
         c = self.c_buf.array()
         rows = self.row_layout
         row, col = candidates[0]
-        blk = row // rows.stride
-        data = c[rows.data_indices(blk), col]
-        original = c[rows.checksum_index(blk), col]
-        if rows.is_checksum_index(row):
-            delta = float(original - data.sum())
-        else:
-            delta = float(data.sum() - original)
-        c[row, col] -= delta
+        c[row, col] -= _signed_column_delta(c, rows, row, col)
         status[key] = 1.0
 
         ctx.stats.flops += rows.block_size + 2

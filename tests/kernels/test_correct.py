@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.abft.checking import check_partitioned
+from repro.abft.correction import correct_single_error
 from repro.abft.encoding import (
     encode_partitioned_columns,
     encode_partitioned_rows,
@@ -91,6 +92,47 @@ class TestCorrectionKernel:
         bad = simulator.alloc((1, 1))
         with pytest.raises(ValueError, match="status buffer"):
             CorrectionKernel(d_c, [], rows, cols, bad)
+
+
+class TestHostParity:
+    """The kernel returns the host corrector's bytes, in the result's dtype."""
+
+    @pytest.mark.parametrize(
+        "dtype, eps", [(np.float64, 1e-9), (np.float32, 1e-3)], ids=["f64", "f32"]
+    )
+    @pytest.mark.parametrize("part", ["data", "checksum_row", "checksum_col"])
+    def test_kernel_matches_correct_single_error(
+        self, simulator, rng, dtype, eps, part
+    ):
+        a = rng.uniform(-1, 1, (64, 48)).astype(dtype)
+        b = rng.uniform(-1, 1, (48, 96)).astype(dtype)
+        a_cc, rows = encode_partitioned_columns(a, 32)
+        b_rc, cols = encode_partitioned_rows(b, 32)
+        clean = a_cc @ b_rc
+        epsilons = ConstantEpsilonProvider(eps)
+        for blk, fault in ((0, 0.375), (1, -7.25), (1, 1e-2)):
+            row = int(rng.integers(0, 32)) + blk * rows.stride
+            col = int(rng.integers(0, 32)) + blk * cols.stride
+            if part == "checksum_row":
+                row = rows.checksum_index(blk)
+            elif part == "checksum_col":
+                col = cols.checksum_index(blk)
+            c = clean.copy()
+            c[row, col] += dtype(fault)
+            report = check_partitioned(c, rows, cols, epsilons)
+            assert report.located_errors == [(row, col)]
+
+            host = correct_single_error(
+                c, report, rows, cols, epsilons, verify=False
+            ).corrected
+            d_c = simulator.upload(c)
+            d_status = simulator.alloc((rows.num_blocks, cols.num_blocks))
+            simulator.launch(
+                CorrectionKernel(d_c, report.located_errors, rows, cols, d_status)
+            )
+            device = simulator.download(d_c)
+            assert device.dtype == host.dtype == dtype
+            assert device.tobytes() == host.tobytes()
 
 
 class TestPipelineAutoCorrect:

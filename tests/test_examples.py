@@ -15,12 +15,16 @@ CASES = {
     "quickstart.py": ([], "element restored:             True"),
     "performance_table.py": ([], "operation counts agree exactly"),
     "error_map_analysis.py": ([], "exceeds the 3-sigma map: 0/"),
-    "resilient_linear_algebra.py": ([], "corrected, matches numpy: True"),
     "iterative_solver.py": ([], "despite the strike"),
     "bound_quality_study.py": (["128"], "orders of magnitude closer"),
     "fault_injection_campaign.py": (["128", "45"], "critical detected"),
     "gpu_trace_tour.py": (["ignored.trace.json"], "Chrome trace written"),
 }
+
+
+def test_cases_name_every_example():
+    scripts = {path.name for path in EXAMPLES.glob("*.py")}
+    assert set(CASES) == scripts
 
 
 @pytest.mark.parametrize("script", sorted(CASES), ids=lambda s: s.split(".")[0])

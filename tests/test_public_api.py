@@ -168,6 +168,51 @@ class TestImports:
             assert not hasattr(repro, symbol)
         assert importlib.util.find_spec("repro.cluster") is None
 
+    def test_extension_exports_absent(self):
+        import importlib.util
+
+        from repro import abft, errors
+
+        abft_removed = (
+            "BlockWeightedFinding",
+            "LuReport",
+            "OnlineAbftResult",
+            "PanelEvent",
+            "PartitionedWeightedChecker",
+            "PartitionedWeightedLayout",
+            "PartitionedWeightedResult",
+            "ProtectedLuResult",
+            "ProtectedQrResult",
+            "ProtectedSolveResult",
+            "QrReport",
+            "SingularPivotError",
+            "SolveReport",
+            "WeightedAbftResult",
+            "WeightedCheckOutcome",
+            "WeightedChecker",
+            "encode_partitioned_weighted_columns",
+            "encode_weighted_columns",
+            "linear_weights",
+            "online_abft_matmul",
+            "partitioned_weighted_matmul",
+            "plain_lu",
+            "plain_qr",
+            "protected_lu",
+            "protected_qr",
+            "protected_solve",
+            "weighted_abft_matmul",
+        )
+        for symbol in abft_removed:
+            assert symbol not in abft.__all__
+            assert not hasattr(abft, symbol)
+            assert symbol not in repro.__all__
+            assert not hasattr(repro, symbol)
+        for module in (repro, errors):
+            assert "ChecksumMismatchError" not in module.__all__
+            assert not hasattr(module, "ChecksumMismatchError")
+        for name in ("weighted", "weighted_partitioned", "online", "lu", "qr", "solve"):
+            assert importlib.util.find_spec(f"repro.abft.{name}") is None
+
     def test_response_satisfies_protected_result(self):
         import numpy as np
 
