@@ -379,7 +379,8 @@ class MatmulEngine:
         self._g_pipe_bubble = reg.gauge(
             "abft_pipeline_bubble_fraction",
             "Bubble fraction of the last pipelined batch "
-            "(1 - busy / (3 * wall))",
+            "(1 - busy / (lanes * wall); one lane inline, two when a "
+            "GEMM ran on the worker)",
         )
         pipe_occupancy = reg.gauge(
             "abft_pipeline_stage_occupancy",

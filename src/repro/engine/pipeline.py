@@ -2,19 +2,20 @@
 
 The A-ABFT flow is inherently three-staged — encode, multiply, check.
 This module, the engine's one batched execution mode, executes a batch
-as a sequence of *chunks* walked in one loop.  When the batch overlaps,
-encode slots are prefetched onto the engine's thread pool up to a
-bounded window, the caller thread runs the multiplies, and each chunk's
-check is submitted to the pool to drain while the next chunk multiplies
-(slot order ``E0 E1 E2 M0 C0 E3 M1 C1 …``) — the paper's overlap of the
-top-p reduction with the GEMM on a concurrent stream (Section V-A), on
-host threads.  Otherwise every slot runs inline in ``E M C`` order.
+as a sequence of *chunks* walked in order on the caller thread, which
+runs every encode and check slot.  A chunk's GEMM may run on the
+engine's thread pool, one at a time, while the caller checks the chunk
+before it and encodes the chunk after it (slot order ``E0 M0 E1 M1 C0
+E2 M2 C1 …``) — the paper's overlap of the non-GEMM work with the GEMM
+on a concurrent stream (Section V-A), on host threads, with only BLAS,
+which releases the GIL, running beside the caller.
 
-Whether to overlap is a fixed property of the batch's shape, not of the
-engine's history: the engine needs two or more workers, the batch two or
-more chunks, and one item's encoded GEMM at least
-``_OVERLAP_MIN_FLOPS``.  Below that the thread hand-offs cost more than
-the overlap saves.
+A chunk's GEMM goes to the pool when the engine has two or more
+workers, the batch two or more chunks, the chunk neither probes nor
+runs fused-online (both mostly Python), and each GEMM it hands over is
+at least ``_OVERLAP_MIN_FLOPS`` (:func:`_on_worker`); below that the
+hand-off costs more than the overlap saves.  Otherwise the chunk runs
+its slots in ``E M C`` order on the caller.
 
 Even without thread overlap the chunked execution wins: every distinct
 left operand is encoded once for the whole batch, and each chunk's right
@@ -60,7 +61,6 @@ paths build one grid per chunk and slice it per item.
 from __future__ import annotations
 
 import time
-from concurrent.futures import Future
 from dataclasses import dataclass
 from functools import partial
 
@@ -86,12 +86,10 @@ from ..telemetry import span
 
 __all__ = ["pipeline_supported", "run_pipelined"]
 
-#: Encode-prefetched chunks kept in flight ahead of the multiply lane.
-_WINDOW = 3
-#: One item's encoded GEMM flops from which a batch overlaps its stages.
-#: On a two-worker host with one BLAS thread, 256x256 @ 256x16 float64
-#: items (8.65 Mflop encoded) ran faster overlapped and 128x128 @ 128x16
-#: items (2.16 Mflop) faster inline; 2**22 sits about 2x from each.
+#: A chunk's GEMM flops from which it runs on the engine's worker.  With
+#: one BLAS thread on two workers, handed-over GEMMs of 2.3-2.8 Mflop read
+#: up to 18 % slower than inline, 3.4-6.8 Mflop about even and from 7.6
+#: up to 24 % faster (the BLAS default read inline faster at most sizes).
 _OVERLAP_MIN_FLOPS = 2**22
 
 
@@ -157,6 +155,7 @@ class _ChunkState:
     group: _Group
     items: list[tuple[int, object]]  # (original index, raw right operand)
     encoded: object = None  # ChunkEncodedB | list[EncodedOperand]
+    verdict: str | None = None  # the width's probe verdict at encode
     # The GEMM results: one concatenated product, or one per item; and
     # the encoded columns each holds per item.
     products: list | None = None
@@ -172,7 +171,9 @@ def run_pipelined(engine, a_items, b_items, cfg) -> list:
 
     Preconditions (:func:`pipeline_supported`) must hold.  Results come
     back in submission order, bitwise identical to sequential
-    :meth:`~repro.engine.MatmulEngine.matmul` calls.
+    :meth:`~repro.engine.MatmulEngine.matmul` calls.  When a slot raises,
+    the GEMM on the worker finishes before the exception propagates, so
+    no slot of the batch runs after it.
     """
     from .engine import (
         EncodedOperand,
@@ -228,7 +229,7 @@ def run_pipelined(engine, a_items, b_items, cfg) -> list:
     busy["encode"] += elapsed
 
     # --- chunks: on one worker nothing overlaps, so one chunk per group
-    # amortises most; otherwise enough chunks to keep every lane busy
+    # amortises most; otherwise enough chunks to keep both lanes busy
     # through fill and drain ---------------------------------------------
     workers = engine._max_workers
     total = len(a_items)
@@ -241,16 +242,9 @@ def run_pipelined(engine, a_items, b_items, cfg) -> list:
         for group in groups
         for lo in range(0, len(group.indices), size)
     ]
-
-    # --- the overlap rule reads only the batch and its plan ------------
-    item_flops = (
-        2 * plan.row_layout.encoded_rows * plan.n * plan.col_layout.encoded_rows
-    )
-    overlap = (
-        workers >= 2 and len(states) >= 2 and item_flops >= _OVERLAP_MIN_FLOPS
-    )
-    executor = engine._get_executor() if overlap else None
-    window = _WINDOW if overlap else 1
+    overlap = workers >= 2 and len(states) >= 2
+    in_flight = None  # (Future, chunk) of the GEMM on the engine's worker
+    lanes = 1  # two once a GEMM has run on the worker
 
     def _timed(stage: str, fn, *args) -> dict[str, float]:
         """Run one stage slot; charge and return its seconds per stage.
@@ -259,7 +253,7 @@ def run_pipelined(engine, a_items, b_items, cfg) -> list:
         probe's re-encode and discrepancy comparison, a fused chunk's
         checks), or ``None``; the rest of the slot is ``stage``'s.  Every
         second is charged to exactly one stage, after the slot's timer
-        has stopped.
+        has stopped, on the thread that ran the slot.
         """
         t0 = time.perf_counter()
         with span(f"pipeline.{stage}", engine.registry):
@@ -269,43 +263,49 @@ def run_pipelined(engine, a_items, b_items, cfg) -> list:
             engine._add_seconds(name, elapsed)
         return seconds
 
-    def _issue(stage: str, fn, *args) -> Future:
-        """An encode or check slot: on the pool when overlapping, else inline."""
-        if executor is not None:
-            return executor.submit(_timed, stage, fn, *args)
-        done: Future = Future()
-        done.set_result(_timed(stage, fn, *args))
-        return done
-
     def _charge(seconds: dict[str, float]) -> None:
         for name, elapsed in seconds.items():
             busy[name] += elapsed
 
-    # --- walk the chunks: encodes run up to ``window`` chunks ahead, the
-    # caller multiplies, and each check follows its multiply ------------
-    encodes: list[Future] = []
-    checks: list[Future] = []
-    for i, state in enumerate(states):
-        while len(encodes) < min(i + window, len(states)):
-            encodes.append(
-                _issue(
-                    "encode", _encode_chunk,
-                    engine, plan, cfg, states[len(encodes)], dtype,
-                )
-            )
-        _charge(encodes[i].result())
-        multiply = _fused_chunk if fused_online else _multiply_chunk
-        _charge(_timed("multiply", multiply, engine, plan, cfg, state))
-        if not fused_online:  # fused chunks check inside their multiply slot
-            checks.append(_issue("check", _check_chunk, engine, plan, cfg, state))
-    for future in checks:
+    def _join() -> list[_ChunkState]:
+        """Wait for the GEMM on the worker; returns its chunk."""
+        nonlocal in_flight
+        if in_flight is None:
+            return []
+        future, state = in_flight
         _charge(future.result())
+        in_flight = None
+        return [state]
 
-    # The left-operand encodings are fully consumed once every multiply
-    # has run; internally encoded buffers recycle (handles are untouched).
-    for group in groups:
-        if group.fresh:
-            plan.pool.give(group.enc_a.array)
+    try:
+        # --- walk the chunks in order: encode chunk i, join chunk i-1's
+        # GEMM, hand chunk i's over, then check chunk i-1 ----------------
+        for state in states:
+            _charge(_timed("encode", _encode_chunk, engine, plan, cfg, state, dtype))
+            due = _join()
+            if fused_online:  # fused chunks check inside their multiply slot
+                _charge(_timed("multiply", _fused_chunk, engine, plan, cfg, state))
+            elif overlap and _on_worker(plan, state):
+                lanes = 2
+                in_flight = engine._get_executor().submit(
+                    _timed, "multiply", _multiply_chunk, engine, plan, cfg, state
+                ), state
+            else:
+                _charge(_timed("multiply", _multiply_chunk, engine, plan, cfg, state))
+                due.append(state)
+            for chunk in due:
+                _charge(_timed("check", _check_chunk, engine, plan, cfg, chunk))
+        for chunk in _join():
+            _charge(_timed("check", _check_chunk, engine, plan, cfg, chunk))
+    finally:
+        # Even when a slot raised, the worker's GEMM finishes first (its
+        # own error yields to the one propagating); then the consumed
+        # left-operand encodings recycle (not handles).
+        if in_flight is not None:
+            in_flight[0].exception()
+        for group in groups:
+            if group.fresh:
+                plan.pool.give(group.enc_a.array)
 
     # --- assemble results in submission order: every item's c from one
     # copy per product, a compact item's c_fc built when read ------------
@@ -359,7 +359,7 @@ def run_pipelined(engine, a_items, b_items, cfg) -> list:
             )
     if wall > 0.0:
         engine._g_pipe_bubble.set(
-            max(0.0, 1.0 - total_busy / (3.0 * wall))
+            max(0.0, 1.0 - total_busy / (lanes * wall))
         )
     return results
 
@@ -367,13 +367,6 @@ def run_pipelined(engine, a_items, b_items, cfg) -> list:
 # ----------------------------------------------------------------------
 # chunk stage bodies
 # ----------------------------------------------------------------------
-def _probe_verdict(plan, width: int) -> str | None:
-    """The width's verdict — ``"compact"``, ``"full"`` or ``"per_item"``
-    — or ``None`` before its probe."""
-    with plan.probe_lock:
-        return plan.probe_verdicts.get(width)
-
-
 def _encode_chunk(engine, plan, cfg, state: _ChunkState, dtype) -> None:
     """Encode slot: concatenated fast path or per-item reference path.
 
@@ -381,9 +374,13 @@ def _encode_chunk(engine, plan, cfg, state: _ChunkState, dtype) -> None:
     slot runs one fused tile loop per pair against per-pair tolerance
     grids, so there is no concatenated GEMM to feed.  So do chunks whose
     left operand is not all finite.  The full-width concatenation is
-    built only for a probe or a ``full`` verdict.
+    built only for a probe or a ``full`` verdict.  The chunk keeps the
+    width's verdict (``None`` before its probe): its multiply slot
+    follows it, so a verdict another batch sets in between changes
+    nothing.
     """
-    verdict = _probe_verdict(plan, len(state.items))
+    with plan.probe_lock:
+        state.verdict = verdict = plan.probe_verdicts.get(len(state.items))
     concatenate = cfg.fusion != "fused" and verdict != "per_item"
     if concatenate and not state.group.finite:
         engine._m_pipe_fallbacks.labels(reason="non_finite").inc()
@@ -410,14 +407,19 @@ def _encode_items(engine, plan, cfg, state: _ChunkState, dtype) -> list:
     ]
 
 
-def _reencode_items(engine, plan, cfg, state: _ChunkState, other) -> list:
-    """Per-item encodes inside a multiply slot, timed into ``other``."""
-    t0 = time.perf_counter()
-    encoded = _encode_items(
-        engine, plan, cfg, state, state.encoded.compact.dtype
-    )
-    other["encode"] = time.perf_counter() - t0
-    return encoded
+def _on_worker(plan, state: _ChunkState) -> bool:
+    """Whether the chunk's multiply slot goes to the engine's worker: not
+    a probe (mostly Python), and each GEMM it runs (one per chunk, or one
+    per item on the reference path) at least ``_OVERLAP_MIN_FLOPS``."""
+    enc = state.encoded
+    if not isinstance(enc, ChunkEncodedB):
+        b_arr = enc[0].array
+    elif state.verdict is None:
+        return False
+    else:
+        b_arr = enc.operand(full=state.verdict == "full")[0]
+    flops = 2 * plan.row_layout.encoded_rows * plan.n * b_arr.shape[1]
+    return flops >= _OVERLAP_MIN_FLOPS
 
 
 def _per_item(plan, state: _ChunkState, runs) -> None:
@@ -432,37 +434,31 @@ def _per_item(plan, state: _ChunkState, runs) -> None:
 def _multiply_chunk(engine, plan, cfg, state: _ChunkState) -> dict:
     """Multiply slot: probe, concatenated GEMM, or per-item reference.
 
-    Returns the seconds the slot spent on encode and check work (the
-    probe's, or a re-encode after a failed probe), keyed by stage.
+    Returns the seconds the slot spent on encode and check work (a
+    probe's), keyed by stage.
     """
     a_arr = state.group.enc_a.array
     count = len(state.items)
     enc = state.encoded
     other: dict[str, float] = {}
-    if isinstance(enc, ChunkEncodedB):
-        verdict = _probe_verdict(plan, count)
-        if verdict is None:
-            _probe_chunk(engine, plan, cfg, state, other)
-            return other
-        if verdict != "per_item":
-            # Probed byte-identical: one GEMM covers the whole chunk.
-            b_arr, state.columns = enc.operand(full=verdict == "full")
-            product, used, fallback = engine._dispatch_gemm(plan, a_arr, b_arr)
-            state.products = [product]
-            state.backends = [used] * count
-            state.fallbacks = [fallback] * count
-            state.item_tops = [enc.item_tops(j) for j in range(count)]
-            enc.release(plan.pool)
-            return other
-        # A prefetched encode slot concatenated this chunk before its
-        # width's probe failed: re-encode per item for the reference.
-        state.encoded = _reencode_items(engine, plan, cfg, state, other)
+    if not isinstance(enc, ChunkEncodedB):
+        # Reference path: the probe failed for this width, or the left
+        # operand is not all finite.
+        _per_item(plan, state, [
+            engine._dispatch_gemm(plan, a_arr, enc_b.array) for enc_b in enc
+        ])
+        state.item_tops = [(eb.top_values, eb.top_indices) for eb in enc]
+    elif state.verdict is None:
+        _probe_chunk(engine, plan, cfg, state, other)
+    else:
+        # Probed byte-identical: one GEMM covers the whole chunk.
+        b_arr, state.columns = enc.operand(full=state.verdict == "full")
+        product, used, fallback = engine._dispatch_gemm(plan, a_arr, b_arr)
+        state.products = [product]
+        state.backends = [used] * count
+        state.fallbacks = [fallback] * count
+        state.item_tops = [enc.item_tops(j) for j in range(count)]
         enc.release(plan.pool)
-    # Reference path (the probe failed for this width).
-    _per_item(plan, state, [
-        engine._dispatch_gemm(plan, a_arr, enc_b.array) for enc_b in state.encoded
-    ])
-    state.item_tops = [(eb.top_values, eb.top_indices) for eb in state.encoded]
     return other
 
 
@@ -488,7 +484,9 @@ def _probe_chunk(engine, plan, cfg, state: _ChunkState, other) -> None:
     a_arr = state.group.enc_a.array
     enc: ChunkEncodedB = state.encoded
     count = len(state.items)
-    ref_enc = _reencode_items(engine, plan, cfg, state, other)
+    t0 = time.perf_counter()
+    ref_enc = _encode_items(engine, plan, cfg, state, enc.compact.dtype)
+    other["encode"] = time.perf_counter() - t0
     ok = all(
         _same_bytes(ref.array, enc.item_encoded(j))
         and _same_bytes(ref.top_values, enc.item_tops(j)[0])

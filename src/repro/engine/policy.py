@@ -7,10 +7,10 @@
 * ``mode="serial"`` — per-pair execution, fanned across the engine's
   thread pool when it has more than one worker;
 * ``mode="pipelined"`` — the stage-pipelined executor
-  (:mod:`repro.engine.pipeline`): chunked execution that, when the
-  engine has two or more workers and the batch's items are large enough,
-  overlaps each chunk's multiply with the encodes of the chunks after it
-  and the check of the chunk before it;
+  (:mod:`repro.engine.pipeline`): chunked execution on the caller that,
+  when the engine has two or more workers and a chunk's GEMM is large
+  enough, runs that GEMM on the engine's thread pool while the caller
+  checks the chunk before it and encodes the chunk after it;
 * ``mode="auto"`` (default) — pipelined whenever the batch meets its
   preconditions, serial otherwise.
 

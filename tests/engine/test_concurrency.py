@@ -6,12 +6,14 @@ while results are in flight.  Results must stay bitwise correct and the
 engine's ``abft_engine_*`` counters must add up exactly.
 """
 
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from repro.engine import AbftConfig, ExecutionPolicy, MatmulEngine
+from repro.engine import AbftConfig, ExecutionPolicy, MatmulEngine, pipeline
 
 SERIAL = ExecutionPolicy(mode="serial")
 PIPELINED = ExecutionPolicy(mode="pipelined")
@@ -218,3 +220,76 @@ class TestPlanCacheRaces:
         assert stats.calls == THREADS * ROUNDS * 3
         assert stats.plan_evictions > 0
         assert stats.detections == 0
+
+    def test_worker_gemms_race_plan_eviction(self, monkeypatch):
+        """Every chunk GEMM that does not probe runs on the engine's pool.
+
+        More pool threads than cores and a short switch interval make the
+        caller and the worker hand each chunk back and forth as often as
+        the schedule allows, while the tiny LRU evicts plans under them.
+        The shapes take all three probe verdicts on OpenBLAS (per_item,
+        full, compact).  A chunk read before its GEMM finished, or a
+        pooled buffer given back while a GEMM still reads it, breaks the
+        bytes; a lost counter update breaks the totals.
+        """
+        monkeypatch.setattr(pipeline, "_OVERLAP_MIN_FLOPS", 0)
+        shapes = [(64, 64, 8), (256, 64, 8), (256, 256, 16), (128, 64, 8),
+                  (200, 64, 8)]
+        rng = np.random.default_rng(43)
+        pairs = {}
+        for m, n, q in shapes:
+            a = rng.uniform(-1, 1, (m, n))
+            # six pairs on four workers: three chunks of two
+            pairs[(m, n, q)] = [(a, rng.uniform(-1, 1, (n, q))) for _ in range(6)]
+        separate = AbftConfig(fusion="separate")  # fused chunks stay on the caller
+        reference = {
+            shape: [MatmulEngine(separate).matmul(a, b).c.tobytes() for a, b in batch]
+            for shape, batch in pairs.items()
+        }
+        engine = MatmulEngine(separate, plan_cache_size=2, max_workers=4)
+        multiply_threads = set()
+
+        def hook(event, **kwargs):
+            name = threading.current_thread().name
+            if event == "dispatch" and name.startswith("abft-engine"):
+                # hold the worker's GEMM while the caller encodes the next
+                # chunk into pooled buffers of the same shapes
+                time.sleep(0.002)
+            elif event == "multiply":
+                multiply_threads.add(name)
+
+        engine.set_chaos_hook(hook)
+        barrier = threading.Barrier(THREADS)
+        errors = []
+
+        def worker(idx):
+            try:
+                barrier.wait(timeout=30)
+                for round_no in range(ROUNDS):
+                    shape = shapes[(idx + round_no) % len(shapes)]
+                    results = engine.execute_batch(pairs[shape], policy=PIPELINED)
+                    for res, ref in zip(results, reference[shape]):
+                        if res.c.tobytes() != ref or res.detected:
+                            raise AssertionError(f"divergence at shape {shape}")
+            except Exception as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(i,)) for i in range(THREADS)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        engine.close()
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors[0]
+        stats = engine.stats()
+        assert stats.calls == THREADS * ROUNDS * 6
+        assert stats.plan_evictions > 0
+        assert any(name.startswith("abft-engine") for name in multiply_threads)

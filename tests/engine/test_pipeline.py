@@ -167,35 +167,26 @@ class TestProbeVerdicts:
     """The first-chunk probe decides, byte for byte, which path every
     later chunk of its ``(plan, chunk width)`` signature takes."""
 
-    def test_prefetched_chunk_after_a_failed_probe_runs_per_item(
-        self, monkeypatch
-    ):
-        # With overlap on, chunk 1's encode slot is prefetched — and
-        # concatenated — before chunk 0's probe runs.  The probe's first
-        # comparison is made to fail whatever the BLAS does, so the probe
-        # tries no candidate GEMM and chunk 1 must take the per-item path
-        # too: no concatenated GEMM at all, and bytes equal to matmul.
-        # The 32x32 items fall below the overlap threshold, so the test
-        # lowers it.
-        monkeypatch.setattr(pipeline, "_OVERLAP_MIN_FLOPS", 0)
-        prefetched = threading.Event()
-        encode_calls = []
-        real_encode_b_chunk = pipeline.encode_b_chunk
+    def test_chunk_follows_the_verdict_its_encode_saw(self, monkeypatch):
+        # A racing batch may set a width's verdict between a chunk's
+        # encode and its multiply; here a "compact" verdict appears right
+        # after chunk 0's encode.  Chunk 0 was concatenated for a probe,
+        # so it probes all the same.  The probe's first comparison is
+        # made to fail whatever the BLAS does, so chunk 1 runs per item:
+        # no concatenated GEMM at all, and bytes equal to matmul.
+        real_encode_chunk = pipeline._encode_chunk
 
-        def encode_b_chunk(*args, **kwargs):
-            out = real_encode_b_chunk(*args, **kwargs)
-            encode_calls.append(out)
-            if len(encode_calls) == 2:
-                prefetched.set()
-            return out
+        def encode_chunk(engine, plan, cfg, state, dtype):
+            real_encode_chunk(engine, plan, cfg, state, dtype)
+            with plan.probe_lock:
+                plan.probe_verdicts.setdefault(len(state.items), "compact")
 
         real_item_encoded = ChunkEncodedB.item_encoded
 
         def mismatching_item_encoded(self, j):
-            prefetched.wait(10.0)  # chunk 1 is encoded before the verdict
             return real_item_encoded(self, j) + 1.0
 
-        monkeypatch.setattr(pipeline, "encode_b_chunk", encode_b_chunk)
+        monkeypatch.setattr(pipeline, "_encode_chunk", encode_chunk)
         monkeypatch.setattr(
             ChunkEncodedB, "item_encoded", mismatching_item_encoded
         )
@@ -213,11 +204,10 @@ class TestProbeVerdicts:
 
         engine.set_chaos_hook(hook)
         results = engine.execute_batch([(a, b) for b in bs], policy=PIPELINED)
-        assert prefetched.is_set()
         assert_bitwise_equal(results, reference)
-        item_width = reference[0].c_fc.shape[1]
-        assert widths.count(2 * item_width) == 0
-        assert widths == [item_width] * 4
+        assert widths == [reference[0].c_fc.shape[1]] * 4
+        plan = next(iter(engine._plans._plans.values()))
+        assert plan.probe_verdicts == {2: "per_item"}
 
     def test_nan_operand_keeps_the_probe_verdict(self):
         # A NaN is byte-identical to itself on both paths, so it must not
@@ -606,9 +596,35 @@ def stage_threads(engine) -> dict[str, set[str]]:
     return threads
 
 
+def multiply_lanes(monkeypatch) -> list[tuple[int, bool]]:
+    """Record each multiply slot as ``(chunk width, ran on the worker)``."""
+    lanes: list[tuple[int, bool]] = []
+    real = pipeline._multiply_chunk
+
+    def multiply_chunk(engine, plan, cfg, state):
+        worker = threading.current_thread().name.startswith("abft-engine")
+        lanes.append((len(state.items), worker))
+        return real(engine, plan, cfg, state)
+
+    monkeypatch.setattr(pipeline, "_multiply_chunk", multiply_chunk)
+    return lanes
+
+
+def serve_burst_pairs(seed: int) -> list:
+    """One serving micro-batch: 32 pairs of 256x256 @ 256x16 float64 in
+    left-operand groups of 28+1+1+1+1 (chunks 8, 8, 8, 4, 1, 1, 1, 1 on
+    two workers)."""
+    rng = np.random.default_rng(seed)
+    shared = rng.uniform(-1, 1, (256, 256))
+    lefts = [shared] * 28 + [rng.uniform(-1, 1, (256, 256)) for _ in range(4)]
+    return [(a, rng.uniform(-1, 1, (256, 16))) for a in lefts]
+
+
 class TestOverlapRule:
-    """Overlap is decided by the batch's shape: two or more workers, two
-    or more chunks, and one item's encoded GEMM of at least
+    """Encode and check always run on the caller.  A chunk's multiply
+    slot runs on the engine's worker when the engine has two or more
+    workers, the batch two or more chunks, the chunk neither probes nor
+    runs fused-online, and each GEMM the slot runs multiplies at least
     ``_OVERLAP_MIN_FLOPS``."""
 
     def test_one_worker_runs_one_chunk_per_group_inline(self):
@@ -626,26 +642,76 @@ class TestOverlapRule:
         for stage in ("encode", "multiply", "check"):
             assert threads[stage] == caller, stage
 
-    def test_serve_burst_batch_overlaps_on_a_cold_engine(self):
-        # 32 pairs of 256x256 @ 256x16 float64 in groups 28+1+1+1+1: one
-        # serving micro-batch.  Its items' encoded GEMMs (8.65 Mflop) sit
-        # above the threshold, so even the engine's first batch overlaps.
-        rng = np.random.default_rng(41)
-        shared = rng.uniform(-1, 1, (256, 256))
-        lefts = [shared] * 28 + [rng.uniform(-1, 1, (256, 256)) for _ in range(4)]
-        pairs = [(a, rng.uniform(-1, 1, (256, 16))) for a in lefts]
+    def test_serve_burst_batch_overlaps_on_a_cold_engine(self, monkeypatch):
+        # Every 8- and 4-item chunk's GEMM is at least 8.65 Mflop whatever
+        # the width's verdict, so each one that does not probe goes to the
+        # worker even in the engine's first batch.  The first chunk of
+        # each width probes on the caller; encode and check never leave it.
+        pairs = serve_burst_pairs(41)
         engine = fresh_engine(config=SEPARATE, max_workers=2)
         threads = stage_threads(engine)
+        lanes = multiply_lanes(monkeypatch)
         results = engine.execute_batch(pairs, policy=PIPELINED)
         chunks = engine.registry.counter("abft_pipeline_chunks_total").get()
         assert chunks == 8
-        for stage in ("encode", "check"):
-            assert any(
-                name.startswith("abft-engine") for name in threads[stage]
-            ), (stage, threads[stage])
-        assert threads["multiply"] == {threading.current_thread().name}
+        caller = {threading.current_thread().name}
+        assert threads["encode"] == caller
+        assert threads["check"] == caller
+        assert lanes[:5] == [
+            (8, False), (8, True), (8, True), (4, False), (1, False),
+        ]
         reference = MatmulEngine(SEPARATE)
         assert_bitwise_equal(results, [reference.matmul(a, b) for a, b in pairs])
+
+    @pytest.mark.parametrize(
+        "case, lanes",
+        [
+            # A one-item chunk multiplies 2.26 Mflop; the old rule read
+            # 8.65 Mflop per item and overlapped it.
+            ("serve_burst", [(8, True)] * 3 + [(4, True)] + [(1, False)] * 4),
+            # An 8-item chunk multiplies 4.53 Mflop; the old rule read
+            # 2.16 Mflop per item and ran it inline.
+            ("128x128x32", [(8, True)] * 4),
+        ],
+    )
+    def test_rule_reads_the_chunks_gemm(self, monkeypatch, case, lanes):
+        if case == "serve_burst":
+            pairs = serve_burst_pairs(46)
+        else:
+            rng = np.random.default_rng(47)
+            a = rng.uniform(-1, 1, (128, 128))
+            pairs = [(a, rng.uniform(-1, 1, (128, 16))) for _ in range(32)]
+        engine = fresh_engine(config=SEPARATE, max_workers=2)
+        engine.execute_batch(pairs, policy=PIPELINED)
+        pin_verdicts(engine, "compact")  # the GEMM widths this case reads
+        threads = stage_threads(engine)
+        recorded = multiply_lanes(monkeypatch)
+        engine.execute_batch(pairs, policy=PIPELINED)
+        assert recorded == lanes
+        caller = {threading.current_thread().name}
+        assert threads["encode"] == threads["check"] == caller
+
+    def test_probe_and_fused_chunks_multiply_on_the_caller(self, monkeypatch):
+        # With every GEMM above the threshold, a probing chunk still
+        # multiplies on the caller, and a fused-online batch runs every
+        # slot there.
+        monkeypatch.setattr(pipeline, "_OVERLAP_MIN_FLOPS", 0)
+        rng = np.random.default_rng(48)
+        a = rng.uniform(-1, 1, (32, 32))
+        pairs = [(a, rng.uniform(-1, 1, (32, 8))) for _ in range(10)]
+        engine = fresh_engine(config=SEPARATE, max_workers=2)
+        lanes = multiply_lanes(monkeypatch)
+        engine.execute_batch(pairs, policy=PIPELINED)
+        # chunks of 3, 3, 3 and 1: the first of each width probes
+        assert lanes == [(3, False), (3, True), (3, True), (1, False)]
+
+        fused = fresh_engine(config=AbftConfig(fusion="fused"), max_workers=2)
+        threads = stage_threads(fused)
+        results = fused.execute_batch(pairs, policy=PIPELINED)
+        assert all(result.fused for result in results)
+        caller = {threading.current_thread().name}
+        for stage in ("encode", "multiply", "check"):
+            assert threads[stage] == caller, stage
 
     @pytest.mark.parametrize(
         "m, q, pairs", [(64, 8, 8), (128, 16, 16)], ids=["64x64", "128x128"]
@@ -686,14 +752,17 @@ class TestOverlapRule:
         return order
 
     def test_overlapping_slot_order(self, monkeypatch):
+        # One GEMM in flight at a time: the caller encodes chunk i, joins
+        # chunk i-1's GEMM, hands chunk i's over, then checks chunk i-1.
         monkeypatch.setattr(pipeline, "_OVERLAP_MIN_FLOPS", 0)
         rng = np.random.default_rng(43)
         a = rng.uniform(-1, 1, (32, 32))
         pairs = [(a, rng.uniform(-1, 1, (32, 8))) for _ in range(10)]
         engine = fresh_engine(config=SEPARATE, max_workers=2)
+        engine.execute_batch(pairs, policy=PIPELINED)  # probes both widths
         # 10 pairs on two workers: chunks of 3, 3, 3 and 1.
         assert self.slot_order(monkeypatch, engine, pairs) == (
-            "E0 E1 E2 M0 C0 E3 M1 C1 M2 C2 M3 C3".split()
+            "E0 M0 E1 M1 C0 E2 M2 C1 E3 M3 C2 C3".split()
         )
 
     def test_inline_slot_order(self, monkeypatch):
@@ -705,6 +774,57 @@ class TestOverlapRule:
         assert self.slot_order(monkeypatch, engine, pairs) == (
             "E0 M0 C0 E1 M1 C1 E2 M2 C2".split()
         )
+
+
+class TestFailures:
+    """A batch that raises leaves nothing of itself running."""
+
+    @pytest.mark.parametrize("where", ["worker_gemm", "caller_check"])
+    def test_raising_slot_leaves_nothing_running(self, monkeypatch, where):
+        # A GEMM on the worker raises (a dispatch hook on the numpy
+        # backend), or a check raises on the caller while the next
+        # chunk's GEMM is on the worker.  Each GEMM's slot is stretched
+        # so that a slot left running would finish after the raise.
+        rng = np.random.default_rng(45)
+        a = rng.uniform(-1, 1, (256, 256))
+        pairs = [(a, rng.uniform(-1, 1, (256, 16))) for _ in range(32)]
+        engine = fresh_engine(config=SEPARATE, max_workers=2)
+        engine.execute_batch(pairs, policy=PIPELINED)  # probes: all warm
+        plan = next(iter(engine._plans._plans.values()))
+        key = ((plan.row_layout.encoded_rows, 256), np.dtype(np.float64))
+        pooled = len(plan.pool._free[key])  # the left operand's encoding
+        finished: list[float] = []
+        dispatches = []
+
+        def hook(event, **kwargs):
+            if event == "dispatch":
+                dispatches.append(kwargs["backend"])
+                if where == "worker_gemm" and len(dispatches) == 2:
+                    raise RuntimeError("injected")
+            elif event in ("encode", "multiply", "check"):
+                if event == "multiply":
+                    time.sleep(0.05)
+                finished.append(time.perf_counter())
+
+        def check_chunk(*args):
+            raise RuntimeError("injected")
+
+        if where == "caller_check":
+            monkeypatch.setattr(pipeline, "_check_chunk", check_chunk)
+        engine.set_chaos_hook(hook)
+        with pytest.raises(RuntimeError, match="injected"):
+            engine.execute_batch(pairs, policy=PIPELINED)
+        raised = time.perf_counter()
+        time.sleep(0.3)
+        assert finished and max(finished) <= raised
+        # the batch took the left operand's encoding and gave it back
+        assert len(plan.pool._free[key]) == pooled
+
+        engine.set_chaos_hook(None)
+        monkeypatch.undo()
+        results = engine.execute_batch(pairs, policy=PIPELINED)
+        reference = MatmulEngine(SEPARATE)
+        assert_bitwise_equal(results, [reference.matmul(a, b) for a, b in pairs])
 
 
 class TestExecutionPolicy:
@@ -756,6 +876,21 @@ class TestTelemetry:
             "abft_engine_execute_batch_total", labelnames=("mode",)
         )
         assert modes.labels(mode="pipelined").get() == 1
+
+    def test_inline_batch_bubble_counts_one_lane(self):
+        # An inline batch runs on one lane that is never idle, so its
+        # bubble reads near 0, well below the 2/3 that dividing by three
+        # lanes would give.
+        rng = np.random.default_rng(29)
+        a = rng.uniform(-1, 1, (64, 64))
+        pairs = [(a, rng.uniform(-1, 1, (64, 16))) for _ in range(16)]
+        engine = fresh_engine(config=SEPARATE, max_workers=2)
+        threads = stage_threads(engine)
+        for _ in range(2):  # a cold batch, then a warm one
+            engine.execute_batch(pairs, policy=PIPELINED)
+            bubble = engine.registry.gauge("abft_pipeline_bubble_fraction").get()
+            assert bubble < 0.4
+        assert threads["multiply"] == {threading.current_thread().name}
 
     def test_mode_counter_tracks_auto_resolution(self):
         rng = np.random.default_rng(28)
